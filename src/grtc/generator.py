@@ -12,7 +12,10 @@ recorded as data, never treated as failures.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import inf
+from operator import attrgetter
 
 from .errors import InconsistentEvent, InvalidState, OrderError, StallError
 from .operators import (
@@ -85,8 +88,14 @@ class RunRecord:
 
 def partition_events(events: list[WorkerEvent], t_prev: float,
                      t_i: float) -> list[WorkerEvent]:
-    """Events in the half-open window (t_prev, t_i], original order kept."""
-    return [e for e in events if t_prev < e.t <= t_i]
+    """Events in the half-open window (t_prev, t_i], original order kept.
+
+    ``events`` must be sorted by time (``run_rotation`` checks this): the
+    window is found by bisection, in O(log E) plus its length.
+    """
+    time = attrgetter("t")
+    lo = bisect_right(events, t_prev, key=time)
+    return events[lo:bisect_right(events, t_i, lo=lo, key=time)]
 
 
 def build_initial_state(workers: list[WorkerId | str],
@@ -172,15 +181,18 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     ctx = BatchContext.for_state(state, lenient=True)
     out = state
     log: list = []
+    present = state.tokens()  # operators only move workers, never add or drop
     for ev in batch:
         if ev.op == "arrive":
-            if out.has_worker(ev.worker):
+            if ev.worker in present:
                 raise InconsistentEvent(f"arrival of present worker {ev.worker}")
+            present.add(ev.worker)
             w = WorkerId(ev.worker, out.next_seq)
-            out, entries = insert_worker(out, policy, strategies, w, ctx)
+            out, entries = insert_worker(out, policy, strategies, w)
         elif ev.op == "depart":
-            if not out.has_worker(ev.worker):
+            if ev.worker not in present:
                 raise InconsistentEvent(f"departure of absent worker {ev.worker}")
+            present.remove(ev.worker)
             out, entries = remove_worker(out, policy, strategies, ev.worker, ctx)
         else:
             raise InconsistentEvent(f"unknown event op {ev.op!r}")
@@ -194,8 +206,8 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     if not report.ok:
         raise StallError(f"no valid state constructible: {report}")
     if published.n >= 2 * policy.d:
-        floor_breakers = [g for g in published.ring
-                          if len(published.members_of(g)) < policy.d]
+        floor_breakers = [g for g, ms in zip(published.ring, published.members)
+                          if len(ms) < policy.d]
         if floor_breakers:
             raise StallError(
                 f"groups {floor_breakers} cannot reach the floor d={policy.d} "
@@ -251,7 +263,7 @@ def run_rotation(initial: RotationState, policy: OperatorPolicy,
 
     if stall_start is not None:
         record.stalls.append((stall_start, schedule.times[-1] - stall_start))
-    record.unconsumed = backlog + [e for e in events if e.t > schedule.times[-1]]
+    record.unconsumed = backlog + partition_events(events, schedule.times[-1], inf)
     return record
 
 

@@ -14,12 +14,14 @@ carry no stress for it; the model concerns the workers who stay.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CorruptRecord, InvalidPair
 from .generator import RunRecord
-from .operators import ChangeLog, Donated, Joined, Split
-from .state import RotationState, counter_of_group, validate_pair
+from .operators import (ChangeLog, DegradedEntered, Donated, Inserted, Joined,
+                        Removed, Split, Stalled)
+from .state import RotationState, WorkerId, validate_pair
 
 CSV_COLUMNS = [
     "run_id", "choose", "find_order", "horizon", "d", "max_multiplier", "seed",
@@ -78,18 +80,22 @@ def transition_stress(prev: RotationState, nxt: RotationState,
         elif isinstance(e, Donated):
             moved_tokens.add(e.worker.token)
 
-    prev_group = {w.token: g for g, ms in zip(prev.ring, prev.members) for w in ms}
+    # token -> (group, counter) in prev, in one pass over its positions
+    prev_cur, prev_m = prev.index_of(prev.current), prev.m
+    before_of = {w.token: (g, (k - prev_cur) % prev_m)
+                 for k, (g, ms) in enumerate(zip(prev.ring, prev.members)) for w in ms}
+    cur, m = nxt.index_of(nxt.current), nxt.m
     out: dict[str, WorkerStress] = {}
-    for g, ms in zip(nxt.ring, nxt.members):
-        actual = counter_of_group(nxt, g)
+    for k, (g, ms) in enumerate(zip(nxt.ring, nxt.members)):
+        actual = (k - cur) % m
         for w in ms:
-            if w.token not in prev_group:
+            if w.token not in before_of:
                 continue  # arrived this transition
-            before = counter_of_group(prev, prev_group[w.token])
-            expected = nxt.m - 1 if before == 0 else before - 1
+            prev_g, before = before_of[w.token]
+            expected = m - 1 if before == 0 else before - 1
             drop = max(0, expected - actual)
             rise = max(0, actual - expected)
-            moved = prev_group[w.token] != g and w.token in moved_tokens
+            moved = prev_g != g and w.token in moved_tokens
             score = weights.alpha * drop + weights.beta * rise + weights.gamma * moved
             out[w.token] = WorkerStress(w.token, expected, actual,
                                         drop, rise, moved, score)
@@ -185,20 +191,9 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None
 
     total_drop = total_rise = total_moves = 0
     stress_total = 0.0
-    splits = joins = donations = inserted = removed = 0
+    entry_counts: Counter[type] = Counter()
     for prev, nxt, log in zip(record.states, record.states[1:], record.change_logs):
-        for e in log:
-            name = type(e).__name__
-            if name == "Split":
-                splits += 1
-            elif name == "Joined":
-                joins += 1
-            elif name == "Donated":
-                donations += 1
-            elif name == "Inserted":
-                inserted += 1
-            elif name == "Removed":
-                removed += 1
+        entry_counts.update(map(type, log))
         for token, ws in transition_stress(prev, nxt, weights, log).items():
             s = slot(token)
             s["stress"] += ws.score
@@ -230,11 +225,11 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None
         total_moves=total_moves,
         stress_score=stress_total,
         stress_quantiles=quantiles,
-        splits=splits,
-        joins=joins,
-        donations=donations,
-        inserted=inserted,
-        removed=removed,
+        splits=entry_counts[Split],
+        joins=entry_counts[Joined],
+        donations=entry_counts[Donated],
+        inserted=entry_counts[Inserted],
+        removed=entry_counts[Removed],
         stall_time=sum(d for _, d in record.stalls),
         transitions=len(record.change_logs),
     )
@@ -259,10 +254,6 @@ def summarize_record_dict(doc: dict, weights: StressWeights | None = None
 
 
 def _entries_from_dicts(entries: list[dict]) -> ChangeLog:
-    from .operators import (DegradedEntered, Donated, Inserted, Joined,
-                            Removed, Split, Stalled)
-    from .state import WorkerId
-
     def wid(token: str) -> WorkerId:
         return WorkerId(token, 0)
 

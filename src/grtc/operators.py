@@ -25,7 +25,6 @@ from .errors import (
     ForbiddenMove,
     StallError,
     TooFewGroups,
-    UnknownWorker,
 )
 from .state import GroupId, RotationState, WorkerId
 from .strategies import StrategySet, choose_group, find_donor, partition_for_split
@@ -357,16 +356,13 @@ def _note_degraded(ctx: BatchContext, g: GroupId) -> ChangeLog:
 # -- the two operators -----------------------------------------------------
 
 def insert_worker(state: RotationState, policy: OperatorPolicy,
-                  strategies: StrategySet, w: WorkerId,
-                  ctx: BatchContext | None = None
+                  strategies: StrategySet, w: WorkerId
                   ) -> tuple[RotationState, ChangeLog]:
     """Place an arriving worker, splitting the target group if it overflows.
 
-    Arriving workers are never follow-constrained (they did not perform
-    in the previous state), so ``ctx`` is accepted only for call-site
-    symmetry with ``remove_worker``.
+    Arriving workers did not perform in the previous state, so unlike
+    ``remove_worker`` this needs no batch context.
     """
-    del ctx
     if state.has_worker(w.token):
         raise DuplicateWorker(w.token)
     g = choose_group(state, policy, strategies.choose, strategies.rng)
@@ -398,14 +394,12 @@ def remove_worker(state: RotationState, policy: OperatorPolicy,
     batch those cases are deferred to the batch-end reconciliation.
     """
     token = w.token if isinstance(w, WorkerId) else w
-    if not state.has_worker(token):
-        raise UnknownWorker(token)
+    g = state.group_of(token)  # raises UnknownWorker
     strict = ctx is None or not ctx.lenient
     ctx = _ctx(state, ctx)
     if strict and state.n - 1 < 2:
         raise StallError("fewer than two workers would remain")
 
-    g = state.group_of(token)
     ms = state.members_of(g)
     worker = next(x for x in ms if x.token == token)
     out = _set_members(state, g, tuple(x for x in ms if x.token != token))

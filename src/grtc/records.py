@@ -19,6 +19,7 @@ group's member order.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .errors import CorruptRecord
 from .generator import RunRecord
@@ -106,7 +107,26 @@ def require_shape(doc: dict) -> None:
     if len(doc["change_logs"]) != len(doc["states"]) - 1:
         raise CorruptRecord(
             f"{len(doc['change_logs'])} change logs for {len(doc['states'])} states")
+    _require(doc["config"], dict, "config")
+    if doc["config"].get("d") is not None:
+        _require(doc["config"]["d"], int, "config.d")
     for i, snap in enumerate(doc["states"]):
+        _require(snap, dict, f"states[{i}]")
         for key in ("step", "current", "ring", "members"):
             if key not in snap:
-                raise CorruptRecord(f"state {i} missing key {key!r}")
+                raise CorruptRecord(f"states[{i}]: missing key {key!r}")
+        _require(snap["step"], int, f"states[{i}].step")
+        _require(snap["current"], str, f"states[{i}].current")
+        _require(snap["members"], dict, f"states[{i}].members")
+        lists = [snap["ring"], *snap["members"].values()]
+        if not {*map(type, lists)} <= {list} or not {*map(type, chain(*lists))} <= {str}:
+            k = next(k for k, ms in enumerate(lists)
+                     if type(ms) is not list or not {*map(type, ms)} <= {str})
+            where = f"members.{list(snap['members'])[k - 1]}" if k else "ring"
+            raise CorruptRecord(f"states[{i}].{where}: expected an array of strings")
+
+
+def _require(value, kind: type, path: str) -> None:
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = {dict: "an object", str: "a string", int: "an integer"}[kind]
+        raise CorruptRecord(f"{path}: expected {name}, got {type(value).__name__}")

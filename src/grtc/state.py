@@ -122,9 +122,6 @@ class RotationState:
     def members_of(self, g: GroupId) -> tuple[WorkerId, ...]:
         return self.members[self.index_of(g)]
 
-    def group_sizes(self) -> dict[GroupId, int]:
-        return {g: len(ms) for g, ms in zip(self.ring, self.members)}
-
     def successor(self, g: GroupId) -> GroupId:
         return self.ring[(self.index_of(g) + 1) % self.m]
 
@@ -141,8 +138,9 @@ class RotationState:
 
     def group_of(self, token: str) -> GroupId:
         for g, ms in zip(self.ring, self.members):
-            if any(w.token == token for w in ms):
-                return g
+            for w in ms:
+                if w.token == token:
+                    return g
         raise UnknownWorker(token)
 
     def worker(self, token: str) -> WorkerId:

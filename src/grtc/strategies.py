@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GrtcError
-from .state import GroupId, RotationState, WorkerId, counter_of_group
+from .state import GroupId, RotationState, WorkerId
 
 CHOOSE_KINDS = ("random", "farthest", "concentrated", "balanced", "hybrid")
 FIND_ORDERS = ("pred-first", "succ-first")
@@ -20,17 +20,11 @@ FIND_ORDERS = ("pred-first", "succ-first")
 
 @dataclass
 class StrategySet:
-    """The strategy knobs for one run.
-
-    ``split`` and ``join`` have a single implementation each (half/half
-    by seniority; rule-based survivor selection) and are named here only
-    so a strategy set is self-describing in run records.
-    """
+    """The strategy knobs for one run.  Split (half/half by seniority) and
+    join (rule-based survivor selection) have one implementation each."""
 
     choose: str = "balanced"
     find_order: str = "pred-first"
-    split: str = "half-and-half"
-    join: str = "rule-based"
     rng: random.Random = field(default_factory=random.Random, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,32 +54,24 @@ def choose_group(state: RotationState, policy, kind: str,
         if rng is None:
             raise GrtcError("random choose strategy needs an rng stream")
         return state.ring[rng.randrange(state.m)]
+    ring, m = state.ring, state.m
+    cur = state.index_of(state.current)
     if kind == "farthest":
-        return max(state.ring, key=lambda g: counter_of_group(state, g))
+        return ring[cur - 1]  # the predecessor of current has counter m - 1
+    # sizes[j] is the size of the group whose counter is j
+    sizes = [len(ms) for ms in state.members[cur:] + state.members[:cur]]
     if kind == "concentrated":
-        return max(state.ring,
-                   key=lambda g: (len(state.members_of(g)),
-                                  -counter_of_group(state, g),
-                                  _rev(g)))
-    if kind == "balanced":
-        return min(state.ring,
-                   key=lambda g: (len(state.members_of(g)),
-                                  -counter_of_group(state, g),
-                                  g))
-    if kind == "hybrid":
-        at_risk = [g for g in state.ring if len(state.members_of(g)) <= policy.d]
-        if at_risk:
-            return min(at_risk,
-                       key=lambda g: (len(state.members_of(g)),
-                                      -counter_of_group(state, g),
-                                      g))
-        return choose_group(state, policy, "farthest")
-    raise GrtcError(f"unknown choose strategy {kind!r}")
-
-
-def _rev(g: str):
-    # inverted lexicographic key, so max() tie-breaks toward the smaller id
-    return tuple(-ord(c) for c in g)
+        j = sizes.index(max(sizes))  # the first: smallest counter
+    elif kind in ("balanced", "hybrid"):
+        # some group is at risk iff the smallest one is, so hybrid picks
+        # like balanced unless no group is at risk
+        smallest = min(sizes)
+        if kind == "hybrid" and smallest > policy.d:
+            return ring[cur - 1]
+        j = m - 1 - sizes[::-1].index(smallest)  # the last: largest counter
+    else:
+        raise GrtcError(f"unknown choose strategy {kind!r}")
+    return ring[(cur + j) % m]
 
 
 def partition_for_split(members: list[WorkerId] | tuple[WorkerId, ...]
@@ -135,11 +121,10 @@ def find_donor(state: RotationState, policy, deficient: GroupId,
             if j in seen:
                 continue
             seen.add(j)
-            candidate = state.ring[j]
-            ms = state.members_of(candidate)
+            ms = state.members[j]
             if len(ms) < min_size:
                 continue
             if deficient == protected and max(ms, key=lambda w: w.seq).token in tainted:
                 continue
-            return candidate
+            return state.ring[j]
     return None

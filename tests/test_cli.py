@@ -128,6 +128,17 @@ class TestValidate:
         text = capsys.readouterr().out
         assert "NotPartition" in text and "step 4" in text
 
+    def test_malformed_record_names_the_path(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        out = tmp_path / "out"
+        main(["run", config, "--out", str(out)])
+        doc = json.loads((out / "record.json").read_text())
+        doc["config"]["d"] = "2"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        assert "error: config.d: expected an integer" in capsys.readouterr().err
+
 
 class TestGenTrace:
     def test_gen_then_run(self, tmp_path):

@@ -188,6 +188,53 @@ class TestRunRotation:
         assert [e.worker for e in record.unconsumed] == ["late"]
         assert not record.final_state.has_worker("late")
 
+    def test_windows_match_linear_filter(self, policy, strategies, monkeypatch):
+        """Each task's batch is the stall backlog followed by the events in
+        (t_prev, t], in trace order; checked against a plain filter."""
+        import grtc.generator as generator
+
+        batches, stalled = [], []
+        real_next_state = generator.next_state
+
+        def recording_next_state(state, policy, strategies, batch):
+            batches.append(list(batch))
+            try:
+                out = real_next_state(state, policy, strategies, batch)
+            except StallError:
+                stalled.append(True)
+                raise
+            stalled.append(False)
+            return out
+
+        monkeypatch.setattr(generator, "next_state", recording_next_state)
+        state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4"])], "A")
+        events = [ev(-1.0, "arrive", "early"),   # t <= 0: never applied
+                  ev(0.0, "arrive", "zero"),
+                  ev(1.0, "depart", "w3"),       # exactly at task 1: in its batch
+                  ev(1.0, "depart", "w4"),       # tied, kept in trace order;
+                  ev(1.0, "depart", "w2"),       # one worker left: task 1 stalls
+                  ev(2.0, "arrive", "x1"),       # task 2: after the backlog
+                  ev(2.0, "arrive", "x2"),
+                  ev(2.5, "arrive", "x3"),
+                  ev(2.5, "depart", "x1"),       # tie whose order matters
+                  ev(3.5, "arrive", "x4"),
+                  ev(9.0, "arrive", "late")]     # after the last task
+        schedule = TaskSchedule.periodic(1.0, 4)
+        record = run_rotation(state, policy, strategies, schedule, events)
+
+        expected, backlog, t_prev = [], [], 0.0
+        for t, stall in zip(schedule.times, stalled):
+            batch = backlog + [e for e in events if t_prev < e.t <= t]
+            expected.append(batch)
+            backlog = batch if stall else []
+            t_prev = t
+        assert batches == expected
+        assert stalled[:2] == [True, False]  # task 2 takes the backlog
+        assert record.unconsumed == backlog + [e for e in events
+                                               if e.t > schedule.times[-1]]
+        applied = set().union(*(s.tokens() for s in record.states))
+        assert not applied & {"early", "zero", "late"}
+
     def test_record_validates(self, fig1, policy):
         strat = StrategySet.seeded("hybrid", "succ-first", 5)
         events = [ev(0.5, "arrive", "x1"), ev(1.9, "depart", "w8"),

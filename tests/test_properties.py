@@ -13,7 +13,9 @@ from grtc import (
     WorkerId,
     advance_current,
     check_state,
+    choose_group,
     counter_of_group,
+    find_donor,
     insert_worker,
     next_state,
     partition_events,
@@ -24,6 +26,8 @@ from grtc import (
     write_trace,
 )
 from grtc.recordcheck import replay_entries
+
+from oracle import _scan_donor, oracle_choose, to_plain
 
 
 @st.composite
@@ -48,6 +52,30 @@ def states(draw, max_n=12, max_m=5):
     )
 
 
+@st.composite
+def scrambled_states(draw, max_m=7, max_size=5):
+    """States as a run leaves them: multi-digit group ids out of ring order
+    (a split takes the lowest unused id), any group current, and member
+    order that is not seniority order (donations append the newest)."""
+    m = draw(st.integers(min_value=2, max_value=max_m))
+    ids = draw(st.lists(st.integers(min_value=1, max_value=40),
+                        min_size=m, max_size=m, unique=True))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=max_size),
+                          min_size=m, max_size=m))
+    seqs = iter(draw(st.permutations(range(1, sum(sizes) + 1))))
+    ring = tuple(f"g{k}" for k in ids)
+    return RotationState(
+        ring=ring,
+        members=tuple(tuple(WorkerId(f"w{s}", s) for s in
+                            (next(seqs) for _ in range(size)))
+                      for size in sizes),
+        current=draw(st.sampled_from(ring)),
+        step_index=0,
+        used_group_ids=frozenset(ring),
+        next_seq=sum(sizes) + 1,
+    )
+
+
 choose_kinds = st.sampled_from(["farthest", "concentrated", "balanced", "hybrid"])
 find_orders = st.sampled_from(["pred-first", "succ-first"])
 ds = st.integers(min_value=1, max_value=3)
@@ -67,6 +95,42 @@ def assert_transition_contract(before, published, log):
 def test_counters_are_a_bijection(state):
     assert sorted(counter_of_group(state, g) for g in state.ring) == \
         list(range(state.m))
+
+
+@given(scrambled_states(), choose_kinds, ds)
+@settings(max_examples=300)
+def test_choose_group_matches_oracle(state, kind, d):
+    plain = to_plain(state)
+    assert choose_group(state, OperatorPolicy(d=d), kind) == oracle_choose(
+        plain["ring"], plain["members"], plain["current"], kind, d)
+
+
+@given(st.data(), find_orders, st.sampled_from([1, 2, None]), ds, st.booleans(),
+       st.booleans())
+@settings(max_examples=400)
+def test_find_donor_matches_oracle(data, order, horizon, d, floor_only,
+                                   explicit_guard):
+    """Both scan orders, horizons 1, 2 and unbounded, donor floors 2 and
+    d+1, and the just-performed guard: by default (the current group's
+    workers, protecting its successor) or with tainted workers spread
+    over the ring and any group protected, as inside a batch."""
+    state = data.draw(scrambled_states())
+    plain = to_plain(state)
+    deficient = data.draw(st.sampled_from(state.ring))
+    if explicit_guard:
+        tainted = frozenset(data.draw(st.sets(st.sampled_from(sorted(state.tokens())))))
+        protected = data.draw(st.sampled_from([deficient, *state.ring]))
+    else:
+        tainted = protected = None
+    got = find_donor(state, OperatorPolicy(d=d), deficient, order, horizon,
+                     min_size=2 if floor_only else None,
+                     tainted=tainted, protected=protected)
+    ring, current = plain["ring"], plain["current"]
+    want = _scan_donor(
+        ring, plain["members"], deficient, 2 if floor_only else d + 1, order, horizon,
+        {tok for tok, _ in plain["members"][current]} if tainted is None else tainted,
+        ring[(ring.index(current) + 1) % len(ring)] if protected is None else protected)
+    assert got == want
 
 
 @given(states(), choose_kinds, ds)

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 
@@ -87,6 +88,15 @@ class TestValidateRecord:
                                    "group": snap["ring"][0]}])
 
 
+def _members_as_list(doc):
+    snap = doc["states"][1]
+    snap["members"] = list(snap["members"].values())
+
+
+def _d_as_string(doc):
+    doc["config"]["d"] = "2"
+
+
 class TestRecordIO:
     def test_dump_and_load_roundtrip(self, record_doc, tmp_path):
         path = tmp_path / "record.json"
@@ -98,6 +108,19 @@ class TestRecordIO:
         path.write_text(json.dumps({"v": 1, "config": {}, "states": []}))
         with pytest.raises(CorruptRecord):
             load_record(path)
+
+    @pytest.mark.parametrize("corrupt, path", [
+        (_members_as_list, "states[1].members"),
+        (_d_as_string, "config.d"),
+    ])
+    def test_load_names_the_malformed_path(self, record_doc, tmp_path,
+                                           corrupt, path):
+        doc = copy.deepcopy(record_doc)
+        corrupt(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(CorruptRecord, match=re.escape(path + ":")):
+            load_record(bad)
 
     def test_load_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "v2.json"
