@@ -19,7 +19,6 @@ from .errors import (
     ConsistencyError,
     CorruptRecord,
     DonorTooSmall,
-    DuplicateWorker,
     ForbiddenMove,
     GrtcError,
     InconsistentEvent,
@@ -60,9 +59,7 @@ from .operators import (
     Split,
     Stalled,
     donate_worker,
-    insert_worker,
     join_groups,
-    remove_worker,
     split_group,
 )
 from .records import (

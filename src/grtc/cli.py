@@ -37,14 +37,8 @@ def cmd_run(args) -> int:
         roster, events = read_trace_file(args.trace)
     elif args.trace_config:
         spec = load_json(args.trace_config)
-        trace_config = TraceConfig(
-            seed=spec.get("seed", setup.seed),
-            duration=float(spec["duration"]),
-            arrival_rate=float(spec["arrival_rate"]),
-            departure_rate=float(spec["departure_rate"]),
-            initial_workers=int(spec["initial_workers"]),
-        )
-        roster, events = generate_trace(trace_config)
+        seed = spec.get("seed", setup.seed) if isinstance(spec, dict) else setup.seed
+        roster, events = generate_trace(TraceConfig.from_spec(spec, seed))
     else:
         roster, events = None, []
 
@@ -138,10 +132,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GrtcError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, KeyError, TypeError, ValueError) as e:
+    except (GrtcError, OSError, KeyError, TypeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ from .generator import TaskSchedule, build_initial_state
 from .metrics import StressWeights
 from .operators import OperatorPolicy
 from .state import RotationState, build_state
-from .strategies import CHOOSE_KINDS, FIND_ORDERS, StrategySet
+from .strategies import StrategySet
 
 
 def load_json(path) -> dict:
@@ -43,6 +43,14 @@ def parse_horizon(value) -> int | None:
     raise ConfigError(f"horizon must be a positive integer or 'unlimited', got {value!r}")
 
 
+def section(config: dict, key: str) -> dict:
+    """An optional object-valued config key; absent means empty."""
+    value = config.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config.{key} must be an object, got {type(value).__name__}")
+    return value
+
+
 def effective_seed(config: dict):
     env = os.environ.get("GRTC_SEED")
     if env is not None:
@@ -57,28 +65,24 @@ class RunSetup:
     """Everything needed to execute one run, parsed and validated."""
 
     def __init__(self, config: dict):
+        if not isinstance(config, dict):
+            raise ConfigError(f"config must be an object, got {type(config).__name__}")
         self.config = config
+        find = section(config, "find")
         try:
             self.policy = OperatorPolicy(
                 d=int(config.get("d", 2)),
                 max_multiplier=int(config.get("max_multiplier", 2)),
-                find_horizon=parse_horizon(config.get("find", {}).get("horizon")),
+                find_horizon=parse_horizon(find.get("horizon")),
             )
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
 
-        choose = config.get("choose", "balanced")
-        if choose not in CHOOSE_KINDS:
-            raise ConfigError(f"unknown choose strategy {choose!r}; "
-                              f"expected one of {CHOOSE_KINDS}")
-        order = config.get("find", {}).get("order", "pred-first")
-        if order not in FIND_ORDERS:
-            raise ConfigError(f"unknown find order {order!r}; "
-                              f"expected one of {FIND_ORDERS}")
         self.seed = effective_seed(config)
-        self.strategies = StrategySet.seeded(choose, order, self.seed)
+        self.strategies = StrategySet.seeded(config.get("choose", "balanced"),
+                                             find.get("order", "pred-first"), self.seed)
 
-        w = config.get("weights", {})
+        w = section(config, "weights")
         try:
             self.weights = StressWeights(
                 alpha=float(w.get("alpha", 1.0)),
@@ -109,7 +113,7 @@ class RunSetup:
     def initial_state(self, roster: list[str] | None = None) -> RotationState:
         """Build the starting state from an explicit roster (e.g. a trace
         header) or from the config's "initial" section."""
-        spec = self.config.get("initial", {})
+        spec = section(self.config, "initial")
         if "groups" in spec:
             groups = [(g, list(ws)) for g, ws in spec["groups"]]
             if "current" not in spec:

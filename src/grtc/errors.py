@@ -13,10 +13,6 @@ class UnknownGroup(GrtcError):
     pass
 
 
-class DuplicateWorker(GrtcError):
-    pass
-
-
 class BelowThreshold(GrtcError):
     """Split requested on a group that does not exceed the size threshold."""
 

@@ -164,7 +164,6 @@ def _reconcile(state: RotationState, policy: OperatorPolicy,
                 log.extend(_note_degraded(ctx, g))
             else:
                 hopeless.add(g)
-    ctx.unrepaired |= hopeless
     return state, tuple(log)
 
 
@@ -178,7 +177,7 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     follows the input state, e.g. when too few workers remain or the
     only repair would rotate a just-performed worker straight back in.
     """
-    ctx = BatchContext.for_state(state, lenient=True)
+    ctx = BatchContext.for_state(state)
     out = state
     log: list = []
     present = state.tokens()  # operators only move workers, never add or drop

@@ -19,15 +19,28 @@ from dataclasses import dataclass
 
 from .errors import CorruptRecord, InvalidPair
 from .generator import RunRecord
-from .operators import (ChangeLog, DegradedEntered, Donated, Inserted, Joined,
-                        Removed, Split, Stalled)
-from .state import RotationState, WorkerId, validate_pair
+from .operators import ChangeLog, Donated, Inserted, Joined, Removed, Split, entry_from_dict
+from .state import RotationState, validate_pair
 
 CSV_COLUMNS = [
     "run_id", "choose", "find_order", "horizon", "d", "max_multiplier", "seed",
     "mean_m", "burden", "total_drop", "total_rise", "total_moves",
     "stress_score", "splits", "joins", "donations", "stall_time", "error",
 ]
+
+
+def config_columns(run_id: str, config: dict) -> dict:
+    """The CSV columns that identify a run: its id and its config axes."""
+    find = config.get("find", {})
+    return {
+        "run_id": run_id,
+        "choose": config.get("choose", ""),
+        "find_order": find.get("order", ""),
+        "horizon": find.get("horizon", ""),
+        "d": config.get("d", ""),
+        "max_multiplier": config.get("max_multiplier", ""),
+        "seed": config.get("seed", ""),
+    }
 
 
 @dataclass(frozen=True)
@@ -143,16 +156,9 @@ class RunReport:
             "transitions": self.transitions,
         }
 
-    def csv_row(self, run_id: str, config: dict, error: str = "") -> dict:
-        find = config.get("find", {})
+    def csv_row(self, run_id: str, config: dict) -> dict:
         return {
-            "run_id": run_id,
-            "choose": config.get("choose", ""),
-            "find_order": find.get("order", ""),
-            "horizon": find.get("horizon", ""),
-            "d": config.get("d", ""),
-            "max_multiplier": config.get("max_multiplier", ""),
-            "seed": config.get("seed", ""),
+            **config_columns(run_id, config),
             "mean_m": repr(self.mean_m),
             "burden": repr(self.burden),
             "total_drop": self.total_drop,
@@ -163,7 +169,7 @@ class RunReport:
             "joins": self.joins,
             "donations": self.donations,
             "stall_time": repr(self.stall_time),
-            "error": error,
+            "error": "",
         }
 
 
@@ -248,37 +254,9 @@ def summarize_record_dict(doc: dict, weights: StressWeights | None = None
             for w in ms:
                 seq_of[w.token] = w.seq
         rec.states.append(state)
-    rec.change_logs = [_entries_from_dicts(log) for log in doc["change_logs"]]
+    rec.change_logs = [tuple(map(entry_from_dict, log)) for log in doc["change_logs"]]
     rec.stalls = [(s["time"], s["duration"]) for s in doc.get("stalls", [])]
     return summarize_run(rec, weights)
-
-
-def _entries_from_dicts(entries: list[dict]) -> ChangeLog:
-    def wid(token: str) -> WorkerId:
-        return WorkerId(token, 0)
-
-    out = []
-    for e in entries:
-        op = e["op"]
-        if op == "inserted":
-            out.append(Inserted(wid(e["worker"]), e["group"]))
-        elif op == "removed":
-            out.append(Removed(wid(e["worker"]), e["group"]))
-        elif op == "split":
-            out.append(Split(e["group"], e["new_group"],
-                             tuple(wid(t) for t in e["moved"])))
-        elif op == "joined":
-            out.append(Joined(e["survivor"], e["absorbed"],
-                              tuple(wid(t) for t in e["moved"])))
-        elif op == "donated":
-            out.append(Donated(wid(e["worker"]), e["from"], e["to"]))
-        elif op == "degraded":
-            out.append(DegradedEntered(e["group"]))
-        elif op == "stalled":
-            out.append(Stalled())
-        else:
-            raise CorruptRecord(f"unknown change log op {op!r}")
-    return tuple(out)
 
 
 __all__ = [

@@ -18,14 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    BelowThreshold,
-    DonorTooSmall,
-    DuplicateWorker,
-    ForbiddenMove,
-    StallError,
-    TooFewGroups,
-)
+from .errors import (BelowThreshold, CorruptRecord, DonorTooSmall, ForbiddenMove,
+                     TooFewGroups)
 from .state import GroupId, RotationState, WorkerId
 from .strategies import StrategySet, choose_group, find_donor, partition_for_split
 
@@ -57,6 +51,7 @@ class OperatorPolicy:
 
 
 # -- change log entries -------------------------------------------------
+# ``from_dict`` inverts ``to_dict``; seq is not serialized and decodes as 0.
 
 @dataclass(frozen=True)
 class Inserted:
@@ -66,6 +61,10 @@ class Inserted:
     def to_dict(self):
         return {"op": "inserted", "worker": self.worker.token, "group": self.group}
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls(WorkerId(d["worker"], 0), d["group"])
+
 
 @dataclass(frozen=True)
 class Removed:
@@ -74,6 +73,10 @@ class Removed:
 
     def to_dict(self):
         return {"op": "removed", "worker": self.worker.token, "group": self.group}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(WorkerId(d["worker"], 0), d["group"])
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,10 @@ class Split:
         return {"op": "split", "group": self.group, "new_group": self.new_group,
                 "moved": [w.token for w in self.moved]}
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls(d["group"], d["new_group"], tuple(WorkerId(t, 0) for t in d["moved"]))
+
 
 @dataclass(frozen=True)
 class Joined:
@@ -96,6 +103,10 @@ class Joined:
     def to_dict(self):
         return {"op": "joined", "survivor": self.survivor, "absorbed": self.absorbed,
                 "moved": [w.token for w in self.moved]}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(d["survivor"], d["absorbed"], tuple(WorkerId(t, 0) for t in d["moved"]))
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,10 @@ class Donated:
         return {"op": "donated", "worker": self.worker.token,
                 "from": self.from_group, "to": self.to_group}
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls(WorkerId(d["worker"], 0), d["from"], d["to"])
+
 
 @dataclass(frozen=True)
 class DegradedEntered:
@@ -116,15 +131,34 @@ class DegradedEntered:
     def to_dict(self):
         return {"op": "degraded", "group": self.group}
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls(d["group"])
+
 
 @dataclass(frozen=True)
 class Stalled:
     def to_dict(self):
         return {"op": "stalled"}
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls()
+
 
 Entry = Inserted | Removed | Split | Joined | Donated | DegradedEntered | Stalled
 ChangeLog = tuple[Entry, ...]
+
+ENTRY_KINDS = {"inserted": Inserted, "removed": Removed, "split": Split,
+               "joined": Joined, "donated": Donated, "degraded": DegradedEntered,
+               "stalled": Stalled}
+
+
+def entry_from_dict(d: dict) -> Entry:
+    kind = ENTRY_KINDS.get(d["op"])
+    if kind is None:
+        raise CorruptRecord(f"unknown change log op {d['op']!r}")
+    return kind.from_dict(d)
 
 
 @dataclass
@@ -135,23 +169,18 @@ class BatchContext:
     the batch started (the workers who just performed); ``protected`` is
     the group that will perform next.  The successor of the current group
     cannot be displaced by any operator, so ``protected`` is stable for
-    the whole batch.  ``lenient`` batches tolerate transiently empty
-    groups and defer irreparable deficiencies to the batch-end
-    reconciliation instead of raising.
+    the whole batch.
     """
 
     tainted: frozenset[str]
     protected: GroupId
-    lenient: bool = False
-    unrepaired: set[GroupId] = field(default_factory=set)
     degraded_logged: set[GroupId] = field(default_factory=set)
 
     @classmethod
-    def for_state(cls, state: RotationState, lenient: bool = False) -> "BatchContext":
+    def for_state(cls, state: RotationState) -> "BatchContext":
         return cls(
             tainted=frozenset(w.token for w in state.members_of(state.current)),
             protected=state.successor(state.current),
-            lenient=lenient,
         )
 
 
@@ -204,10 +233,7 @@ def split_group(state: RotationState, policy: OperatorPolicy,
 
     fresh = _fresh_group_id(state)
     i = state.index_of(g)
-    if g == state.current:
-        at = state.index_of(state.current)  # just before current
-    else:
-        at = i + 1  # just after g
+    at = i if g == state.current else i + 1  # just before current, else after g
     ring = list(state.ring)
     members = list(state.members)
     members[i] = stay
@@ -354,17 +380,18 @@ def _note_degraded(ctx: BatchContext, g: GroupId) -> ChangeLog:
 
 
 # -- the two operators -----------------------------------------------------
+# Both are steps of a ``generator.next_state`` batch, which checks each
+# event first and stalls on whatever they leave broken.
 
 def insert_worker(state: RotationState, policy: OperatorPolicy,
                   strategies: StrategySet, w: WorkerId
                   ) -> tuple[RotationState, ChangeLog]:
     """Place an arriving worker, splitting the target group if it overflows.
 
-    Arriving workers did not perform in the previous state, so unlike
-    ``remove_worker`` this needs no batch context.
+    ``w`` must not be in the pool yet.  Arriving workers did not perform
+    in the previous state, so unlike ``remove_worker`` this needs no
+    batch context.
     """
-    if state.has_worker(w.token):
-        raise DuplicateWorker(w.token)
     g = choose_group(state, policy, strategies.choose, strategies.rng)
     i = state.index_of(g)
     out = RotationState(
@@ -383,23 +410,14 @@ def insert_worker(state: RotationState, policy: OperatorPolicy,
 
 
 def remove_worker(state: RotationState, policy: OperatorPolicy,
-                  strategies: StrategySet, w: WorkerId | str,
-                  ctx: BatchContext | None = None
+                  strategies: StrategySet, token: str, ctx: BatchContext
                   ) -> tuple[RotationState, ChangeLog]:
     """Remove a departing worker and repair the floor if its group broke it.
 
-    Outside a batch this raises StallError both when fewer than two
-    workers would remain and when the only legal repair would move a
-    just-performed worker into the next current group.  Inside a lenient
-    batch those cases are deferred to the batch-end reconciliation.
+    A group that cannot be repaired is left as it is for the batch-end
+    reconciliation.
     """
-    token = w.token if isinstance(w, WorkerId) else w
     g = state.group_of(token)  # raises UnknownWorker
-    strict = ctx is None or not ctx.lenient
-    ctx = _ctx(state, ctx)
-    if strict and state.n - 1 < 2:
-        raise StallError("fewer than two workers would remain")
-
     ms = state.members_of(g)
     worker = next(x for x in ms if x.token == token)
     out = _set_members(state, g, tuple(x for x in ms if x.token != token))
@@ -410,10 +428,4 @@ def remove_worker(state: RotationState, policy: OperatorPolicy,
         log.extend(repair_log)
         if outcome == "degraded":
             log.extend(_note_degraded(ctx, g))
-        elif outcome == "blocked":
-            if strict:
-                raise StallError(
-                    f"group {g} cannot be refilled or merged without breaking "
-                    "the rotation constraints")
-            ctx.unrepaired.add(g)
     return out, tuple(log)

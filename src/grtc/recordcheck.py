@@ -112,6 +112,12 @@ class ReplayFailure(Exception):
     pass
 
 
+# the keys replay reads from each entry kind
+ENTRY_KEYS = {"inserted": ("worker", "group"), "removed": ("worker", "group"),
+              "donated": ("worker", "from", "to"), "split": ("group", "new_group", "moved"),
+              "joined": ("survivor", "absorbed", "moved"), "degraded": (), "stalled": ()}
+
+
 def replay_entries(snap: dict, entries: list[dict]) -> dict:
     """Apply a serialized change log to a state snapshot.
 
@@ -130,8 +136,13 @@ def replay_entries(snap: dict, entries: list[dict]) -> dict:
             raise ReplayFailure(f"worker {token} not in group {group}")
         members[group].remove(token)
 
-    for e in entries:
+    for k, e in enumerate(entries):
         op = e.get("op")
+        if op not in ENTRY_KEYS:
+            raise ReplayFailure(f"unknown change log op {op!r}")
+        missing = [key for key in ENTRY_KEYS[op] if key not in e]
+        if missing:
+            raise ReplayFailure(f"entry {k} ({op}) has no {missing[0]!r} key")
         if op == "inserted":
             if e["group"] not in members:
                 raise ReplayFailure(f"insert into unknown group {e['group']}")
@@ -165,10 +176,6 @@ def replay_entries(snap: dict, entries: list[dict]) -> dict:
                     f"of {absorbed}: {members[absorbed]}")
             members[survivor].extend(members.pop(absorbed))
             ring.remove(absorbed)
-        elif op in ("degraded", "stalled"):
-            pass
-        else:
-            raise ReplayFailure(f"unknown change log op {op!r}")
 
     current = ring[(ring.index(current) + 1) % len(ring)]
     return {

@@ -102,6 +102,8 @@ def require_shape(doc: dict) -> None:
     for key in ("config", "states", "change_logs", "stalls"):
         if key not in doc:
             raise CorruptRecord(f"missing key {key!r}")
+    _require(doc["states"], list, "states")
+    _require(doc["change_logs"], list, "change_logs")
     if not doc["states"]:
         raise CorruptRecord("record has no states")
     if len(doc["change_logs"]) != len(doc["states"]) - 1:
@@ -124,9 +126,22 @@ def require_shape(doc: dict) -> None:
                      if type(ms) is not list or not {*map(type, ms)} <= {str})
             where = f"members.{list(snap['members'])[k - 1]}" if k else "ring"
             raise CorruptRecord(f"states[{i}].{where}: expected an array of strings")
+    logs = doc["change_logs"]
+    arrays = {*map(type, logs)} <= {list}
+    entries = [*chain(*logs)] if arrays else []
+    if not (arrays and {*map(type, entries)} <= {dict}
+            and {type(e.get("op")) for e in entries} <= {str}):
+        for i, log in enumerate(logs):  # locate the first malformed one
+            _require(log, list, f"change_logs[{i}]")
+            for j, entry in enumerate(log):
+                _require(entry, dict, f"change_logs[{i}][{j}]")
+                if "op" not in entry:
+                    raise CorruptRecord(f"change_logs[{i}][{j}]: missing key 'op'")
+                _require(entry["op"], str, f"change_logs[{i}][{j}].op")
 
 
 def _require(value, kind: type, path: str) -> None:
     if not isinstance(value, kind) or isinstance(value, bool):
-        name = {dict: "an object", str: "a string", int: "an integer"}[kind]
+        name = {dict: "an object", list: "an array", str: "a string",
+                int: "an integer"}[kind]
         raise CorruptRecord(f"{path}: expected {name}, got {type(value).__name__}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import UnknownGroup, UnknownWorker
 
@@ -133,9 +133,6 @@ class RotationState:
     def tokens(self) -> set[str]:
         return {w.token for ms in self.members for w in ms}
 
-    def has_worker(self, token: str) -> bool:
-        return any(w.token == token for ms in self.members for w in ms)
-
     def group_of(self, token: str) -> GroupId:
         for g, ms in zip(self.ring, self.members):
             for w in ms:
@@ -151,13 +148,6 @@ class RotationState:
         raise UnknownWorker(token)
 
 
-def _normalize_members(raw: Iterable) -> tuple[WorkerId, ...]:
-    out = []
-    for w in raw:
-        out.append(w if isinstance(w, WorkerId) else WorkerId(str(w), 0))
-    return tuple(out)
-
-
 def build_state(groups: Sequence[tuple[GroupId, Sequence]],
                 current: GroupId,
                 step_index: int = 0) -> RotationState | ValidationReport:
@@ -168,7 +158,8 @@ def build_state(groups: Sequence[tuple[GroupId, Sequence]],
     workers; they get sequence numbers in order of appearance.
     """
     ring = tuple(g for g, _ in groups)
-    members = [_normalize_members(ms) for _, ms in groups]
+    members = [[w if isinstance(w, WorkerId) else WorkerId(str(w), 0) for w in ms]
+               for _, ms in groups]
     # assign sequence numbers to bare tokens in appearance order
     seq = 1 + max((w.seq for ms in members for w in ms), default=0)
     filled = []

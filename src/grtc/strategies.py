@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import GrtcError
+from .errors import ConfigError, GrtcError
 from .state import GroupId, RotationState, WorkerId
 
 CHOOSE_KINDS = ("random", "farthest", "concentrated", "balanced", "hybrid")
@@ -29,9 +29,11 @@ class StrategySet:
 
     def __post_init__(self):
         if self.choose not in CHOOSE_KINDS:
-            raise GrtcError(f"unknown choose strategy {self.choose!r}")
+            raise ConfigError(f"unknown choose strategy {self.choose!r}; "
+                              f"expected one of {CHOOSE_KINDS}")
         if self.find_order not in FIND_ORDERS:
-            raise GrtcError(f"unknown find order {self.find_order!r}")
+            raise ConfigError(f"unknown find order {self.find_order!r}; "
+                              f"expected one of {FIND_ORDERS}")
 
     @classmethod
     def seeded(cls, choose: str, find_order: str, seed) -> "StrategySet":

@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import RunSetup, parse_horizon
 from .errors import ConfigError
 from .generator import run_rotation
-from .metrics import CSV_COLUMNS, summarize_run
+from .metrics import CSV_COLUMNS, config_columns, summarize_run
 from .traces import TraceConfig, generate_trace
 
 AXIS_ORDER = ("choose", "find_order", "horizon", "d", "max_multiplier", "seeds")
@@ -65,15 +65,7 @@ def expand(spec: dict) -> list[dict]:
 def run_combo(config: dict) -> tuple[dict, dict]:
     """Execute one combination; returns (csv row, full report dict)."""
     setup = RunSetup(config)
-    trace_spec = config["trace"]
-    trace_config = TraceConfig(
-        seed=setup.seed,
-        duration=float(trace_spec["duration"]),
-        arrival_rate=float(trace_spec["arrival_rate"]),
-        departure_rate=float(trace_spec["departure_rate"]),
-        initial_workers=int(trace_spec["initial_workers"]),
-    )
-    roster, events = generate_trace(trace_config)
+    roster, events = generate_trace(TraceConfig.from_spec(config["trace"], setup.seed))
     initial = setup.initial_state(roster)
     record = run_rotation(initial, setup.policy, setup.strategies,
                           setup.schedule, events, config=setup.echo())
@@ -89,12 +81,8 @@ def _run_indexed(args: tuple[int, dict]) -> tuple[int, dict, dict | None, str]:
         row["run_id"] = run_id
         return index, row, report, ""
     except Exception as e:  # noqa: BLE001 - a bad combination is a row, not an abort
-        row = {c: "" for c in CSV_COLUMNS}
-        row.update(run_id=run_id, choose=config.get("choose", ""),
-                   find_order=config.get("find", {}).get("order", ""),
-                   horizon=config.get("find", {}).get("horizon", ""),
-                   d=config.get("d", ""), max_multiplier=config.get("max_multiplier", ""),
-                   seed=config.get("seed", ""), error=str(e))
+        row = dict.fromkeys(CSV_COLUMNS, "")
+        row.update(config_columns(run_id, config), error=str(e))
         return index, row, None, str(e)
 
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import ConsistencyError, OrderError, ParseError
+from .errors import ConfigError, ConsistencyError, OrderError, ParseError
 
 FORMAT_NAME = "grtc-trace"
 FORMAT_VERSION = 1
@@ -52,6 +52,25 @@ class TraceConfig:
             raise ValueError("rates must be >= 0")
         if self.initial_workers < 2:
             raise ValueError("need at least two initial workers")
+
+    @classmethod
+    def from_spec(cls, spec, seed) -> "TraceConfig":
+        """Build from a JSON ``trace`` object; the caller picks the seed."""
+        if not isinstance(spec, dict):
+            raise ConfigError(f"trace must be an object, got {type(spec).__name__}")
+        values = {}
+        for key, kind in (("duration", float), ("arrival_rate", float),
+                          ("departure_rate", float), ("initial_workers", int)):
+            if key not in spec:
+                raise ConfigError(f"trace.{key} is missing")
+            try:
+                values[key] = kind(spec[key])
+            except (TypeError, ValueError):
+                raise ConfigError(f"trace.{key} must be a number, got {spec[key]!r}") from None
+        try:
+            return cls(seed=seed, **values)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
 
 def generate_trace(config: TraceConfig) -> tuple[list[str], list[WorkerEvent]]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from grtc.cli import main
 
 RUN_CONFIG = {
@@ -88,6 +90,40 @@ class TestRun:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
         assert "psychic" in capsys.readouterr().err
 
+    def test_bad_strategy_message(self, tmp_path, capsys):
+        for key, value, text in (
+                ("choose", "psychic", "unknown choose strategy 'psychic'; expected one of ("),
+                ("find", {"order": "sideways"},
+                 "unknown find order 'sideways'; expected one of (")):
+            path = write_json(tmp_path / "config.json", dict(RUN_CONFIG, **{key: value}))
+            assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+            assert text in capsys.readouterr().err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        path = write_json(tmp_path / "config.json", [1, 2])
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        assert "error: config must be an object, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["find", "weights", "initial"])
+    def test_section_not_an_object(self, tmp_path, capsys, key):
+        path = write_json(tmp_path / "config.json", dict(RUN_CONFIG, **{key: "pred-first"}))
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        assert f"error: config.{key} must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, text", [
+        ({"arrival_rate": 0.4, "departure_rate": 0.05, "initial_workers": 6},
+         "error: trace.duration is missing"),
+        ({"duration": "long", "arrival_rate": 0.4, "departure_rate": 0.05,
+          "initial_workers": 6}, "error: trace.duration must be a number"),
+        ([25, 0.4], "error: trace must be an object"),
+    ])
+    def test_bad_trace_config(self, tmp_path, capsys, spec, text):
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        trace_config = write_json(tmp_path / "trace.json", spec)
+        assert main(["run", config, "--trace-config", trace_config,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert text in capsys.readouterr().err
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         config = write_json(tmp_path / "config.json",
                             dict(RUN_CONFIG, choose="random"))
@@ -140,6 +176,31 @@ class TestValidate:
         assert "error: config.d: expected an integer" in capsys.readouterr().err
 
 
+    def test_malformed_change_log_entry(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        out = tmp_path / "out"
+        main(["run", config, "--out", str(out)])
+        doc = json.loads((out / "record.json").read_text())
+        doc["change_logs"][0] = ["x"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 1
+        assert "error: change_logs[0][0]: expected an object" in capsys.readouterr().err
+
+    def test_entry_missing_a_key(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        out = tmp_path / "out"
+        main(["run", config, "--out", str(out)])
+        doc = json.loads((out / "record.json").read_text())
+        doc["change_logs"][3] = [{"op": "donated", "worker": "w1", "to": "g1"}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 1
+        text = capsys.readouterr().out
+        assert "step 4: ReplayMismatch" in text and "'from'" in text
+
+
 class TestGenTrace:
     def test_gen_then_run(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -188,3 +249,14 @@ class TestSweep:
         assert len(lines) == 3
         assert all(line.endswith("workers") or "error" in lines[0]
                    for line in lines[1:])
+
+    def test_trace_key_error_row(self, tmp_path):
+        trace = {k: v for k, v in SWEEP_SPEC["trace"].items() if k != "duration"}
+        path = write_json(tmp_path / "spec.json", dict(SWEEP_SPEC, seeds=[1], trace=trace))
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[1:] == [
+            f"run-{k:04d},{choose},pred-first,unlimited,2,2,1,,,,,,,,,,,"
+            "trace.duration is missing"
+            for k, choose in enumerate(SWEEP_SPEC["choose"])]

@@ -4,7 +4,6 @@ from grtc import (
     BelowThreshold,
     Donated,
     DonorTooSmall,
-    DuplicateWorker,
     ForbiddenMove,
     Inserted,
     Joined,
@@ -15,18 +14,19 @@ from grtc import (
     StrategySet,
     TooFewGroups,
     UnknownWorker,
+    WorkerEvent,
     WorkerId,
     advance_current,
     check_state,
     counter_of_worker,
     donate_worker,
-    insert_worker,
     join_groups,
-    remove_worker,
+    next_state,
     split_group,
     state_snapshot,
     validate_pair,
 )
+from grtc.operators import BatchContext, entry_from_dict, insert_worker, remove_worker
 from grtc.recordcheck import replay_entries
 
 from conftest import make_state
@@ -43,6 +43,19 @@ def assert_valid_and_follows(before, after):
     assert check_state(after).ok, check_state(after)
     published = advance_current(after)
     assert validate_pair(before, published).ok, validate_pair(before, published)
+
+
+def one_event(state, policy, strat, op, token):
+    """Apply a single arrival or departure as a one-event batch, the way
+    the simulator does; returns the published state and its change log."""
+    return next_state(state, policy, strat, [WorkerEvent(1.0, op, token)])
+
+
+def assert_published_follows(before, published, log):
+    assert check_state(published).ok, check_state(published)
+    assert validate_pair(before, published).ok, validate_pair(before, published)
+    got = replay_entries(state_snapshot(before), [e.to_dict() for e in log])
+    assert got == state_snapshot(published)
 
 
 class TestInsert:
@@ -76,26 +89,24 @@ class TestInsert:
         assert_valid_and_follows(state, out)
         assert_replay_matches(state, log, out)
 
-    def test_duplicate_worker(self, fig1, policy, strategies):
-        with pytest.raises(DuplicateWorker):
-            insert_worker(fig1, policy, strategies, WorkerId("w1", 99))
-
 
 class TestRemove:
+    """Departures reach ``remove_worker`` only through ``next_state``, so
+    each case runs as a one-event batch and checks the published state."""
+
     def test_donor_refills(self, policy):
         # A:2 (current) B:3 C:2; C loses one; only B can spare a worker
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4", "w5"]),
                             ("C", ["w6", "w7"])], "A")
         strat = StrategySet(choose="balanced", find_order="pred-first")
-        out, log = remove_worker(state, policy, strat, "w6")
+        out, log = one_event(state, policy, strat, "depart", "w6")
         assert [type(e) for e in log] == [Removed, Donated]
         assert log[1].from_group == "B"
         assert log[1].worker.token == "w5"  # newest member of B
         assert len(out.members_of("C")) == 2
         assert out.m == 3  # group count preserved
         assert all(len(out.members_of(g)) >= policy.d for g in out.ring)
-        assert_valid_and_follows(state, out)
-        assert_replay_matches(state, log, out)
+        assert_published_follows(state, out, log)
 
     def test_join_when_no_donor(self, policy):
         # all groups at the floor: C loses one, nobody can spare ->
@@ -103,27 +114,27 @@ class TestRemove:
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4"]),
                             ("C", ["w5", "w6"])], "A")
         strat = StrategySet(choose="balanced")
-        out, log = remove_worker(state, policy, strat, "w5")
+        out, log = one_event(state, policy, strat, "depart", "w5")
         assert [type(e) for e in log] == [Removed, Joined]
         assert out.m == 2
         assert log[1].survivor == "A"
         assert len(out.members_of("A")) == 3  # 1 + 2
-        assert_valid_and_follows(state, out)
-        assert_replay_matches(state, log, out)
+        assert_published_follows(state, out, log)
 
     def test_remove_to_one_worker_stalls(self, policy, strategies):
         state = make_state([("A", ["w1"]), ("B", ["w2"])], "A")
         with pytest.raises(StallError):
-            remove_worker(state, policy, strategies, "w1")
+            one_event(state, policy, strategies, "depart", "w1")
 
     def test_unknown_worker(self, fig1, policy, strategies):
         with pytest.raises(UnknownWorker):
-            remove_worker(fig1, policy, strategies, "nobody")
+            remove_worker(fig1, policy, strategies, "nobody",
+                          BatchContext.for_state(fig1))
 
     def test_no_restructure_roundtrip(self, fig1, policy):
         strat = StrategySet(choose="balanced")
-        mid, log1 = insert_worker(fig1, policy, strat, WorkerId("w10", 10))
-        out, log2 = remove_worker(mid, policy, strat, "w10")
+        mid, log1 = one_event(fig1, policy, strat, "arrive", "w10")
+        out, log2 = one_event(mid, policy, strat, "depart", "w10")
         assert [type(e) for e in log1] == [Inserted]
         assert [type(e) for e in log2] == [Removed]
         assert out.members == fig1.members
@@ -133,22 +144,22 @@ class TestRemove:
         # n drops to 3 < 2d: the floor is infeasible, rotation continues
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4"])], "A")
         strat = StrategySet(choose="balanced")
-        out, log = remove_worker(state, policy, strat, "w3")
+        out, log = one_event(state, policy, strat, "depart", "w3")
         ops = [e.to_dict()["op"] for e in log]
         assert ops == ["removed", "degraded"]
         assert out.m == 2
-        assert check_state(out).ok
+        assert_published_follows(state, out, log)
 
-    def test_blocked_repair_stalls_strict(self, policy):
+    def test_blocked_repair_stalls(self, policy):
         # two groups, plenty of workers, but the deficient group performs
         # next and every possible donor worker just performed: no legal
-        # repair exists, so a bare remove must refuse rather than break
+        # repair exists, so the transition must stall rather than break
         # the rotation contract
         state = make_state(
             [("A", ["w1", "w2", "w3", "w4"]), ("B", ["w5", "w6"])], "A")
         strat = StrategySet(choose="balanced")
         with pytest.raises(StallError):
-            remove_worker(state, policy, strat, "w5")
+            one_event(state, policy, strat, "depart", "w5")
 
 
 class TestSplitGroup:
@@ -262,3 +273,19 @@ class TestDonate:
                             ("C", ["w5", "w6"])], "A")
         with pytest.raises(DonorTooSmall):
             donate_worker(state, policy, "B", "C")
+
+
+class TestEntryCodec:
+    @pytest.mark.parametrize("d", [
+        {"op": "inserted", "worker": "w1", "group": "g1"},
+        {"op": "removed", "worker": "w1", "group": "g1"},
+        {"op": "split", "group": "g1", "new_group": "g4", "moved": ["w5", "w6"]},
+        {"op": "joined", "survivor": "g1", "absorbed": "g2", "moved": ["w3"]},
+        {"op": "donated", "worker": "w5", "from": "g2", "to": "g3"},
+        {"op": "degraded", "group": "g2"},
+        {"op": "stalled"},
+    ], ids=lambda d: d["op"])
+    def test_round_trip(self, d):
+        entry = entry_from_dict(d)
+        assert entry.to_dict() == d
+        assert list(entry.to_dict()) == list(d)  # key order is part of the format

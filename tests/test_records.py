@@ -81,6 +81,16 @@ class TestValidateRecord:
         result = validate_record(doc)
         assert not result.ok
 
+    def test_entry_missing_a_key_is_a_finding(self, record_doc):
+        doc = copy.deepcopy(record_doc)
+        i, entry = next((i, e) for i, log in enumerate(doc["change_logs"])
+                        for e in log if e["op"] == "inserted")
+        del entry["group"]
+        result = validate_record(doc)
+        [finding] = [f for f in result.violations if f.code == "ReplayMismatch"]
+        assert finding.step == i + 1
+        assert "'group'" in finding.detail
+
     def test_replay_rejects_bogus_entry(self, record_doc):
         snap = record_doc["states"][0]
         with pytest.raises(ReplayFailure):
@@ -95,6 +105,18 @@ def _members_as_list(doc):
 
 def _d_as_string(doc):
     doc["config"]["d"] = "2"
+
+
+def _entry_as_string(doc):
+    doc["change_logs"][0] = ["x"]
+
+
+def _log_as_string(doc):
+    doc["change_logs"][2] = "inserted"
+
+
+def _entry_without_op(doc):
+    doc["change_logs"][1] = [{"worker": "w1", "group": "g1"}]
 
 
 class TestRecordIO:
@@ -112,6 +134,9 @@ class TestRecordIO:
     @pytest.mark.parametrize("corrupt, path", [
         (_members_as_list, "states[1].members"),
         (_d_as_string, "config.d"),
+        (_entry_as_string, "change_logs[0][0]"),
+        (_log_as_string, "change_logs[2]"),
+        (_entry_without_op, "change_logs[1][0]"),
     ])
     def test_load_names_the_malformed_path(self, record_doc, tmp_path,
                                            corrupt, path):
