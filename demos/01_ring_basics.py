@@ -19,6 +19,7 @@ from grtc import (
     split_group,
     validate_pair,
 )
+from grtc.operators import BatchContext
 
 
 def show(state, label):
@@ -69,13 +70,16 @@ small = build_state(
     [("g1", ["w1", "w2"]), ("g2", ["w3"]), ("g3", ["w4", "w5"]),
      ("g4", ["w6", "w7", "w8"])],
     current="g1")
-joined, log = join_groups(small, policy, "g2")
+# Join and donate take the batch's guard: the workers who just performed
+# (g1's) must not move into the group that performs next (g2).
+guard = BatchContext.for_state(small)
+joined, log = join_groups(small, policy, "g2", guard)
 show(joined, "\nafter joining the one-member group with its successor")
 print(f"  change log: {[e.to_dict() for e in log]}")
 
 # ... or receive the newest worker of a group that can spare one
 # (the donor must keep at least d members).
-donated, log = donate_worker(small, policy, "g4", "g2")
+donated, log = donate_worker(small, policy, "g4", "g2", guard)
 show(donated, "\nafter a donation instead of a join")
 print(f"  change log: {[e.to_dict() for e in log]}")
 

@@ -32,7 +32,6 @@ from .errors import (
     UnknownWorker,
 )
 from .generator import (
-    RunRecord,
     TaskSchedule,
     build_initial_state,
     next_state,
@@ -40,24 +39,18 @@ from .generator import (
     run_rotation,
 )
 from .metrics import (
-    CSV_COLUMNS,
-    RunReport,
     StressWeights,
-    WorkerStress,
     summarize_record_dict,
     summarize_run,
     transition_stress,
 )
 from .operators import (
-    ChangeLog,
-    DegradedEntered,
     Donated,
     Inserted,
     Joined,
     OperatorPolicy,
     Removed,
     Split,
-    Stalled,
     donate_worker,
     join_groups,
     split_group,
@@ -66,7 +59,6 @@ from .records import (
     dump_record,
     load_record,
     record_to_dict,
-    snapshot_to_state,
     state_snapshot,
 )
 from .recordcheck import validate_record
@@ -83,8 +75,6 @@ from .state import (
     validate_pair,
 )
 from .strategies import (
-    CHOOSE_KINDS,
-    FIND_ORDERS,
     StrategySet,
     choose_group,
     find_donor,
@@ -95,9 +85,7 @@ from .traces import (
     WorkerEvent,
     generate_trace,
     read_trace,
-    read_trace_file,
     write_trace,
-    write_trace_file,
 )
 
 __version__ = "0.1.0"

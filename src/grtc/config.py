@@ -73,11 +73,14 @@ class RunSetup:
             self.policy = OperatorPolicy(
                 d=int(config.get("d", 2)),
                 max_multiplier=int(config.get("max_multiplier", 2)),
-                find_horizon=parse_horizon(find.get("horizon")),
             )
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from None
 
+        # accepted and echoed only: the donor scan is nearest-first, so a
+        # scan bounded to ``horizon`` hops that widens to the whole ring on
+        # a miss returns the same donor as one whole-ring scan
+        self.horizon = parse_horizon(find.get("horizon"))
         self.seed = effective_seed(config)
         self.strategies = StrategySet.seeded(config.get("choose", "balanced"),
                                              find.get("order", "pred-first"), self.seed)
@@ -102,8 +105,7 @@ class RunSetup:
         out["choose"] = self.strategies.choose
         out["find"] = {
             "order": self.strategies.find_order,
-            "horizon": ("unlimited" if self.policy.find_horizon is None
-                        else self.policy.find_horizon),
+            "horizon": "unlimited" if self.horizon is None else self.horizon,
         }
         out["weights"] = {"alpha": self.weights.alpha, "beta": self.weights.beta,
                           "gamma": self.weights.gamma}
@@ -115,7 +117,16 @@ class RunSetup:
         header) or from the config's "initial" section."""
         spec = section(self.config, "initial")
         if "groups" in spec:
-            groups = [(g, list(ws)) for g, ws in spec["groups"]]
+            groups = spec["groups"]
+            if not isinstance(groups, list):
+                raise ConfigError("config.initial.groups must be an array of [group, "
+                                  f"[workers]] pairs, got {type(groups).__name__}")
+            for k, item in enumerate(groups):
+                if not (isinstance(item, list) and len(item) == 2
+                        and isinstance(item[0], str) and isinstance(item[1], list)
+                        and all(isinstance(w, str) for w in item[1])):
+                    raise ConfigError(f"config.initial.groups[{k}] must be a "
+                                      f"[group, [workers]] pair, got {item!r}")
             if "current" not in spec:
                 raise ConfigError("explicit initial groups need a 'current' field")
             built = build_state(groups, current=spec["current"])

@@ -26,24 +26,20 @@ from .strategies import StrategySet, choose_group, find_donor, partition_for_spl
 
 @dataclass(frozen=True)
 class OperatorPolicy:
-    """Numeric policy: group-size floor d, split cap max(d), donor scan radius.
+    """Numeric policy: group-size floor d and split cap max(d).
 
     The split cap is ``max_multiplier * d``; the multiplier must be at
     least 2 so both halves of a split stay at or above the floor.
-    ``find_horizon`` of None means an unlimited ring scan.
     """
 
     d: int = 2
     max_multiplier: int = 2
-    find_horizon: int | None = None
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.max_multiplier < 2:
             raise ValueError("max_multiplier must be >= 2")
-        if self.find_horizon is not None and self.find_horizon < 1:
-            raise ValueError("find_horizon must be >= 1 or None")
 
     @property
     def max_size(self) -> int:
@@ -184,10 +180,6 @@ class BatchContext:
         )
 
 
-def _ctx(state: RotationState, ctx: BatchContext | None) -> BatchContext:
-    return ctx if ctx is not None else BatchContext.for_state(state)
-
-
 def _fresh_group_id(state: RotationState) -> GroupId:
     k = 1
     while f"g{k}" in state.used_group_ids:
@@ -251,8 +243,7 @@ def split_group(state: RotationState, policy: OperatorPolicy,
 
 
 def join_groups(state: RotationState, policy: OperatorPolicy,
-                g_deficient: GroupId,
-                ctx: BatchContext | None = None
+                g_deficient: GroupId, ctx: BatchContext
                 ) -> tuple[RotationState, ChangeLog]:
     """Merge a shrunken group with a neighbour.
 
@@ -264,7 +255,6 @@ def join_groups(state: RotationState, policy: OperatorPolicy,
     """
     if state.m <= 2:
         raise TooFewGroups("cannot join with only two groups left")
-    ctx = _ctx(state, ctx)
     if g_deficient == state.current:
         survivor, absorbed = state.current, state.predecessor(state.current)
     elif state.successor(g_deficient) == state.current:
@@ -297,8 +287,7 @@ def join_groups(state: RotationState, policy: OperatorPolicy,
 
 
 def donate_worker(state: RotationState, policy: OperatorPolicy,
-                  from_group: GroupId, to_group: GroupId,
-                  ctx: BatchContext | None = None,
+                  from_group: GroupId, to_group: GroupId, ctx: BatchContext,
                   min_size: int | None = None
                   ) -> tuple[RotationState, ChangeLog]:
     """Move the newest member of ``from_group`` into ``to_group``.
@@ -315,7 +304,6 @@ def donate_worker(state: RotationState, policy: OperatorPolicy,
         raise DonorTooSmall(
             f"group {from_group} has {len(src)} members, needs >= {floor} to donate")
     w = max(src, key=lambda x: x.seq)
-    ctx = _ctx(state, ctx)
     if to_group == ctx.protected and w.token in ctx.tainted:
         raise ForbiddenMove(
             f"worker {w.token} just performed; cannot move into {to_group}, "
@@ -333,19 +321,15 @@ def _repair_deficiency(state: RotationState, policy: OperatorPolicy,
                        ) -> tuple[RotationState, ChangeLog, str]:
     """One repair attempt for a group that fell below the floor.
 
-    Preference order: donation from a nearby group that can spare a
-    worker, then a join, then (for emptied groups with only two groups
-    left) an emergency donation that may push the donor below the floor.
+    Preference order: donation from the nearest group on the ring that
+    can spare a worker, then a join, then (for emptied groups with only
+    two groups left) an emergency donation that may push the donor below
+    the floor.
     Returns the outcome: "repaired", "degraded" (left below floor, legal
     because n < 2d) or "blocked" (nothing legal; caller stalls or defers).
     """
-    donor = find_donor(state, policy, g, strategies.find_order,
-                       policy.find_horizon,
-                       tainted=ctx.tainted, protected=ctx.protected)
-    if donor is None and policy.find_horizon is not None:
-        # horizon-limited search failed; retry unbounded before giving up
-        donor = find_donor(state, policy, g, strategies.find_order, None,
-                           tainted=ctx.tainted, protected=ctx.protected)
+    donor = find_donor(state, g, strategies.find_order, policy.d + 1,
+                       ctx.tainted, ctx.protected)
     if donor is not None:
         out, log = donate_worker(state, policy, donor, g, ctx)
         return out, log, "repaired"
@@ -360,8 +344,8 @@ def _repair_deficiency(state: RotationState, policy: OperatorPolicy,
     if not state.members_of(g):
         # an empty group cannot be published; allow a donor to dip below
         # the floor as long as it keeps one worker
-        donor = find_donor(state, policy, g, strategies.find_order, None,
-                           min_size=2, tainted=ctx.tainted, protected=ctx.protected)
+        donor = find_donor(state, g, strategies.find_order, 2,
+                           ctx.tainted, ctx.protected)
         if donor is not None:
             out, log = donate_worker(state, policy, donor, g, ctx, min_size=2)
             return out, log, "repaired" if len(out.members_of(g)) >= policy.d else "degraded"

@@ -112,7 +112,8 @@ class ReplayFailure(Exception):
     pass
 
 
-# the keys replay reads from each entry kind
+# the keys replay reads from each entry kind; every one holds a string
+# except "moved", an array of strings
 ENTRY_KEYS = {"inserted": ("worker", "group"), "removed": ("worker", "group"),
               "donated": ("worker", "from", "to"), "split": ("group", "new_group", "moved"),
               "joined": ("survivor", "absorbed", "moved"), "degraded": (), "stalled": ()}
@@ -140,9 +141,16 @@ def replay_entries(snap: dict, entries: list[dict]) -> dict:
         op = e.get("op")
         if op not in ENTRY_KEYS:
             raise ReplayFailure(f"unknown change log op {op!r}")
-        missing = [key for key in ENTRY_KEYS[op] if key not in e]
-        if missing:
-            raise ReplayFailure(f"entry {k} ({op}) has no {missing[0]!r} key")
+        for key in ENTRY_KEYS[op]:
+            if key not in e:
+                raise ReplayFailure(f"entry {k} ({op}) has no {key!r} key")
+            value = e[key]
+            if key == "moved":
+                if type(value) is not list or not {*map(type, value)} <= {str}:
+                    raise ReplayFailure(
+                        f"entry {k} ({op}): 'moved' is not an array of strings")
+            elif type(value) is not str:
+                raise ReplayFailure(f"entry {k} ({op}): {key!r} is not a string")
         if op == "inserted":
             if e["group"] not in members:
                 raise ReplayFailure(f"insert into unknown group {e['group']}")

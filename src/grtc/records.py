@@ -26,6 +26,7 @@ from .generator import RunRecord
 from .state import RotationState, WorkerId
 
 SCHEMA_VERSION = 1
+STALL_KEYS = ("time", "duration")
 
 
 def state_snapshot(state: RotationState) -> dict:
@@ -138,10 +139,20 @@ def require_shape(doc: dict) -> None:
                 if "op" not in entry:
                     raise CorruptRecord(f"change_logs[{i}][{j}]: missing key 'op'")
                 _require(entry["op"], str, f"change_logs[{i}][{j}].op")
+    stalls = doc["stalls"]
+    _require(stalls, list, "stalls")
+    if not ({*map(type, stalls)} <= {dict}
+            and {type(s.get(k)) for s in stalls for k in STALL_KEYS} <= {int, float}):
+        for i, stall in enumerate(stalls):  # locate the first malformed one
+            _require(stall, dict, f"stalls[{i}]")
+            for key in STALL_KEYS:
+                if key not in stall:
+                    raise CorruptRecord(f"stalls[{i}]: missing key {key!r}")
+                _require(stall[key], (int, float), f"stalls[{i}].{key}")
 
 
-def _require(value, kind: type, path: str) -> None:
+def _require(value, kind: type | tuple[type, ...], path: str) -> None:
     if not isinstance(value, kind) or isinstance(value, bool):
         name = {dict: "an object", list: "an array", str: "a string",
-                int: "an integer"}[kind]
+                int: "an integer", (int, float): "a number"}[kind]
         raise CorruptRecord(f"{path}: expected {name}, got {type(value).__name__}")

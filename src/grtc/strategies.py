@@ -88,36 +88,25 @@ def partition_for_split(members: list[WorkerId] | tuple[WorkerId, ...]
     return list(members[:keep]), list(members[keep:])
 
 
-def find_donor(state: RotationState, policy, deficient: GroupId,
-               order: str = "pred-first",
-               horizon: int | None = None,
-               min_size: int | None = None,
-               tainted: frozenset[str] | None = None,
-               protected: GroupId | None = None) -> GroupId | None:
+def find_donor(state: RotationState, deficient: GroupId, order: str,
+               min_size: int, tainted: frozenset[str],
+               protected: GroupId) -> GroupId | None:
     """Nearest-first alternating ring scan for a group that can spare a worker.
 
     Starting next to the deficient group and widening outward (predecessor
     then successor per hop for ``pred-first``, the reverse for
     ``succ-first``), return the first group of size at least ``min_size``
-    (default d+1, so the donor stays at the floor).  A candidate whose
-    newest member performed in the previous published state is skipped
-    when the deficient group is the one performing next (``protected``):
-    donating there would make that worker perform twice in a row.
-    Returns None when no group qualifies within ``horizon`` hops.
+    (d+1 keeps the donor at the floor).  A candidate whose newest member
+    is in ``tainted`` (performed in the previous published state) is
+    skipped when the deficient group is ``protected``, the one performing
+    next: donating there would make that worker perform twice in a row.
+    Returns None when no group on the ring qualifies.
     """
-    if min_size is None:
-        min_size = policy.d + 1
-    if tainted is None:
-        tainted = frozenset(w.token for w in state.members_of(state.current))
-    if protected is None:
-        protected = state.successor(state.current)
-
     i = state.index_of(deficient)
     m = state.m
-    limit = min(horizon if horizon is not None else m - 1, m - 1)
     seen: set[int] = {i}
     first, second = (-1, +1) if order == "pred-first" else (+1, -1)
-    for hop in range(1, limit + 1):
+    for hop in range(1, m):
         for direction in (first, second):
             j = (i + direction * hop) % m
             if j in seen:

@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The shared corpus
 (criteria 1, 3, 4, 5) is 1000 trace-driven runs over stationary regimes
 (arrival rate = departure rate x pool size) spanning pools of roughly
-4 to 100 workers, every d in {1, 2, 3}, every choose strategy, both scan
-orders and several horizons.
+4 to 100 workers, every d in {1, 2, 3}, every choose strategy and both
+scan orders.
 """
 
 import itertools
@@ -53,7 +53,6 @@ POOLS = [4, 6, 10, 16, 25, 40, 60, 100]
 DS = [1, 2, 3]
 CHOOSES = ["random", "farthest", "concentrated", "balanced", "hybrid"]
 ORDERS = ["pred-first", "succ-first"]
-HORIZONS = [1, 2, None]
 DEPARTURE_RATES = [0.02, 0.04, 0.08]
 
 
@@ -63,7 +62,6 @@ def corpus_params(seed):
         "d": DS[seed % len(DS)],
         "choose": CHOOSES[seed % len(CHOOSES)],
         "order": ORDERS[seed % len(ORDERS)],
-        "horizon": HORIZONS[seed % len(HORIZONS)],
         "lam_d": DEPARTURE_RATES[seed % len(DEPARTURE_RATES)],
     }
 
@@ -82,7 +80,7 @@ def corpus():
     weights = StressWeights()
     for seed in range(1, 1001):
         p = corpus_params(seed)
-        policy = OperatorPolicy(d=p["d"], find_horizon=p["horizon"])
+        policy = OperatorPolicy(d=p["d"])
         strategies = StrategySet.seeded(p["choose"], p["order"], seed)
         trace_config = TraceConfig(
             seed=seed, duration=50.0,

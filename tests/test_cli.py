@@ -124,6 +124,20 @@ class TestRun:
                      "--out", str(tmp_path / "out")]) == 1
         assert text in capsys.readouterr().err
 
+    @pytest.mark.parametrize("groups, where", [
+        ([["g1"], ["g2", ["w2"]]], "groups[0] must be a [group, [workers]] pair"),
+        ("g1", "groups must be an array"),
+        # a string of workers would otherwise be split into one-letter workers
+        ([["g1", ["w1"]], ["g2", "w2"]], "groups[1] must be a [group, [workers]] pair"),
+    ], ids=["short-pair", "not-an-array", "workers-as-string"])
+    def test_malformed_initial_groups(self, tmp_path, capsys, groups, where):
+        config = dict(RUN_CONFIG, initial={"groups": groups, "current": "g1"})
+        path = write_json(tmp_path / "config.json", config)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"error: config.initial.{where}" in capsys.readouterr().err
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         config = write_json(tmp_path / "config.json",
                             dict(RUN_CONFIG, choose="random"))
@@ -199,6 +213,21 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         text = capsys.readouterr().out
         assert "step 4: ReplayMismatch" in text and "'from'" in text
+
+    def test_entry_field_of_wrong_type(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        out = tmp_path / "out"
+        main(["run", config, "--out", str(out)])
+        doc = json.loads((out / "record.json").read_text())
+        doc["change_logs"][3] = [{"op": "inserted", "worker": "zz", "group": ["g1"]}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert ("step 4: ReplayMismatch: entry 0 (inserted): 'group' is not a string"
+                in captured.out)
+        assert captured.err == ""
 
 
 class TestGenTrace:

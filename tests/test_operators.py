@@ -209,7 +209,7 @@ class TestSplitGroup:
         state = make_state([("g1", ["w1", "w2"]), ("g2", ["w3", "w4"]),
                             ("g3", ["w5", "w6", "w7", "w8", "w9"])], "g1")
         # retire g3 via join, then split: the new id must not be g3
-        joined, _ = join_groups(state, policy, "g2")
+        joined, _ = join_groups(state, policy, "g2", BatchContext.for_state(state))
         merged = joined.members_of("g2")
         assert len(merged) == 7
         out, log = split_group(joined, policy, strategies, "g2")
@@ -221,7 +221,7 @@ class TestJoinGroups:
         state = make_state(
             [("A", ["w1", "w2"]), ("B", ["w3"]), ("C", ["w4", "w5"]),
              ("D", ["w6", "w7"])], "A")
-        out, log = join_groups(state, policy, "B")
+        out, log = join_groups(state, policy, "B", BatchContext.for_state(state))
         assert (log[0].survivor, log[0].absorbed) == ("B", "C")
         assert out.ring == ("A", "B", "D")
         assert_valid_and_follows(state, out)
@@ -231,7 +231,7 @@ class TestJoinGroups:
         state = make_state(
             [("A", ["w1", "w2"]), ("B", ["w3", "w4"]), ("C", ["w5", "w6"]),
              ("D", ["w7"])], "A")
-        out, log = join_groups(state, policy, "D")
+        out, log = join_groups(state, policy, "D", BatchContext.for_state(state))
         assert (log[0].survivor, log[0].absorbed) == ("A", "D")
         assert out.ring == ("A", "B", "C")
         assert "A" in out.ring  # the old current group survives
@@ -241,7 +241,7 @@ class TestJoinGroups:
     def test_deficient_current_absorbs_predecessor(self, policy):
         state = make_state(
             [("A", ["w1"]), ("B", ["w2", "w3"]), ("C", ["w4", "w5"])], "A")
-        out, log = join_groups(state, policy, "A")
+        out, log = join_groups(state, policy, "A", BatchContext.for_state(state))
         assert (log[0].survivor, log[0].absorbed) == ("A", "C")
         assert out.ring == ("A", "B")
         assert_valid_and_follows(state, out)
@@ -250,14 +250,15 @@ class TestJoinGroups:
     def test_two_groups_rejected(self, policy):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3"])], "A")
         with pytest.raises(TooFewGroups):
-            join_groups(state, policy, "B")
+            join_groups(state, policy, "B", BatchContext.for_state(state))
 
 
 class TestDonate:
     def test_newest_moves(self, policy):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4", "w5"]),
                             ("C", ["w6", "w7"])], "A")
-        out, log = donate_worker(state, policy, "B", "C")
+        out, log = donate_worker(state, policy, "B", "C",
+                                 BatchContext.for_state(state))
         assert log[0].worker.token == "w5"
         assert [w.token for w in out.members_of("B")] == ["w3", "w4"]
         assert [w.token for w in out.members_of("C")] == ["w6", "w7", "w5"]
@@ -266,13 +267,13 @@ class TestDonate:
     def test_current_to_successor_forbidden(self, policy):
         state = make_state([("A", ["w1", "w2", "w3"]), ("B", ["w4", "w5"])], "A")
         with pytest.raises(ForbiddenMove):
-            donate_worker(state, policy, "A", "B")
+            donate_worker(state, policy, "A", "B", BatchContext.for_state(state))
 
     def test_donor_at_floor_rejected(self, policy):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4"]),
                             ("C", ["w5", "w6"])], "A")
         with pytest.raises(DonorTooSmall):
-            donate_worker(state, policy, "B", "C")
+            donate_worker(state, policy, "B", "C", BatchContext.for_state(state))
 
 
 class TestEntryCodec:

@@ -23,10 +23,10 @@ from grtc import (
     validate_pair,
     write_trace,
 )
-from grtc.operators import insert_worker
+from grtc.operators import BatchContext, insert_worker
 from grtc.recordcheck import replay_entries
 
-from oracle import _scan_donor, oracle_choose, to_plain
+from oracle import _scan_donor, oracle_choose, oracle_next, to_plain
 
 
 @st.composite
@@ -104,15 +104,13 @@ def test_choose_group_matches_oracle(state, kind, d):
         plain["ring"], plain["members"], plain["current"], kind, d)
 
 
-@given(st.data(), find_orders, st.sampled_from([1, 2, None]), ds, st.booleans(),
-       st.booleans())
+@given(st.data(), find_orders, ds, st.booleans(), st.booleans())
 @settings(max_examples=400)
-def test_find_donor_matches_oracle(data, order, horizon, d, floor_only,
-                                   explicit_guard):
-    """Both scan orders, horizons 1, 2 and unbounded, donor floors 2 and
-    d+1, and the just-performed guard: by default (the current group's
-    workers, protecting its successor) or with tainted workers spread
-    over the ring and any group protected, as inside a batch."""
+def test_find_donor_matches_oracle(data, order, d, floor_only, explicit_guard):
+    """Both scan orders, donor floors 2 and d+1, and the just-performed
+    guard: as at the start of a batch (the current group's workers,
+    protecting its successor) or with tainted workers spread over the
+    ring and any group protected, as inside a batch."""
     state = data.draw(scrambled_states())
     plain = to_plain(state)
     deficient = data.draw(st.sampled_from(state.ring))
@@ -120,16 +118,43 @@ def test_find_donor_matches_oracle(data, order, horizon, d, floor_only,
         tainted = frozenset(data.draw(st.sets(st.sampled_from(sorted(state.tokens())))))
         protected = data.draw(st.sampled_from([deficient, *state.ring]))
     else:
-        tainted = protected = None
-    got = find_donor(state, OperatorPolicy(d=d), deficient, order, horizon,
-                     min_size=2 if floor_only else None,
-                     tainted=tainted, protected=protected)
+        guard = BatchContext.for_state(state)
+        tainted, protected = guard.tainted, guard.protected
+    min_size = 2 if floor_only else d + 1
+    got = find_donor(state, deficient, order, min_size, tainted, protected)
     ring, current = plain["ring"], plain["current"]
-    want = _scan_donor(
-        ring, plain["members"], deficient, 2 if floor_only else d + 1, order, horizon,
-        {tok for tok, _ in plain["members"][current]} if tainted is None else tainted,
-        ring[(ring.index(current) + 1) % len(ring)] if protected is None else protected)
+    if not explicit_guard:  # the reference derives the start-of-batch guard itself
+        tainted = {tok for tok, _ in plain["members"][current]}
+        protected = ring[(ring.index(current) + 1) % len(ring)]
+    want = _scan_donor(ring, plain["members"], deficient, min_size, order, None,
+                       tainted, protected)
     assert got == want
+
+
+@given(st.data(), choose_kinds, find_orders, ds, st.sampled_from([1, 2, None]),
+       st.sampled_from([2, 3]))
+@settings(max_examples=400, deadline=None)
+def test_next_state_matches_oracle_at_any_horizon(data, choose, order, d, horizon,
+                                                  mult):
+    """One arrival or departure on a run-like state, against the reference
+    transition, which still scans for a donor within ``horizon`` hops and
+    widens to the whole ring on a miss: the one whole-ring scan of the
+    package must publish the same state (or stall) at every horizon."""
+    state = data.draw(scrambled_states())
+    if data.draw(st.booleans()):
+        event = ("arrive", "a1")
+    else:
+        event = ("depart", data.draw(st.sampled_from(sorted(state.tokens()))))
+    try:
+        out, _ = next_state(state, OperatorPolicy(d=d, max_multiplier=mult),
+                            StrategySet(choose=choose, find_order=order),
+                            [WorkerEvent(1.0, *event)])
+        got = to_plain(out)
+    except StallError:
+        got = "stall"
+    verdict, want = oracle_next(to_plain(state), event, d, choose, order,
+                                horizon=horizon, max_multiplier=mult)
+    assert got == (want if verdict == "ok" else "stall")
 
 
 @given(states(), choose_kinds, ds)

@@ -91,6 +91,23 @@ class TestValidateRecord:
         assert finding.step == i + 1
         assert "'group'" in finding.detail
 
+    @pytest.mark.parametrize("entry, text", [
+        ({"op": "inserted", "worker": "zz", "group": ["g1"]}, "'group' is not a string"),
+        ({"op": "donated", "worker": 7, "from": "g1", "to": "g2"},
+         "'worker' is not a string"),
+        ({"op": "split", "group": "g1", "new_group": "g9", "moved": "w1"},
+         "'moved' is not an array of strings"),
+        ({"op": "joined", "survivor": "g1", "absorbed": "g2", "moved": [["w1"]]},
+         "'moved' is not an array of strings"),
+    ], ids=["group-array", "worker-number", "moved-string", "moved-nested"])
+    def test_entry_field_of_wrong_type_is_a_finding(self, record_doc, entry, text):
+        doc = copy.deepcopy(record_doc)
+        doc["change_logs"][2] = [{"op": "stalled"}, entry]
+        result = validate_record(doc)
+        [finding] = [f for f in result.violations if f.code == "ReplayMismatch"]
+        assert finding.step == 3
+        assert finding.detail == f"entry 1 ({entry['op']}): {text}"
+
     def test_replay_rejects_bogus_entry(self, record_doc):
         snap = record_doc["states"][0]
         with pytest.raises(ReplayFailure):
@@ -119,6 +136,22 @@ def _entry_without_op(doc):
     doc["change_logs"][1] = [{"worker": "w1", "group": "g1"}]
 
 
+def _stalls_as_string(doc):
+    doc["stalls"] = "x"
+
+
+def _stall_without_duration(doc):
+    doc["stalls"] = [{"time": 3.0, "duration": 1.0}, {"time": 1}]
+
+
+def _stall_duration_as_bool(doc):
+    doc["stalls"] = [{"time": 3.0, "duration": True}]
+
+
+def _stall_as_number(doc):
+    doc["stalls"] = [2.0]
+
+
 class TestRecordIO:
     def test_dump_and_load_roundtrip(self, record_doc, tmp_path):
         path = tmp_path / "record.json"
@@ -137,6 +170,10 @@ class TestRecordIO:
         (_entry_as_string, "change_logs[0][0]"),
         (_log_as_string, "change_logs[2]"),
         (_entry_without_op, "change_logs[1][0]"),
+        (_stalls_as_string, "stalls"),
+        (_stall_without_duration, "stalls[1]"),
+        (_stall_duration_as_bool, "stalls[0].duration"),
+        (_stall_as_number, "stalls[0]"),
     ])
     def test_load_names_the_malformed_path(self, record_doc, tmp_path,
                                            corrupt, path):

@@ -4,13 +4,14 @@ import pytest
 
 from grtc import (
     GrtcError,
-    OperatorPolicy,
     StrategySet,
     choose_group,
     counter_of_group,
     find_donor,
     partition_for_split,
 )
+
+from grtc.operators import BatchContext
 
 from conftest import make_state
 
@@ -101,6 +102,13 @@ class TestPartitionForSplit:
             partition_for_split(["a"])
 
 
+def scan(state, deficient, order, d=2):
+    """find_donor for a donor that stays at the floor d, guarded as at the
+    start of a batch (the current group's workers, its successor)."""
+    guard = BatchContext.for_state(state)
+    return find_donor(state, deficient, order, d + 1, guard.tainted, guard.protected)
+
+
 class TestFindDonor:
     def test_scan_skips_small_groups(self):
         # sizes A:2 B:2 C:4 D:2, deficient B; first group that can spare
@@ -108,54 +116,47 @@ class TestFindDonor:
         state = make_state(
             [("A", ["w1", "w2"]), ("B", ["w3", "w4"]),
              ("C", ["w5", "w6", "w7", "w8"]), ("D", ["w9", "w0"])], "A")
-        policy = OperatorPolicy(d=2)
-        got = find_donor(state, policy, "B", "pred-first", None)
+        got = scan(state, "B", "pred-first")
         # hand oracle: scan order from B is A, C, D; A too small -> C
         assert got == "C"
 
     def test_no_donor_when_all_at_floor(self):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4"]),
                             ("C", ["w5", "w6"])], "A")
-        policy = OperatorPolicy(d=2)
-        assert find_donor(state, policy, "C", "pred-first", None) is None
+        assert scan(state, "C", "pred-first") is None
 
     def test_current_not_used_for_its_successor(self):
         # only sizeable group is the current one, deficient group performs
-        # next: donating would rotate a just-performed worker straight in
+        # next: donating there would rotate a just-performed worker straight in
         state = make_state([("A", ["w1", "w2", "w3", "w4"]),
                             ("B", ["w5"]), ("C", ["w6", "w7"])], "A")
-        policy = OperatorPolicy(d=2)
-        assert find_donor(state, policy, "B", "pred-first", None) is None
+        assert scan(state, "B", "pred-first") is None
         # the same donor is fine for a group that does not perform next
-        assert find_donor(state, policy, "C", "pred-first", None) == "A"
-
-    def test_horizon_limits_scan(self):
-        state = make_state(
-            [("A", ["w1", "w2"]), ("B", ["w3", "w4"]), ("C", ["w5", "w6"]),
-             ("D", ["w7", "w8", "w9", "w10"]), ("E", ["w11", "w12"])], "A")
-        policy = OperatorPolicy(d=2)
-        # D is two hops from B
-        assert find_donor(state, policy, "B", "succ-first", 1) is None
-        assert find_donor(state, policy, "B", "succ-first", 2) == "D"
+        assert scan(state, "C", "pred-first") == "A"
 
     def test_order_changes_preference(self):
         state = make_state(
             [("A", ["w1", "w2", "w3"]), ("B", ["w4"]),
              ("C", ["w5", "w6", "w7"]), ("D", ["w8", "w9"])], "D")
-        policy = OperatorPolicy(d=2)
-        assert find_donor(state, policy, "B", "pred-first", None) == "A"
-        assert find_donor(state, policy, "B", "succ-first", None) == "C"
+        assert scan(state, "B", "pred-first") == "A"
+        assert scan(state, "B", "succ-first") == "C"
 
     def test_donor_size_and_distance_contract(self):
         state = make_state(
             [("A", ["w1", "w2"]), ("B", ["w3", "w4", "w5"]),
              ("C", ["w6", "w7"]), ("D", ["w8", "w9", "w10"])], "C")
-        policy = OperatorPolicy(d=2)
+        d = 2
         for deficient in state.ring:
-            for horizon in (1, 2, None):
-                got = find_donor(state, policy, deficient, "pred-first", horizon)
-                if got is not None:
-                    assert len(state.members_of(got)) >= policy.d + 1
-                    i, j = state.index_of(deficient), state.index_of(got)
-                    hops = min((i - j) % state.m, (j - i) % state.m)
-                    assert horizon is None or hops <= horizon
+            got = scan(state, deficient, "pred-first", d)
+            if got is not None:
+                assert len(state.members_of(got)) >= d + 1
+            if deficient == state.successor(state.current):
+                continue  # guarded; see test_current_not_used_for_its_successor
+            # nearest-first over the whole ring: no nearer group can spare one
+            i = state.index_of(deficient)
+            hops = {g: min((i - j) % state.m, (j - i) % state.m)
+                    for j, g in enumerate(state.ring)}
+            spare = [g for g in state.ring
+                     if g != deficient and len(state.members_of(g)) >= d + 1]
+            assert (got is None) == (not spare)
+            assert all(hops[g] >= hops[got] for g in spare)
