@@ -38,9 +38,19 @@ def load_json(path) -> dict:
 def parse_horizon(value) -> int | None:
     if value in (None, "unlimited"):
         return None
-    if isinstance(value, int) and value >= 1:
+    if type(value) is int and value >= 1:
         return value
-    raise ConfigError(f"horizon must be a positive integer or 'unlimited', got {value!r}")
+    raise ConfigError("config.find.horizon must be a positive integer or 'unlimited', "
+                      f"got {value!r}")
+
+
+def number(value, path: str, kind: type = float):
+    """A config number, checked rather than coerced: a bool or a string
+    is not a number, and an integer key takes no fraction."""
+    if type(value) not in ((int,) if kind is int else (int, float)):
+        raise ConfigError(f"{path} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    return kind(value)
 
 
 def section(config: dict, key: str) -> dict:
@@ -71,10 +81,11 @@ class RunSetup:
         find = section(config, "find")
         try:
             self.policy = OperatorPolicy(
-                d=int(config.get("d", 2)),
-                max_multiplier=int(config.get("max_multiplier", 2)),
+                d=number(config.get("d", 2), "config.d", int),
+                max_multiplier=number(config.get("max_multiplier", 2),
+                                      "config.max_multiplier", int),
             )
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError(str(e)) from None
 
         # accepted and echoed only: the donor scan is nearest-first, so a
@@ -87,12 +98,10 @@ class RunSetup:
 
         w = section(config, "weights")
         try:
-            self.weights = StressWeights(
-                alpha=float(w.get("alpha", 1.0)),
-                beta=float(w.get("beta", 0.25)),
-                gamma=float(w.get("gamma", 0.5)),
-            )
-        except (TypeError, ValueError) as e:
+            self.weights = StressWeights(**{
+                key: number(w.get(key, default), f"config.weights.{key}")
+                for key, default in (("alpha", 1.0), ("beta", 0.25), ("gamma", 0.5))})
+        except ValueError as e:
             raise ConfigError(str(e)) from None
 
         self.schedule = parse_schedule(config.get("schedule"))
@@ -150,9 +159,15 @@ def parse_schedule(spec) -> TaskSchedule:
         raise ConfigError("config needs a 'schedule' object")
     try:
         if "times" in spec:
-            return TaskSchedule.explicit(spec["times"])
-        start = float(spec["start"]) if "start" in spec else None
-        return TaskSchedule.periodic(float(spec["interval"]), int(spec["count"]),
+            times = spec["times"]
+            if not isinstance(times, list):
+                raise ConfigError("config.schedule.times must be an array of numbers, "
+                                  f"got {type(times).__name__}")
+            return TaskSchedule.explicit(
+                [number(t, f"config.schedule.times[{k}]") for k, t in enumerate(times)])
+        start = number(spec["start"], "config.schedule.start") if "start" in spec else None
+        return TaskSchedule.periodic(number(spec["interval"], "config.schedule.interval"),
+                                     number(spec["count"], "config.schedule.count", int),
                                      start=start)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, ValueError) as e:
         raise ConfigError(f"bad schedule: {e}") from None

@@ -13,9 +13,11 @@ carry no stress for it; the model concerns the workers who stay.
 
 from __future__ import annotations
 
+import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CorruptRecord, InvalidPair
 from .generator import RunRecord
@@ -45,7 +47,7 @@ def config_columns(run_id: str, config: dict) -> dict:
 
 @dataclass(frozen=True)
 class StressWeights:
-    """Linear stress model weights; all non-negative.
+    """Linear stress model weights; all finite and non-negative.
 
     ``beta`` defaults low: whether a delayed turn stresses anyone is an
     open question, so rises are reported but barely scored by default.
@@ -56,12 +58,11 @@ class StressWeights:
     gamma: float = 0.5   # per group move
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("stress weights must be >= 0")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("stress weights must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class WorkerStress:
+class WorkerStress(NamedTuple):
     """One worker's experience of one transition."""
 
     token: str
@@ -102,12 +103,13 @@ def transition_stress(prev: RotationState, nxt: RotationState,
     for k, (g, ms) in enumerate(zip(nxt.ring, nxt.members)):
         actual = (k - cur) % m
         for w in ms:
-            if w.token not in before_of:
+            was = before_of.get(w.token)
+            if was is None:
                 continue  # arrived this transition
-            prev_g, before = before_of[w.token]
+            prev_g, before = was
             expected = m - 1 if before == 0 else before - 1
-            drop = max(0, expected - actual)
-            rise = max(0, actual - expected)
+            drop = expected - actual if expected > actual else 0
+            rise = actual - expected if actual > expected else 0
             moved = prev_g != g and w.token in moved_tokens
             score = weights.alpha * drop + weights.beta * rise + weights.gamma * moved
             out[w.token] = WorkerStress(w.token, expected, actual,
@@ -198,9 +200,27 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None
     total_drop = total_rise = total_moves = 0
     stress_total = 0.0
     entry_counts: Counter[type] = Counter()
+    keyed = None  # a members value whose every token already has its slot
     for prev, nxt, log in zip(record.states, record.states[1:], record.change_logs):
         entry_counts.update(map(type, log))
+        if nxt.ring == prev.ring and nxt.members == prev.members:
+            pair = validate_pair(prev, nxt)
+            if not pair.ok:
+                raise InvalidPair(str(pair))
+            if nxt.index_of(nxt.current) == (prev.index_of(prev.current) + 1) % prev.m:
+                # an idle transition: every counter falls by one, as
+                # promised, so every staying worker's row is zero
+                if keyed is not prev.members:
+                    for ms in prev.members:
+                        for w in ms:
+                            slot(w.token)
+                    keyed = nxt.members
+                continue
         for token, ws in transition_stress(prev, nxt, weights, log).items():
+            if not (ws.drop or ws.rise or ws.moved):
+                if token not in per_worker:
+                    slot(token)
+                continue  # a zero row adds 0 and 0.0: nothing changes
             s = slot(token)
             s["stress"] += ws.score
             s["moves"] += int(ws.moved)

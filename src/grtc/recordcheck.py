@@ -137,6 +137,12 @@ def replay_entries(snap: dict, entries: list[dict]) -> dict:
             raise ReplayFailure(f"worker {token} not in group {group}")
         members[group].remove(token)
 
+    def position(group: str) -> int:
+        try:
+            return ring.index(group)
+        except ValueError:
+            raise ReplayFailure(f"group {group} is not in the ring") from None
+
     for k, e in enumerate(entries):
         op = e.get("op")
         if op not in ENTRY_KEYS:
@@ -172,7 +178,7 @@ def replay_entries(snap: dict, entries: list[dict]) -> dict:
             for token in moved:
                 take(g, token)
             members[fresh] = moved
-            at = ring.index(current) if g == current else ring.index(g) + 1
+            at = position(current) if g == current else position(g) + 1
             ring.insert(at, fresh)
         elif op == "joined":
             survivor, absorbed = e["survivor"], e["absorbed"]
@@ -182,10 +188,10 @@ def replay_entries(snap: dict, entries: list[dict]) -> dict:
                 raise ReplayFailure(
                     f"join moved list {e['moved']} does not match members "
                     f"of {absorbed}: {members[absorbed]}")
+            del ring[position(absorbed)]
             members[survivor].extend(members.pop(absorbed))
-            ring.remove(absorbed)
 
-    current = ring[(ring.index(current) + 1) % len(ring)]
+    current = ring[(position(current) + 1) % len(ring)]
     return {
         "step": snap["step"] + 1,
         "current": current,

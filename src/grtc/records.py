@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _str
 
 from .errors import CorruptRecord
 from .generator import RunRecord
@@ -72,17 +73,61 @@ def record_to_dict(record: RunRecord) -> dict:
         "v": SCHEMA_VERSION,
         "config": record.config,
         "states": [state_snapshot(s) for s in record.states],
+        **_history(record),
+    }
+
+
+def _history(record: RunRecord) -> dict:
+    """The record's keys after "states"."""
+    return {
         "change_logs": [[e.to_dict() for e in log] for log in record.change_logs],
         "stalls": [{"time": t, "duration": d} for t, d in record.stalls],
         "unconsumed": [e.to_dict() for e in record.unconsumed],
     }
 
 
-def dump_record(record: RunRecord | dict, path) -> None:
-    doc = record if isinstance(record, dict) else record_to_dict(record)
+def dump_record(record: RunRecord, path) -> None:
+    """Write ``record_to_dict(record)`` byte for byte as ``json.dump(...,
+    indent=1)`` would, streaming the states one at a time.
+
+    A state whose ring and members are the previous state's objects (as
+    ``advance_current`` leaves them) reuses that snapshot's encoded text
+    instead of encoding it again.  Only one snapshot's text is held at a
+    time.
+    """
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+        f.write(f'{{\n "v": {SCHEMA_VERSION},\n "config": {_nested(record.config)},\n "states": ')
+        ring = members = body = None
+        sep = "["
+        for s in record.states:
+            if s.ring is not ring or s.members is not members:
+                ring, members, body = s.ring, s.members, _ring_and_members(s)
+            f.write(f'{sep}\n  {{\n   "step": {s.step_index},\n'
+                    f'   "current": {_str(s.current)},\n{body}\n  }}')
+            sep = ","
+        f.write("\n ]" if record.states else "[]")
+        for key, value in _history(record).items():
+            f.write(f",\n {_str(key)}: {_nested(value)}")
+        f.write("\n}\n")
+
+
+def _ring_and_members(state: RotationState) -> str:
+    """The "ring" and "members" lines of one snapshot, as indented in a record."""
+    ring = ('   "ring": [\n    ' + ",\n    ".join(map(_str, state.ring)) + "\n   ]"
+            if state.ring else '   "ring": []')
+    groups = {g: ms for g, ms in zip(state.ring, state.members)}
+    rows = ",\n".join(
+        f"    {_str(g)}: "
+        + ("[\n     " + ",\n     ".join([_str(w.token) for w in ms]) + "\n    ]"
+           if ms else "[]")
+        for g, ms in groups.items())
+    return f'{ring},\n   "members": ' + ("{\n" + rows + "\n   }" if groups else "{}")
+
+
+def _nested(value) -> str:
+    """``value`` as ``json.dump(..., indent=1)`` writes it one level down.
+    JSON text holds no raw newline, so every newline is an indent."""
+    return json.dumps(value, indent=1).replace("\n", "\n ")
 
 
 def load_record(path) -> dict:

@@ -1,6 +1,15 @@
 import pytest
+from hypothesis import strategies as st
 
-from grtc import OperatorPolicy, StrategySet, build_state
+from grtc import (
+    OperatorPolicy,
+    StrategySet,
+    TaskSchedule,
+    WorkerEvent,
+    build_initial_state,
+    build_state,
+    run_rotation,
+)
 
 
 @pytest.fixture
@@ -32,3 +41,48 @@ def make_state(spec, current):
     state = build_state(spec, current=current)
     assert hasattr(state, "ring"), f"invalid fixture state: {state}"
     return state
+
+
+def scripted_run(tokens, n0, script, d=2, count=8, choose="balanced", config=None):
+    """A run over ``tokens``: the first ``n0`` start, the rest arrive in
+    order.  ``script`` holds (gap, op, pick) steps: an arrival of the next
+    newcomer, or a departure of present worker ``pick`` (mod the pool),
+    ``gap`` after the previous event.  A step with nobody to move is
+    skipped, so every event is consistent."""
+    present, newcomers = list(tokens[:n0]), list(tokens[n0:])
+    events, t = [], 0.1  # events at t <= 0 are never applied
+    for gap, op, pick in script:
+        t += gap
+        if op == "arrive" and newcomers:
+            worker = newcomers.pop(0)
+            present.append(worker)
+        elif op == "depart" and present:
+            worker = present.pop(pick % len(present))
+        else:
+            continue
+        events.append(WorkerEvent(t, op, worker))
+    policy = OperatorPolicy(d=d)
+    return run_rotation(build_initial_state(list(tokens[:n0]), policy), policy,
+                        StrategySet.seeded(choose, "pred-first", 0),
+                        TaskSchedule.periodic(1.0, count), events, config=config)
+
+
+# worker tokens that JSON must escape: quotes, backslashes, control
+# characters and text outside ASCII (including outside the BMP)
+tokens = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f\xe9\u2603\U0001f600'),
+                           st.characters(blacklist_categories=("Cs",))),
+                 min_size=1, max_size=4)
+steps = st.tuples(st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+                  st.sampled_from(["arrive", "depart"]), st.integers(0, 63))
+
+
+@st.composite
+def runs(draw, config=st.just({})):
+    """Short runs with idle stretches, splits, joins, stalls and unconsumed
+    events, over tokens that need escaping."""
+    names = draw(st.lists(tokens, min_size=12, max_size=12, unique=True))
+    return scripted_run(names, draw(st.integers(2, 6)), draw(st.lists(steps, max_size=16)),
+                        d=draw(st.integers(1, 3)), count=draw(st.integers(1, 10)),
+                        choose=draw(st.sampled_from(["balanced", "farthest",
+                                                     "concentrated", "hybrid"])),
+                        config=draw(config))

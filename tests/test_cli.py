@@ -154,6 +154,32 @@ class TestRun:
         assert a["config"]["seed"] == 7
         assert c["config"]["seed"] == 8
 
+    @pytest.mark.parametrize("change, text", [
+        ({"d": True}, "config.d must be an integer, got True"),
+        ({"d": 2.7}, "config.d must be an integer, got 2.7"),
+        ({"d": "3"}, "config.d must be an integer, got '3'"),
+        ({"max_multiplier": "3"}, "config.max_multiplier must be an integer, got '3'"),
+        ({"schedule": {"interval": 1.0, "count": 2.9}},
+         "config.schedule.count must be an integer, got 2.9"),
+        ({"schedule": {"interval": True, "count": 3}},
+         "config.schedule.interval must be a number, got True"),
+        ({"schedule": {"times": [1.0, "2"]}},
+         "config.schedule.times[1] must be a number, got '2'"),
+        ({"schedule": {"times": "12"}}, "config.schedule.times must be an array"),
+        ({"find": {"horizon": True}},
+         "config.find.horizon must be a positive integer or 'unlimited', got True"),
+        ({"weights": {"alpha": "1"}}, "config.weights.alpha must be a number, got '1'"),
+        ({"weights": {"beta": float("inf")}}, "stress weights must be finite and >= 0"),
+    ], ids=["d-bool", "d-fraction", "d-string", "multiplier-string", "count-fraction",
+            "interval-bool", "time-string", "times-string", "horizon-bool",
+            "weight-string", "weight-infinite"])
+    def test_config_number_is_checked_not_coerced(self, tmp_path, capsys, change, text):
+        path = write_json(tmp_path / "config.json", dict(RUN_CONFIG, **change))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"error: {text}" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_fresh_record_clean(self, tmp_path, capsys):
@@ -227,6 +253,21 @@ class TestValidate:
         captured = capsys.readouterr()
         assert ("step 4: ReplayMismatch: entry 0 (inserted): 'group' is not a string"
                 in captured.out)
+        assert captured.err == ""
+
+    def test_current_outside_the_ring(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        out = tmp_path / "out"
+        main(["run", config, "--out", str(out)])
+        doc = json.loads((out / "record.json").read_text())
+        doc["states"][0]["current"] = "g99"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "step 0: CurrentMissing: current 'g99' not in ring" in captured.out
+        assert "step 1: ReplayMismatch: group g99 is not in the ring" in captured.out
         assert captured.err == ""
 
 

@@ -1,12 +1,19 @@
+import json
+import statistics
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grtc import (
     InvalidPair,
     OperatorPolicy,
+    RotationState,
     StrategySet,
     TaskSchedule,
     TraceConfig,
     WorkerEvent,
+    WorkerId,
     StressWeights,
     advance_current,
     build_initial_state,
@@ -21,7 +28,7 @@ from grtc import (
 )
 from grtc.generator import RunRecord
 
-from conftest import make_state
+from conftest import make_state, runs
 
 W = StressWeights()  # alpha 1.0, beta 0.25, gamma 0.5
 
@@ -176,3 +183,123 @@ class TestSummarize:
         # 4 states, each group current at least once: g1 twice
         assert report.per_worker["w1"]["tasks"] == 2
         assert report.per_worker["w4"]["tasks"] == 1
+
+
+def reference_report(record: RunRecord, weights: StressWeights) -> dict:
+    """``summarize_run(record, weights).to_dict()`` with no shortcut:
+    ``transition_stress`` on every transition, every row added."""
+    per_worker: dict[str, dict] = {}
+
+    def slot(token):
+        return per_worker.setdefault(
+            token, {"stress": 0.0, "moves": 0, "drops": 0, "rises": 0, "tasks": 0})
+
+    for state in record.states:
+        for w in state.members_of(state.current):
+            slot(w.token)["tasks"] += 1
+    totals = {"drop": 0, "rise": 0, "moves": 0, "stress": 0.0}
+    for prev, nxt, log in zip(record.states, record.states[1:], record.change_logs):
+        for token, ws in transition_stress(prev, nxt, weights, log).items():
+            s = slot(token)
+            s["stress"] += ws.score
+            s["moves"] += int(ws.moved)
+            s["drops"] += ws.drop
+            s["rises"] += ws.rise
+            totals["drop"] += ws.drop
+            totals["rise"] += ws.rise
+            totals["moves"] += int(ws.moved)
+            totals["stress"] += ws.score
+    series = sorted(s["stress"] for s in per_worker.values())
+    q1, q2, q3 = (statistics.quantiles(series, n=4, method="inclusive")
+                  if len(series) >= 2 else series * 3)
+    ops = Counter(e.to_dict()["op"] for log in record.change_logs for e in log)
+    group_counts = [s.m for s in record.states]
+    return {
+        "group_counts": group_counts,
+        "mean_m": statistics.fmean(group_counts),
+        "min_m": min(group_counts),
+        "max_m": max(group_counts),
+        "burden": statistics.fmean(1.0 / m for m in group_counts),
+        "per_worker": dict(sorted(per_worker.items())),
+        "totals": totals,
+        "stress_quantiles": {"min": series[0], "p25": q1, "p50": q2, "p75": q3,
+                             "max": series[-1]},
+        "counts": {"splits": ops["split"], "joins": ops["joined"],
+                   "donations": ops["donated"], "inserted": ops["inserted"],
+                   "removed": ops["removed"]},
+        "stall_time": sum(d for _, d in record.stalls),
+        "transitions": len(record.change_logs),
+    }
+
+
+weight_sets = st.sampled_from([W, StressWeights(2.0, 0.0, 1.0), StressWeights(0.0, 0.0, 0.0),
+                               StressWeights(0.1, 0.3, 0.7)])
+
+
+def same_json(a: dict, b: dict) -> bool:
+    """Equal down to the text of every float, sign of zero included."""
+    return json.dumps(a) == json.dumps(b)
+
+
+class TestFoldMatchesReference:
+    """summarize_run skips transitions that leave the ring and every member
+    list unchanged and adds only non-zero rows; the reports must not move."""
+
+    @given(runs(), weight_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_in_memory_runs(self, record, weights):
+        assert same_json(summarize_run(record, weights).to_dict(),
+                         reference_report(record, weights))
+
+    @given(runs(), weight_sets)
+    @settings(max_examples=100, deadline=None)
+    def test_loaded_records(self, record, weights):
+        # every snapshot is rebuilt with fresh WorkerId objects
+        assert same_json(summarize_record_dict(record_to_dict(record), weights).to_dict(),
+                         reference_report(record, weights))
+
+    def test_idle_stretch_of_a_long_run(self):
+        record = TestSummarize().run_fixture(count=120)
+        assert sum(log == () for log in record.change_logs) > 20
+        assert same_json(summarize_run(record, W).to_dict(), reference_report(record, W))
+
+    def test_empty_log_transition_that_moves_workers_is_not_skipped(self):
+        # w4 and w5 trade groups with no change log: the ring is unchanged,
+        # the member lists are not
+        prev = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4"]),
+                           ("C", ["w5", "w6"])], "A")
+        nxt = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w5"]),
+                          ("C", ["w4", "w6"])], "B")
+        record = RunRecord(states=[prev, nxt], change_logs=[()])
+        report = summarize_run(record, W)
+        assert (report.total_drop, report.total_rise) == (1, 1)
+        assert report.per_worker["w5"]["drops"] == 1
+        assert report.per_worker["w4"]["rises"] == 1
+        assert same_json(report.to_dict(), reference_report(record, W))
+        via_disk = summarize_record_dict(record_to_dict(record), W)
+        assert same_json(via_disk.to_dict(), report.to_dict())
+
+    def test_repeated_ring_id_is_not_skipped(self):
+        # a hand-edited record can repeat a group id: the successor of A is
+        # the second B, but B's position is the first one, so counters move
+        w1, w2, w3 = (WorkerId(f"w{k}", k) for k in (1, 2, 3))
+        prev = RotationState(("B", "A", "B"), ((w1,), (w2,), (w3,)), "A")
+        record = RunRecord(states=[prev, advance_current(prev)], change_logs=[()])
+        report = summarize_run(record, W)
+        assert report.total_drop > 0
+        assert same_json(report.to_dict(), reference_report(record, W))
+
+    def test_unchanged_pair_that_does_not_follow_still_raises(self, fig1):
+        with pytest.raises(InvalidPair):
+            summarize_run(RunRecord(states=[fig1, fig1], change_logs=[()]), W)
+        # the current group moves one position, but w1 performs twice running
+        w1, w2, w3 = (WorkerId(f"w{k}", k) for k in (1, 2, 3))
+        both = RotationState(("A", "B", "C"), ((w1,), (w1, w2), (w3,)), "A")
+        with pytest.raises(InvalidPair, match="FollowsOverlap"):
+            summarize_run(RunRecord(states=[both, advance_current(both)],
+                                    change_logs=[()]), W)
+
+    def test_every_pool_token_gets_a_row(self, fig1, policy, strategies):
+        # one idle transition: w4..w9 never perform, yet each has a row
+        record = run_rotation(fig1, policy, strategies, TaskSchedule.periodic(1.0, 1), [])
+        assert set(summarize_run(record, W).per_worker) == fig1.tokens()

@@ -3,13 +3,16 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grtc import (
     CorruptRecord,
     OperatorPolicy,
+    RotationState,
     StrategySet,
     TaskSchedule,
     TraceConfig,
+    WorkerId,
     dump_record,
     generate_trace,
     load_record,
@@ -18,20 +21,27 @@ from grtc import (
     run_rotation,
     validate_record,
 )
+from grtc.generator import RunRecord
 from grtc.recordcheck import ReplayFailure, replay_entries
+
+from conftest import runs, scripted_run, tokens
 
 
 @pytest.fixture(scope="module")
-def record_doc():
+def record():
     policy = OperatorPolicy(d=2)
     strategies = StrategySet.seeded("balanced", "pred-first", 17)
     config = TraceConfig(seed=17, duration=40, arrival_rate=0.8,
                          departure_rate=0.08, initial_workers=8)
     roster, events = generate_trace(config)
     initial = build_initial_state(roster, policy)
-    record = run_rotation(initial, policy, strategies,
-                          TaskSchedule.periodic(1.0, 40), events,
-                          config={"d": 2, "seed": 17})
+    return run_rotation(initial, policy, strategies,
+                        TaskSchedule.periodic(1.0, 40), events,
+                        config={"d": 2, "seed": 17})
+
+
+@pytest.fixture(scope="module")
+def record_doc(record):
     doc = record_to_dict(record)
     # make sure the fixture actually exercises restructuring
     ops = {e["op"] for log in doc["change_logs"] for e in log}
@@ -108,6 +118,18 @@ class TestValidateRecord:
         assert finding.step == 3
         assert finding.detail == f"entry 1 ({entry['op']}): {text}"
 
+    @pytest.mark.parametrize("entries", [
+        [{"op": "split", "group": "gx", "new_group": "g9", "moved": []}],
+        [{"op": "joined", "survivor": "g1", "absorbed": "gx", "moved": ["wx"]}],
+        [],
+    ], ids=["split", "join", "advance"])
+    def test_replay_of_a_group_outside_the_ring(self, entries):
+        # "gx" has members but no ring position; in the last case it is current
+        snap = {"step": 0, "current": "g1" if entries else "gx", "ring": ["g1", "g2"],
+                "members": {"g1": ["w1"], "g2": ["w2"], "gx": ["wx"]}}
+        with pytest.raises(ReplayFailure, match="group gx is not in the ring"):
+            replay_entries(snap, entries)
+
     def test_replay_rejects_bogus_entry(self, record_doc):
         snap = record_doc["states"][0]
         with pytest.raises(ReplayFailure):
@@ -152,11 +174,65 @@ def _stall_as_number(doc):
     doc["stalls"] = [2.0]
 
 
+def dumped_bytes(record, directory) -> bytes:
+    path = directory / "record.json"
+    dump_record(record, path)
+    return path.read_bytes()
+
+
+def reference_bytes(record) -> bytes:
+    return (json.dumps(record_to_dict(record), indent=1) + "\n").encode("utf-8")
+
+
+# a config echo as a caller may pass it: nested, with floats and unicode
+configs = st.dictionaries(
+    tokens,
+    st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | tokens,
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(tokens, inner, max_size=3),
+                 max_leaves=8),
+    max_size=4)
+
+
 class TestRecordIO:
-    def test_dump_and_load_roundtrip(self, record_doc, tmp_path):
+    def test_dump_and_load_roundtrip(self, record, record_doc, tmp_path):
         path = tmp_path / "record.json"
-        dump_record(record_doc, path)
+        dump_record(record, path)
+        assert path.read_bytes() == reference_bytes(record)
         assert load_record(path) == record_doc
+
+    def test_dump_matches_json_dump_with_every_entry_kind(self, tmp_path):
+        record = scripted_run(
+            ['w"1', "w\\2", "w\n3", "w\x004", "\xe95", "\u26036", "\U0001f6007",
+             "w8", "w9", "w10", "w11", "w12"], 4,
+            [(0.3, "depart", 44), (0.3, "depart", 58), (0.3, "depart", 33),
+             (0.3, "arrive", 54), (0.3, "arrive", 45), (0.0, "arrive", 46),
+             (0.3, "arrive", 34), (2.5, "depart", 0), (2.5, "depart", 52),
+             (2.5, "depart", 46)],
+            d=1, config={"note": "caf\xe9 \u2603", "nested": {"x": [0.1, -2.5e-300, None]}})
+        ops = {e["op"] for log in record_to_dict(record)["change_logs"] for e in log}
+        assert {"split", "joined", "stalled", "inserted", "removed"} <= ops
+        assert record.stalls and record.unconsumed
+        assert dumped_bytes(record, tmp_path) == reference_bytes(record)
+
+    @pytest.mark.parametrize("ring, members", [
+        (("g1", "g2"), ((WorkerId("w1", 1),), ())),
+        (("g1", "g2", "g1"), ((WorkerId("w1", 1),), (WorkerId("w2", 2),),
+                              (WorkerId("w3", 3),))),
+        ((), ()),
+        (None, None),
+    ], ids=["empty-group", "repeated-group", "empty-ring", "no-states"])
+    def test_dump_matches_json_dump_on_states_no_run_publishes(
+            self, tmp_path, ring, members):
+        states = [] if ring is None else [RotationState(ring, members, "g1")]
+        record = RunRecord(config={"d": 2}, states=states)
+        assert dumped_bytes(record, tmp_path) == reference_bytes(record)
+
+    @given(runs(config=configs))
+    @settings(max_examples=150, deadline=None)
+    def test_dump_matches_json_dump(self, tmp_path_factory, run):
+        directory = tmp_path_factory.mktemp("dump")
+        assert dumped_bytes(run, directory) == reference_bytes(run)
 
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "broken.json"
