@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tour of the core state machinery: build a ring of worker groups,
 read the countdown counters, rotate, and apply the structural operators
-(split, join, donate) one at a time.
+(split, join, donate) one at a time on a workspace.
 
 Run: python3 demos/01_ring_basics.py
 """
@@ -9,6 +9,7 @@ Run: python3 demos/01_ring_basics.py
 from grtc import (
     OperatorPolicy,
     StrategySet,
+    Workspace,
     advance_current,
     build_state,
     check_state,
@@ -50,7 +51,10 @@ print(f"  the old/new state pair is a legal rotation step: "
       f"{validate_pair(state, nxt).ok}")
 print(f"  w6's countdown ticked down to {counter_of_worker(nxt, 'w6')}")
 
-# Structural surgery.  All operators return (new state, change log).
+# Structural surgery.  The operators change a Workspace, a mutable copy
+# of one state, in place and return the change log; freezing the
+# workspace gives the new state.  (A transition applies its whole batch
+# of arrivals and departures to one workspace.)
 policy = OperatorPolicy(d=2, max_multiplier=2)
 strategies = StrategySet()
 
@@ -59,8 +63,9 @@ big = build_state(
      ("g2", ["w6", "w7"]),
      ("g3", ["w8", "w9"])],
     current="g1")
-split_state, log = split_group(big, policy, strategies, "g1")
-show(split_state, "\nafter splitting the oversized current group")
+ws = Workspace(big)
+log = split_group(ws, policy, strategies, "g1")
+show(ws.freeze(), "\nafter splitting the oversized current group")
 print(f"  change log: {[e.to_dict() for e in log]}")
 print("  the senior half stays; the newest members moved into a fresh group")
 print("  placed right behind the current group, so none of them performs next")
@@ -72,15 +77,17 @@ small = build_state(
     current="g1")
 # Join and donate take the batch's guard: the workers who just performed
 # (g1's) must not move into the group that performs next (g2).
-guard = BatchContext.for_state(small)
-joined, log = join_groups(small, policy, "g2", guard)
-show(joined, "\nafter joining the one-member group with its successor")
+ws = Workspace(small)
+guard = BatchContext.for_workspace(ws)
+log = join_groups(ws, policy, "g2", guard)
+show(ws.freeze(), "\nafter joining the one-member group with its successor")
 print(f"  change log: {[e.to_dict() for e in log]}")
 
 # ... or receive the newest worker of a group that can spare one
 # (the donor must keep at least d members).
-donated, log = donate_worker(small, policy, "g4", "g2", guard)
-show(donated, "\nafter a donation instead of a join")
+ws = Workspace(small)
+log = donate_worker(ws, policy, "g4", "g2", guard)
+show(ws.freeze(), "\nafter a donation instead of a join")
 print(f"  change log: {[e.to_dict() for e in log]}")
 
 # Validation is a value, not an exception: ask for the full report.

@@ -67,6 +67,7 @@ from .state import (
     RotationState,
     ValidationReport,
     WorkerId,
+    Workspace,
     advance_current,
     build_state,
     check_state,

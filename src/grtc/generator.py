@@ -31,6 +31,7 @@ from .operators import (
 from .state import (
     RotationState,
     WorkerId,
+    Workspace,
     advance_current,
     build_state,
     check_state,
@@ -119,9 +120,14 @@ def build_initial_state(workers: list[WorkerId | str],
     return built
 
 
-def _reconcile(state: RotationState, policy: OperatorPolicy,
-               strategies: StrategySet, ctx: BatchContext
-               ) -> tuple[RotationState, ChangeLog]:
+def _settled(smallest: int, n: int, d: int) -> bool:
+    """Nothing for ``_reconcile`` to repair: no group is below the floor,
+    or the pool is degraded (n < 2d) and no group is empty."""
+    return smallest >= d or (smallest > 0 and n < 2 * d)
+
+
+def _reconcile(ws: Workspace, policy: OperatorPolicy,
+               strategies: StrategySet, ctx: BatchContext) -> ChangeLog:
     """Batch-end repair pass.
 
     Fixes what per-event repairs could not: transiently emptied groups,
@@ -131,22 +137,20 @@ def _reconcile(state: RotationState, policy: OperatorPolicy,
     rules as the per-event repairs; what cannot be repaired is left for
     the publish-time checks to turn into a stall.
     """
-    sizes = [len(ms) for ms in state.members]
-    if min(sizes) >= policy.d or (0 not in sizes and sum(sizes) < 2 * policy.d):
-        return state, ()  # nothing to repair: the overwhelmingly common case
+    if _settled(min(ws.by_size), ws.n, policy.d):
+        return ()  # the overwhelmingly common case
 
     log: list = []
     hopeless: set[str] = set()
 
     def targets() -> list[str]:
-        sizes = [len(ms) for ms in state.members]
-        cur = state.ring.index(state.current)
-        order = [(state.ring[(cur + k) % state.m], sizes[(cur + k) % state.m])
-                 for k in range(state.m)]
+        m, cur = ws.m, ws.pos[ws.current]
+        order = [(ws.ring[(cur + k) % m], len(ws.members[(cur + k) % m]))
+                 for k in range(m)]
         empty = [g for g, size in order if size == 0]
         if empty:
             return [g for g in empty if g not in hopeless]
-        if sum(sizes) >= 2 * policy.d:
+        if ws.n >= 2 * policy.d:
             return [g for g, size in order if size < policy.d and g not in hopeless]
         return []
 
@@ -155,16 +159,16 @@ def _reconcile(state: RotationState, policy: OperatorPolicy,
         if not todo:
             break
         g = todo[0]
-        state, entries, outcome = _repair_deficiency(state, policy, strategies, g, ctx)
+        entries, outcome = _repair_deficiency(ws, policy, strategies, g, ctx)
         log.extend(entries)
         if outcome == "blocked":
             hopeless.add(g)
-        elif outcome == "degraded" and state.members_of(g):
-            if state.n < 2 * policy.d:
+        elif outcome == "degraded" and ws.members_of(g):
+            if ws.n < 2 * policy.d:
                 log.extend(_note_degraded(ctx, g))
             else:
                 hopeless.add(g)
-    return state, tuple(log)
+    return tuple(log)
 
 
 def next_state(state: RotationState, policy: OperatorPolicy,
@@ -173,32 +177,36 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     """One transition: apply a batch of arrivals/departures in order,
     reconcile, advance the current group and check the result.
 
+    The batch runs on one ``Workspace`` built from ``state``.  A state
+    that needs no change (an empty batch and nothing to reconcile)
+    builds none, and the published state shares the input's ring and
+    member tuples.
+
     Raises StallError when the batch cannot end in a valid state that
     follows the input state, e.g. when too few workers remain or the
     only repair would rotate a just-performed worker straight back in.
     """
-    ctx = BatchContext.for_state(state)
-    out = state
-    log: list = []
-    present = state.tokens()  # operators only move workers, never add or drop
-    for ev in batch:
-        if ev.op == "arrive":
-            if ev.worker in present:
-                raise InconsistentEvent(f"arrival of present worker {ev.worker}")
-            present.add(ev.worker)
-            w = WorkerId(ev.worker, out.next_seq)
-            out, entries = insert_worker(out, policy, strategies, w)
-        elif ev.op == "depart":
-            if ev.worker not in present:
-                raise InconsistentEvent(f"departure of absent worker {ev.worker}")
-            present.remove(ev.worker)
-            out, entries = remove_worker(out, policy, strategies, ev.worker, ctx)
-        else:
-            raise InconsistentEvent(f"unknown event op {ev.op!r}")
-        log.extend(entries)
-
-    out, entries = _reconcile(out, policy, strategies, ctx)
-    log.extend(entries)
+    if batch or not _settled(min(map(len, state.members)), state.n, policy.d):
+        ws = Workspace(state)
+        ctx = BatchContext.for_workspace(ws)
+        log: list = []
+        for ev in batch:
+            if ev.op == "arrive":
+                if ev.worker in ws.group:
+                    raise InconsistentEvent(f"arrival of present worker {ev.worker}")
+                entries = insert_worker(ws, policy, strategies,
+                                        WorkerId(ev.worker, ws.next_seq))
+            elif ev.op == "depart":
+                if ev.worker not in ws.group:
+                    raise InconsistentEvent(f"departure of absent worker {ev.worker}")
+                entries = remove_worker(ws, policy, strategies, ev.worker, ctx)
+            else:
+                raise InconsistentEvent(f"unknown event op {ev.op!r}")
+            log.extend(entries)
+        log.extend(_reconcile(ws, policy, strategies, ctx))
+        out, log = ws.freeze(), tuple(log)
+    else:
+        out, log = state, ()
 
     published = advance_current(out)
     report = check_state(published)
@@ -214,7 +222,7 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     pair = validate_pair(state, published)
     if not pair.ok:
         raise StallError(f"candidate state does not follow its predecessor: {pair}")
-    return published, tuple(log)
+    return published, log
 
 
 def run_rotation(initial: RotationState, policy: OperatorPolicy,

@@ -9,9 +9,10 @@ guard is tracked per worker (the "tainted" set) because members of the
 current group can be relocated by splits and would otherwise slip
 through a purely group-based rule.
 
-Operators are pure: they take a state and return (new state, change log).
-The change log replays: applying its entries to the pre-state reproduces
-the post-state exactly (see ``recordcheck.replay_entries``).
+Operators change a ``Workspace`` in place and return the change log of
+what they did.  The log replays: applying its entries to the state the
+workspace held before reproduces the state it holds after exactly (see
+``recordcheck.replay_entries``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BelowThreshold, CorruptRecord, DonorTooSmall, ForbiddenMove,
                      TooFewGroups)
-from .state import GroupId, RotationState, WorkerId
+from .state import GroupId, WorkerId, Workspace
 from .strategies import StrategySet, choose_group, find_donor, partition_for_split
 
 
@@ -173,38 +174,24 @@ class BatchContext:
     degraded_logged: set[GroupId] = field(default_factory=set)
 
     @classmethod
-    def for_state(cls, state: RotationState) -> "BatchContext":
-        return cls(
-            tainted=frozenset(w.token for w in state.members_of(state.current)),
-            protected=state.successor(state.current),
-        )
+    def for_workspace(cls, ws: Workspace) -> "BatchContext":
+        """The guard of a batch that starts from ``ws``."""
+        i = ws.pos[ws.current]
+        return cls(tainted=frozenset(w.token for w in ws.members[i]),
+                   protected=ws.ring[(i + 1) % len(ws.ring)])
 
 
-def _fresh_group_id(state: RotationState) -> GroupId:
+def _fresh_group_id(ws: Workspace) -> GroupId:
     k = 1
-    while f"g{k}" in state.used_group_ids:
+    while f"g{k}" in ws.used_group_ids:
         k += 1
     return f"g{k}"
 
 
-def _set_members(state: RotationState, g: GroupId,
-                 ms: tuple[WorkerId, ...]) -> RotationState:
-    i = state.index_of(g)
-    return RotationState(
-        ring=state.ring,
-        members=state.members[:i] + (ms,) + state.members[i + 1:],
-        current=state.current,
-        step_index=state.step_index,
-        used_group_ids=state.used_group_ids,
-        next_seq=state.next_seq,
-    )
-
-
 # -- structural primitives ----------------------------------------------
 
-def split_group(state: RotationState, policy: OperatorPolicy,
-                strategies: StrategySet, g: GroupId
-                ) -> tuple[RotationState, ChangeLog]:
+def split_group(ws: Workspace, policy: OperatorPolicy,
+                strategies: StrategySet, g: GroupId) -> ChangeLog:
     """Split an oversized group in two.
 
     The group keeps its most senior half (smallest sequence numbers); a
@@ -213,38 +200,29 @@ def split_group(state: RotationState, policy: OperatorPolicy,
     lands just before it: the one spot near the current group where the
     moved workers cannot end up performing next.
     """
-    ms = state.members_of(g)
+    i = ws.index_of(g)
+    ms = ws.members[i]
     if len(ms) <= policy.max_size:
         raise BelowThreshold(
             f"group {g} has {len(ms)} members, split needs > {policy.max_size}")
-    by_seq = sorted(ms, key=lambda w: w.seq)
-    stay_set, move_set = partition_for_split(by_seq)
-    moving = frozenset(w.token for w in move_set)
-    stay = tuple(w for w in ms if w.token not in moving)
-    moved = tuple(sorted((w for w in ms if w.token in moving), key=lambda w: w.seq))
+    _, move = partition_for_split(sorted(ms, key=lambda w: w.seq))
+    moving = frozenset(w.token for w in move)
+    moved = tuple(move)  # by seniority
 
-    fresh = _fresh_group_id(state)
-    i = state.index_of(g)
-    at = i if g == state.current else i + 1  # just before current, else after g
-    ring = list(state.ring)
-    members = list(state.members)
-    members[i] = stay
-    ring.insert(at, fresh)
-    members.insert(at, moved)
-    out = RotationState(
-        ring=tuple(ring),
-        members=tuple(members),
-        current=state.current,
-        step_index=state.step_index,
-        used_group_ids=state.used_group_ids | {fresh},
-        next_seq=state.next_seq,
-    )
-    return out, (Split(g, fresh, moved),)
+    fresh = _fresh_group_id(ws)
+    at = i if g == ws.current else i + 1  # just before current, else after g
+    ws.members[i] = tuple(w for w in ms if w.token not in moving)
+    ws.members.insert(at, moved)
+    ws.ring = ws.ring[:at] + (fresh,) + ws.ring[at:]
+    ws.used_group_ids = ws.used_group_ids | {fresh}
+    for w in moved:
+        ws.group[w.token] = fresh
+    ws.reindex()
+    return (Split(g, fresh, moved),)
 
 
-def join_groups(state: RotationState, policy: OperatorPolicy,
-                g_deficient: GroupId, ctx: BatchContext
-                ) -> tuple[RotationState, ChangeLog]:
+def join_groups(ws: Workspace, policy: OperatorPolicy,
+                g_deficient: GroupId, ctx: BatchContext) -> ChangeLog:
     """Merge a shrunken group with a neighbour.
 
     Survivor selection keeps the current group alive in every case:
@@ -253,43 +231,35 @@ def join_groups(state: RotationState, policy: OperatorPolicy,
     any other deficient group absorbs its own successor.  The survivor
     keeps its id and ring position; the absorbed id is retired.
     """
-    if state.m <= 2:
+    if ws.m <= 2:
         raise TooFewGroups("cannot join with only two groups left")
-    if g_deficient == state.current:
-        survivor, absorbed = state.current, state.predecessor(state.current)
-    elif state.successor(g_deficient) == state.current:
-        survivor, absorbed = state.current, g_deficient
+    if g_deficient == ws.current:
+        survivor, absorbed = ws.current, ws.predecessor(ws.current)
+    elif ws.successor(g_deficient) == ws.current:
+        survivor, absorbed = ws.current, g_deficient
     else:
-        survivor, absorbed = g_deficient, state.successor(g_deficient)
+        survivor, absorbed = g_deficient, ws.successor(g_deficient)
 
-    moved = state.members_of(absorbed)
+    moved = ws.members_of(absorbed)
     if survivor == ctx.protected and any(w.token in ctx.tainted for w in moved):
         raise ForbiddenMove(
             f"join would move just-performed workers into {survivor}, "
             "the group performing next")
 
-    ring = list(state.ring)
-    members = list(state.members)
-    i_abs = state.index_of(absorbed)
-    del ring[i_abs]
-    del members[i_abs]
-    i_sur = ring.index(survivor)
-    members[i_sur] = members[i_sur] + moved
-    out = RotationState(
-        ring=tuple(ring),
-        members=tuple(members),
-        current=state.current,
-        step_index=state.step_index,
-        used_group_ids=state.used_group_ids,
-        next_seq=state.next_seq,
-    )
-    return out, (Joined(survivor, absorbed, moved),)
+    i_sur = ws.pos[survivor]
+    ws.members[i_sur] += moved
+    i_abs = ws.pos[absorbed]
+    del ws.members[i_abs]
+    ws.ring = ws.ring[:i_abs] + ws.ring[i_abs + 1:]
+    for w in moved:
+        ws.group[w.token] = survivor
+    ws.reindex()
+    return (Joined(survivor, absorbed, moved),)
 
 
-def donate_worker(state: RotationState, policy: OperatorPolicy,
+def donate_worker(ws: Workspace, policy: OperatorPolicy,
                   from_group: GroupId, to_group: GroupId, ctx: BatchContext,
-                  min_size: int | None = None
-                  ) -> tuple[RotationState, ChangeLog]:
+                  min_size: int | None = None) -> ChangeLog:
     """Move the newest member of ``from_group`` into ``to_group``.
 
     The donor must keep at least d members afterwards.  Moving a worker
@@ -298,7 +268,8 @@ def donate_worker(state: RotationState, policy: OperatorPolicy,
     check is per worker, so a batch may donate a worker who arrived
     after the last published state even out of the current group.)
     """
-    src = state.members_of(from_group)
+    i = ws.index_of(from_group)
+    src = ws.members[i]
     floor = policy.d + 1 if min_size is None else min_size
     if len(src) < floor:
         raise DonorTooSmall(
@@ -308,52 +279,52 @@ def donate_worker(state: RotationState, policy: OperatorPolicy,
         raise ForbiddenMove(
             f"worker {w.token} just performed; cannot move into {to_group}, "
             "the group performing next")
-    out = _set_members(state, from_group, tuple(x for x in src if x != w))
-    dst = out.members_of(to_group)
-    out = _set_members(out, to_group, dst + (w,))
-    return out, (Donated(w, from_group, to_group),)
+    ws.set_members(i, tuple(x for x in src if x != w))
+    j = ws.index_of(to_group)
+    ws.set_members(j, ws.members[j] + (w,))
+    ws.group[w.token] = to_group
+    return (Donated(w, from_group, to_group),)
 
 
 # -- deficiency repair ----------------------------------------------------
 
-def _repair_deficiency(state: RotationState, policy: OperatorPolicy,
+def _repair_deficiency(ws: Workspace, policy: OperatorPolicy,
                        strategies: StrategySet, g: GroupId, ctx: BatchContext
-                       ) -> tuple[RotationState, ChangeLog, str]:
+                       ) -> tuple[ChangeLog, str]:
     """One repair attempt for a group that fell below the floor.
 
     Preference order: donation from the nearest group on the ring that
     can spare a worker, then a join, then (for emptied groups with only
     two groups left) an emergency donation that may push the donor below
     the floor.
-    Returns the outcome: "repaired", "degraded" (left below floor, legal
-    because n < 2d) or "blocked" (nothing legal; caller stalls or defers).
+    Returns the log and the outcome: "repaired", "degraded" (left below
+    floor, legal because n < 2d) or "blocked" (nothing legal; caller
+    stalls or defers).  Only a repair changes ``ws``.
     """
-    donor = find_donor(state, g, strategies.find_order, policy.d + 1,
+    donor = find_donor(ws, g, strategies.find_order, policy.d + 1,
                        ctx.tainted, ctx.protected)
     if donor is not None:
-        out, log = donate_worker(state, policy, donor, g, ctx)
-        return out, log, "repaired"
+        return donate_worker(ws, policy, donor, g, ctx), "repaired"
 
-    if state.m >= 3:
+    if ws.m >= 3:
         try:
-            out, log = join_groups(state, policy, g, ctx)
-            return out, log, "repaired"
+            return join_groups(ws, policy, g, ctx), "repaired"
         except ForbiddenMove:
             pass
 
-    if not state.members_of(g):
+    if not ws.members_of(g):
         # an empty group cannot be published; allow a donor to dip below
         # the floor as long as it keeps one worker
-        donor = find_donor(state, g, strategies.find_order, 2,
+        donor = find_donor(ws, g, strategies.find_order, 2,
                            ctx.tainted, ctx.protected)
         if donor is not None:
-            out, log = donate_worker(state, policy, donor, g, ctx, min_size=2)
-            return out, log, "repaired" if len(out.members_of(g)) >= policy.d else "degraded"
-        return state, (), "blocked"
+            log = donate_worker(ws, policy, donor, g, ctx, min_size=2)
+            return log, "repaired" if len(ws.members_of(g)) >= policy.d else "degraded"
+        return (), "blocked"
 
-    if state.n < 2 * policy.d:
-        return state, (), "degraded"
-    return state, (), "blocked"
+    if ws.n < 2 * policy.d:
+        return (), "degraded"
+    return (), "blocked"
 
 
 def _note_degraded(ctx: BatchContext, g: GroupId) -> ChangeLog:
@@ -367,49 +338,43 @@ def _note_degraded(ctx: BatchContext, g: GroupId) -> ChangeLog:
 # Both are steps of a ``generator.next_state`` batch, which checks each
 # event first and stalls on whatever they leave broken.
 
-def insert_worker(state: RotationState, policy: OperatorPolicy,
-                  strategies: StrategySet, w: WorkerId
-                  ) -> tuple[RotationState, ChangeLog]:
+def insert_worker(ws: Workspace, policy: OperatorPolicy,
+                  strategies: StrategySet, w: WorkerId) -> ChangeLog:
     """Place an arriving worker, splitting the target group if it overflows.
 
     ``w`` must not be in the pool yet.  Arriving workers did not perform
     in the previous state, so unlike ``remove_worker`` this needs no
     batch context.
     """
-    g = choose_group(state, policy, strategies.choose, strategies.rng)
-    i = state.index_of(g)
-    out = RotationState(
-        ring=state.ring,
-        members=state.members[:i] + (state.members[i] + (w,),) + state.members[i + 1:],
-        current=state.current,
-        step_index=state.step_index,
-        used_group_ids=state.used_group_ids,
-        next_seq=max(state.next_seq, w.seq + 1),
-    )
-    log: list = [Inserted(w, g)]
-    if len(out.members_of(g)) > policy.max_size:
-        out, split_log = split_group(out, policy, strategies, g)
-        log.extend(split_log)
-    return out, tuple(log)
+    g = choose_group(ws, policy, strategies.choose, strategies.rng)
+    i = ws.pos[g]
+    ws.set_members(i, ws.members[i] + (w,))
+    ws.group[w.token] = g
+    ws.next_seq = max(ws.next_seq, w.seq + 1)
+    if len(ws.members[i]) > policy.max_size:
+        return (Inserted(w, g), *split_group(ws, policy, strategies, g))
+    return (Inserted(w, g),)
 
 
-def remove_worker(state: RotationState, policy: OperatorPolicy,
+def remove_worker(ws: Workspace, policy: OperatorPolicy,
                   strategies: StrategySet, token: str, ctx: BatchContext
-                  ) -> tuple[RotationState, ChangeLog]:
+                  ) -> ChangeLog:
     """Remove a departing worker and repair the floor if its group broke it.
 
     A group that cannot be repaired is left as it is for the batch-end
     reconciliation.
     """
-    g = state.group_of(token)  # raises UnknownWorker
-    ms = state.members_of(g)
+    g = ws.group_of(token)  # raises UnknownWorker
+    i = ws.pos[g]
+    ms = ws.members[i]
     worker = next(x for x in ms if x.token == token)
-    out = _set_members(state, g, tuple(x for x in ms if x.token != token))
+    ws.set_members(i, tuple(x for x in ms if x.token != token))
+    del ws.group[token]
     log: list = [Removed(worker, g)]
 
-    if len(out.members_of(g)) < policy.d:
-        out, repair_log, outcome = _repair_deficiency(out, policy, strategies, g, ctx)
+    if len(ws.members[i]) < policy.d:
+        repair_log, outcome = _repair_deficiency(ws, policy, strategies, g, ctx)
         log.extend(repair_log)
         if outcome == "degraded":
             log.extend(_note_degraded(ctx, g))
-    return out, tuple(log)
+    return tuple(log)

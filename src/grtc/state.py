@@ -7,14 +7,17 @@ position k is followed by the group at position k+1, wrapping around),
 *counter* is the ring distance from the current group to the worker's own
 group: the number of tasks until their turn.
 
-States are values.  Every transition builds a new state; nothing here
-mutates.  Two bookkeeping fields ride along without taking part in
-equality: the set of group ids ever used (so a retired id is never
-reissued within a run) and the next free worker sequence number.
+States are values: nothing mutates a ``RotationState``.  Two
+bookkeeping fields ride along without taking part in equality: the set
+of group ids ever used (so a retired id is never reissued within a run)
+and the next free worker sequence number.  A transition's batch of
+worker events is applied to a ``Workspace``, a mutable and indexed copy
+of one state, which is frozen back into a state at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -148,6 +151,100 @@ class RotationState:
         raise UnknownWorker(token)
 
 
+class Workspace:
+    """A mutable copy of one state, indexed so that a worker event costs
+    lookups instead of ring scans.  ``next_state`` applies its batch to
+    one workspace and freezes it into the published state.
+
+    ``ring`` is a tuple, replaced when a split or join changes it.
+    ``members[k]`` is the member tuple of ``ring[k]``; a change replaces
+    the tuple, so ``freeze`` shares every untouched one with the input
+    state.  The indexes, which every mutation keeps in step:
+
+    ``pos``      group id -> ring position
+    ``group``    worker token -> group id (its length is the pool size)
+    ``by_size``  group size -> sorted ring positions of the groups of that
+                 size; only sizes that occur are keys
+
+    A member change costs O(log m) plus the group's size (``set_members``);
+    a ring change costs O(m) (``reindex``).
+    """
+
+    __slots__ = ("ring", "members", "current", "step_index", "used_group_ids",
+                 "next_seq", "pos", "group", "by_size")
+
+    def __init__(self, state: RotationState):
+        self.ring = state.ring
+        self.members = list(state.members)
+        self.current = state.current
+        self.step_index = state.step_index
+        self.used_group_ids = state.used_group_ids
+        self.next_seq = state.next_seq
+        self.group = {w.token: g for g, ms in zip(state.ring, state.members) for w in ms}
+        self.reindex()
+
+    def reindex(self) -> None:
+        """Rebuild ``pos`` and ``by_size`` after the ring changed."""
+        self.pos = dict(zip(self.ring, range(len(self.ring))))
+        by_size: dict[int, list[int]] = {}
+        for k, ms in enumerate(self.members):
+            by_size.setdefault(len(ms), []).append(k)
+        self.by_size = by_size
+
+    def set_members(self, k: int, ms: tuple[WorkerId, ...]) -> None:
+        """Replace the member tuple at ring position ``k``.  The caller
+        updates ``group`` for the workers that came or went."""
+        old, new = len(self.members[k]), len(ms)
+        self.members[k] = ms
+        if old != new:
+            bucket = self.by_size[old]
+            del bucket[bisect_left(bucket, k)]
+            if not bucket:
+                del self.by_size[old]
+            insort(self.by_size.setdefault(new, []), k)
+
+    def freeze(self) -> RotationState:
+        return RotationState(
+            ring=self.ring,
+            members=tuple(self.members),
+            current=self.current,
+            step_index=self.step_index,
+            used_group_ids=self.used_group_ids,
+            next_seq=self.next_seq,
+        )
+
+    # -- the read API of RotationState, by lookup ----------------------
+
+    @property
+    def m(self) -> int:
+        return len(self.ring)
+
+    @property
+    def n(self) -> int:
+        return len(self.group)
+
+    def index_of(self, g: GroupId) -> int:
+        try:
+            return self.pos[g]
+        except KeyError:
+            raise UnknownGroup(g) from None
+
+    def members_of(self, g: GroupId) -> tuple[WorkerId, ...]:
+        return self.members[self.index_of(g)]
+
+    def successor(self, g: GroupId) -> GroupId:
+        return self.ring[(self.index_of(g) + 1) % len(self.ring)]
+
+    def predecessor(self, g: GroupId) -> GroupId:
+        return self.ring[self.index_of(g) - 1]
+
+    def group_of(self, token: str) -> GroupId:
+        try:
+            return self.group[token]
+        except KeyError:
+            raise UnknownWorker(token) from None
+
+
 def build_state(groups: Sequence[tuple[GroupId, Sequence]],
                 current: GroupId,
                 step_index: int = 0) -> RotationState | ValidationReport:
@@ -193,13 +290,13 @@ def check_state(state: RotationState, d: int | None = None) -> ValidationReport:
     violations: list[Violation] = []
     warnings: list[Violation] = []
 
-    seen: set[GroupId] = set()
-    dupes = set()
-    for g in state.ring:
-        if g in seen:
-            dupes.add(g)
-        seen.add(g)
-    if dupes:
+    if len(set(state.ring)) != len(state.ring):  # find the repeats only if any
+        seen: set[GroupId] = set()
+        dupes = set()
+        for g in state.ring:
+            if g in seen:
+                dupes.add(g)
+            seen.add(g)
         violations.append(Violation(
             Code.NOT_SINGLE_CYCLE,
             f"duplicate group ids in ring: {sorted(dupes)}"))
@@ -216,18 +313,19 @@ def check_state(state: RotationState, d: int | None = None) -> ValidationReport:
         violations.append(Violation(
             Code.CURRENT_MISSING, f"current group {state.current!r} not in ring"))
 
-    counts: dict[str, int] = {}
-    for ms in state.members:
-        for w in ms:
-            counts[w.token] = counts.get(w.token, 0) + 1
-    multi = sorted(t for t, c in counts.items() if c > 1)
-    if multi:
+    tokens = [w.token for ms in state.members for w in ms]
+    if len(tokens) != len(set(tokens)):  # count only to name the repeats
+        counts: dict[str, int] = {}
+        for t in tokens:
+            counts[t] = counts.get(t, 0) + 1
+        multi = sorted(t for t, c in counts.items() if c > 1)
         violations.append(Violation(
             Code.NOT_PARTITION, f"workers in more than one group: {multi}"))
 
-    for g, ms in zip(state.ring, state.members):
-        if not ms:
-            violations.append(Violation(Code.EMPTY_GROUP, f"group {g} is empty"))
+    if not all(state.members):
+        for g, ms in zip(state.ring, state.members):
+            if not ms:
+                violations.append(Violation(Code.EMPTY_GROUP, f"group {g} is empty"))
 
     if d is not None and d >= 1:
         degraded = state.n < 2 * d

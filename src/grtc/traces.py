@@ -10,6 +10,7 @@ never reused within a trace.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -46,6 +47,9 @@ class TraceConfig:
     initial_workers: int = 4
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.duration, self.arrival_rate,
+                                       self.departure_rate))):
+            raise ValueError("duration and rates must be finite")  # else no end
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.arrival_rate < 0 or self.departure_rate < 0:
@@ -55,7 +59,10 @@ class TraceConfig:
 
     @classmethod
     def from_spec(cls, spec, seed) -> "TraceConfig":
-        """Build from a JSON ``trace`` object; the caller picks the seed."""
+        """Build from a JSON ``trace`` object; the caller picks the seed.
+        Numbers are checked, not coerced: ``initial_workers`` must be an
+        integer, the rest numbers, and a bool or a string is neither."""
+        from .config import number  # config imports the generator, which imports this
         if not isinstance(spec, dict):
             raise ConfigError(f"trace must be an object, got {type(spec).__name__}")
         values = {}
@@ -63,10 +70,7 @@ class TraceConfig:
                           ("departure_rate", float), ("initial_workers", int)):
             if key not in spec:
                 raise ConfigError(f"trace.{key} is missing")
-            try:
-                values[key] = kind(spec[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"trace.{key} must be a number, got {spec[key]!r}") from None
+            values[key] = number(spec[key], f"trace.{key}", kind)
         try:
             return cls(seed=seed, **values)
         except ValueError as e:

@@ -6,10 +6,12 @@ from grtc import (
     StrategySet,
     TaskSchedule,
     WorkerEvent,
+    Workspace,
     build_initial_state,
     build_state,
     run_rotation,
 )
+from grtc.operators import BatchContext
 
 
 @pytest.fixture
@@ -41,6 +43,19 @@ def make_state(spec, current):
     state = build_state(spec, current=current)
     assert hasattr(state, "ring"), f"invalid fixture state: {state}"
     return state
+
+
+def on_workspace(op, state, *args):
+    """Apply one operator the way ``next_state`` does: wrap ``state`` in a
+    workspace, call ``op`` on it, freeze it.  Returns (state, change log)."""
+    ws = Workspace(state)
+    log = op(ws, *args)
+    return ws.freeze(), log
+
+
+def guard(state):
+    """The batch guard of a batch that starts from ``state``."""
+    return BatchContext.for_workspace(Workspace(state))
 
 
 def scripted_run(tokens, n0, script, d=2, count=8, choose="balanced", config=None):

@@ -25,6 +25,7 @@ from grtc import (
     TraceConfig,
     WorkerEvent,
     WorkerId,
+    Workspace,
     advance_current,
     build_initial_state,
     build_state,
@@ -229,6 +230,7 @@ def test_criterion_6_oracle_equivalence():
             for state in enumerate_states(n, m):
                 snap = to_plain(state)
                 plain_members = snap["members"]
+                ws = Workspace(state)  # choose_group reads it, never changes it
                 for d in (1, 2):
                     for i in range(1, n + 1):
                         event = ("depart", f"w{i}")
@@ -243,7 +245,7 @@ def test_criterion_6_oracle_equivalence():
                             if first_mismatch is None:
                                 first_mismatch = (snap, event, d, got, want)
                     for kind, strat in insert_strats.items():
-                        if choose_group(state, policies[d], kind) != \
+                        if choose_group(ws, policies[d], kind) != \
                                 oracle_choose(list(state.ring), plain_members,
                                               state.current, kind, d):
                             mismatches += 1

@@ -124,6 +124,27 @@ class TestRun:
                      "--out", str(tmp_path / "out")]) == 1
         assert text in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, text", [
+        ("initial_workers", 6.7, "trace.initial_workers must be an integer, got 6.7"),
+        ("arrival_rate", True, "trace.arrival_rate must be a number, got True"),
+        ("duration", "5", "trace.duration must be a number, got '5'"),
+        ("departure_rate", None, "trace.departure_rate must be a number, got None"),
+        # a trace without end: generation would never stop
+        ("duration", float("inf"), "duration and rates must be finite"),
+        ("arrival_rate", float("inf"), "duration and rates must be finite"),
+    ], ids=["workers-fraction", "rate-bool", "duration-string", "rate-null",
+            "duration-infinite", "rate-infinite"])
+    def test_trace_number_is_checked_not_coerced(self, tmp_path, capsys, key, value, text):
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        spec = {"duration": 25, "arrival_rate": 0.4, "departure_rate": 0.05,
+                "initial_workers": 6, key: value}
+        trace_config = write_json(tmp_path / "trace.json", spec)
+        out = tmp_path / "out"
+        assert main(["run", config, "--trace-config", trace_config,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"error: {text}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("groups, where", [
         ([["g1"], ["g2", ["w2"]]], "groups[0] must be a [group, [workers]] pair"),
         ("g1", "groups must be an array"),

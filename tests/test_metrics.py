@@ -28,7 +28,7 @@ from grtc import (
 )
 from grtc.generator import RunRecord
 
-from conftest import make_state, runs
+from conftest import make_state, on_workspace, runs
 
 W = StressWeights()  # alpha 1.0, beta 0.25, gamma 0.5
 
@@ -68,7 +68,7 @@ class TestTransitionStress:
             [("A", ["w1", "w2", "w3", "w4", "w5"]),
              ("B", ["w6", "w7"]), ("C", ["w8", "w9"])], "A")
         from grtc import split_group
-        mid, log = split_group(state, policy, strategies, "A")
+        mid, log = on_workspace(split_group, state, policy, strategies, "A")
         nxt = advance_current(mid)
         stresses = transition_stress(state, nxt, W, log)
         moved = [w.token for w in log[0].moved]

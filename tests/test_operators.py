@@ -16,6 +16,7 @@ from grtc import (
     UnknownWorker,
     WorkerEvent,
     WorkerId,
+    Workspace,
     advance_current,
     check_state,
     counter_of_worker,
@@ -29,7 +30,7 @@ from grtc import (
 from grtc.operators import BatchContext, entry_from_dict, insert_worker, remove_worker
 from grtc.recordcheck import replay_entries
 
-from conftest import make_state
+from conftest import guard, make_state, on_workspace
 
 
 def assert_replay_matches(before, log, after):
@@ -61,7 +62,7 @@ def assert_published_follows(before, published, log):
 class TestInsert:
     def test_insert_below_threshold_no_split(self, fig1, policy):
         strat = StrategySet(choose="balanced")
-        out, log = insert_worker(fig1, policy, strat, WorkerId("w10", 10))
+        out, log = on_workspace(insert_worker, fig1, policy, strat, WorkerId("w10", 10))
         assert [type(e) for e in log] == [Inserted]
         assert out.ring == fig1.ring
         assert out.group_of("w10") == "g2"  # smallest group
@@ -70,7 +71,7 @@ class TestInsert:
 
     def test_insert_keeps_existing_counters(self, fig1, policy):
         strat = StrategySet(choose="balanced")
-        out, _ = insert_worker(fig1, policy, strat, WorkerId("w10", 10))
+        out, _ = on_workspace(insert_worker, fig1, policy, strat, WorkerId("w10", 10))
         for token in ("w1", "w4", "w6"):
             assert counter_of_worker(out, token) == counter_of_worker(fig1, token)
 
@@ -79,7 +80,7 @@ class TestInsert:
         state = make_state([("A", ["w1", "w2", "w3", "w4"]),
                             ("B", ["w5", "w6"]), ("C", ["w7", "w8"])], "A")
         strat = StrategySet(choose="concentrated")
-        out, log = insert_worker(state, policy, strat, WorkerId("w9", 9))
+        out, log = on_workspace(insert_worker, state, policy, strat, WorkerId("w9", 9))
         assert [type(e) for e in log] == [Inserted, Split]
         # size bookkeeping by hand: 4 + 1 = 5 > 4, halves 3 and 2
         assert len(out.members_of("A")) == 3
@@ -128,8 +129,9 @@ class TestRemove:
 
     def test_unknown_worker(self, fig1, policy, strategies):
         with pytest.raises(UnknownWorker):
-            remove_worker(fig1, policy, strategies, "nobody",
-                          BatchContext.for_state(fig1))
+            ws = Workspace(fig1)
+            remove_worker(ws, policy, strategies, "nobody",
+                          BatchContext.for_workspace(ws))
 
     def test_no_restructure_roundtrip(self, fig1, policy):
         strat = StrategySet(choose="balanced")
@@ -168,7 +170,7 @@ class TestSplitGroup:
             [("A", ["w1", "w2"]),
              ("B", ["w3", "w4", "w5", "w6", "w7"]),
              ("C", ["w8", "w9"])], "A")
-        out, log = split_group(state, policy, strategies, "B")
+        out, log = on_workspace(split_group, state, policy, strategies, "B")
         entry = log[0]
         # seq-order oracle: recompute halves from scratch
         by_seq = sorted(state.members_of("B"), key=lambda w: w.seq)
@@ -182,7 +184,7 @@ class TestSplitGroup:
         state = make_state(
             [("A", ["w1", "w2", "w3", "w4", "w5"]),
              ("B", ["w6", "w7"]), ("C", ["w8", "w9"])], "A")
-        out, log = split_group(state, policy, strategies, "A")
+        out, log = on_workspace(split_group, state, policy, strategies, "A")
         fresh = log[0].new_group
         assert out.predecessor("A") == fresh
         assert out.successor("A") == "B"  # moved workers not in the next group
@@ -193,7 +195,7 @@ class TestSplitGroup:
         state = make_state(
             [("A", ["w1", "w2", "w3", "w4"]), ("B", ["w5", "w6"])], "A")
         with pytest.raises(BelowThreshold):
-            split_group(state, policy, strategies, "A")
+            on_workspace(split_group, state, policy, strategies, "A")
 
     def test_halves_meet_floor(self, strategies):
         for d in (1, 2, 3):
@@ -201,7 +203,7 @@ class TestSplitGroup:
             size = policy.max_size + 1
             tokens = [f"w{i}" for i in range(1, size + 3)]
             state = make_state([("A", tokens[:size]), ("B", tokens[size:])], "B")
-            out, log = split_group(state, policy, strategies, "A")
+            out, log = on_workspace(split_group, state, policy, strategies, "A")
             assert len(out.members_of("A")) >= d
             assert len(out.members_of(log[0].new_group)) >= d
 
@@ -209,10 +211,10 @@ class TestSplitGroup:
         state = make_state([("g1", ["w1", "w2"]), ("g2", ["w3", "w4"]),
                             ("g3", ["w5", "w6", "w7", "w8", "w9"])], "g1")
         # retire g3 via join, then split: the new id must not be g3
-        joined, _ = join_groups(state, policy, "g2", BatchContext.for_state(state))
+        joined, _ = on_workspace(join_groups, state, policy, "g2", guard(state))
         merged = joined.members_of("g2")
         assert len(merged) == 7
-        out, log = split_group(joined, policy, strategies, "g2")
+        out, log = on_workspace(split_group, joined, policy, strategies, "g2")
         assert log[0].new_group == "g4"
 
 
@@ -221,7 +223,7 @@ class TestJoinGroups:
         state = make_state(
             [("A", ["w1", "w2"]), ("B", ["w3"]), ("C", ["w4", "w5"]),
              ("D", ["w6", "w7"])], "A")
-        out, log = join_groups(state, policy, "B", BatchContext.for_state(state))
+        out, log = on_workspace(join_groups, state, policy, "B", guard(state))
         assert (log[0].survivor, log[0].absorbed) == ("B", "C")
         assert out.ring == ("A", "B", "D")
         assert_valid_and_follows(state, out)
@@ -231,7 +233,7 @@ class TestJoinGroups:
         state = make_state(
             [("A", ["w1", "w2"]), ("B", ["w3", "w4"]), ("C", ["w5", "w6"]),
              ("D", ["w7"])], "A")
-        out, log = join_groups(state, policy, "D", BatchContext.for_state(state))
+        out, log = on_workspace(join_groups, state, policy, "D", guard(state))
         assert (log[0].survivor, log[0].absorbed) == ("A", "D")
         assert out.ring == ("A", "B", "C")
         assert "A" in out.ring  # the old current group survives
@@ -241,7 +243,7 @@ class TestJoinGroups:
     def test_deficient_current_absorbs_predecessor(self, policy):
         state = make_state(
             [("A", ["w1"]), ("B", ["w2", "w3"]), ("C", ["w4", "w5"])], "A")
-        out, log = join_groups(state, policy, "A", BatchContext.for_state(state))
+        out, log = on_workspace(join_groups, state, policy, "A", guard(state))
         assert (log[0].survivor, log[0].absorbed) == ("A", "C")
         assert out.ring == ("A", "B")
         assert_valid_and_follows(state, out)
@@ -250,15 +252,14 @@ class TestJoinGroups:
     def test_two_groups_rejected(self, policy):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3"])], "A")
         with pytest.raises(TooFewGroups):
-            join_groups(state, policy, "B", BatchContext.for_state(state))
+            on_workspace(join_groups, state, policy, "B", guard(state))
 
 
 class TestDonate:
     def test_newest_moves(self, policy):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4", "w5"]),
                             ("C", ["w6", "w7"])], "A")
-        out, log = donate_worker(state, policy, "B", "C",
-                                 BatchContext.for_state(state))
+        out, log = on_workspace(donate_worker, state, policy, "B", "C", guard(state))
         assert log[0].worker.token == "w5"
         assert [w.token for w in out.members_of("B")] == ["w3", "w4"]
         assert [w.token for w in out.members_of("C")] == ["w6", "w7", "w5"]
@@ -267,13 +268,13 @@ class TestDonate:
     def test_current_to_successor_forbidden(self, policy):
         state = make_state([("A", ["w1", "w2", "w3"]), ("B", ["w4", "w5"])], "A")
         with pytest.raises(ForbiddenMove):
-            donate_worker(state, policy, "A", "B", BatchContext.for_state(state))
+            on_workspace(donate_worker, state, policy, "A", "B", guard(state))
 
     def test_donor_at_floor_rejected(self, policy):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4"]),
                             ("C", ["w5", "w6"])], "A")
         with pytest.raises(DonorTooSmall):
-            donate_worker(state, policy, "B", "C", BatchContext.for_state(state))
+            on_workspace(donate_worker, state, policy, "B", "C", guard(state))
 
 
 class TestEntryCodec:

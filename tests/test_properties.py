@@ -1,17 +1,21 @@
 """Property tests over randomly generated states and batches."""
 
 import io
+import random
 
 from hypothesis import given, settings, strategies as st
 
 from grtc import (
+    Code,
     OperatorPolicy,
     RotationState,
     StallError,
     StrategySet,
     WorkerEvent,
     WorkerId,
+    Workspace,
     advance_current,
+    build_initial_state,
     check_state,
     choose_group,
     counter_of_group,
@@ -23,9 +27,12 @@ from grtc import (
     validate_pair,
     write_trace,
 )
-from grtc.operators import BatchContext, insert_worker
+from grtc.generator import _reconcile
+from grtc.operators import BatchContext, Donated, insert_worker, remove_worker
+from grtc.strategies import CHOOSE_KINDS, FIND_ORDERS
 from grtc.recordcheck import replay_entries
 
+from conftest import on_workspace
 from oracle import _scan_donor, oracle_choose, oracle_next, to_plain
 
 
@@ -52,15 +59,17 @@ def states(draw, max_n=12, max_m=5):
 
 
 @st.composite
-def scrambled_states(draw, max_m=7, max_size=5):
+def scrambled_states(draw, max_m=7, max_size=5, sizes=None):
     """States as a run leaves them: multi-digit group ids out of ring order
     (a split takes the lowest unused id), any group current, and member
-    order that is not seniority order (donations append the newest)."""
-    m = draw(st.integers(min_value=2, max_value=max_m))
+    order that is not seniority order (donations append the newest).
+    ``sizes`` fixes the group sizes in ring order."""
+    if sizes is None:
+        m = draw(st.integers(min_value=2, max_value=max_m))
+        sizes = draw(st.lists(st.integers(min_value=1, max_value=max_size),
+                              min_size=m, max_size=m))
     ids = draw(st.lists(st.integers(min_value=1, max_value=40),
-                        min_size=m, max_size=m, unique=True))
-    sizes = draw(st.lists(st.integers(min_value=1, max_value=max_size),
-                          min_size=m, max_size=m))
+                        min_size=len(sizes), max_size=len(sizes), unique=True))
     seqs = iter(draw(st.permutations(range(1, sum(sizes) + 1))))
     ring = tuple(f"g{k}" for k in ids)
     return RotationState(
@@ -73,6 +82,24 @@ def scrambled_states(draw, max_m=7, max_size=5):
         used_group_ids=frozenset(ring),
         next_seq=sum(sizes) + 1,
     )
+
+
+@st.composite
+def tied_donors(draw):
+    """(state, deficient group) on an even ring where every group nearer
+    than h hops has one member and the two groups h hops away, one on each
+    side, have 2 to 4: for a donor floor of 2 the scan order alone picks
+    between them, whether they share a size class or not."""
+    m = 2 * draw(st.integers(min_value=2, max_value=4))
+    i = draw(st.integers(min_value=0, max_value=m - 1))
+    h = draw(st.integers(min_value=1, max_value=m // 2 - 1))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=m, max_size=m))
+    for k in range(1, h):
+        sizes[(i - k) % m] = sizes[(i + k) % m] = 1
+    for k in (i - h, i + h):
+        sizes[k % m] = draw(st.integers(min_value=2, max_value=4))
+    state = draw(scrambled_states(sizes=sizes))
+    return state, state.ring[i]
 
 
 choose_kinds = st.sampled_from(["farthest", "concentrated", "balanced", "hybrid"])
@@ -100,7 +127,7 @@ def test_counters_are_a_bijection(state):
 @settings(max_examples=300)
 def test_choose_group_matches_oracle(state, kind, d):
     plain = to_plain(state)
-    assert choose_group(state, OperatorPolicy(d=d), kind) == oracle_choose(
+    assert choose_group(Workspace(state), OperatorPolicy(d=d), kind) == oracle_choose(
         plain["ring"], plain["members"], plain["current"], kind, d)
 
 
@@ -110,18 +137,23 @@ def test_find_donor_matches_oracle(data, order, d, floor_only, explicit_guard):
     """Both scan orders, donor floors 2 and d+1, and the just-performed
     guard: as at the start of a batch (the current group's workers,
     protecting its successor) or with tainted workers spread over the
-    ring and any group protected, as inside a batch."""
-    state = data.draw(scrambled_states())
+    ring and any group protected, as inside a batch.  Half the states
+    put the two nearest donors at equal distance on either side."""
+    if data.draw(st.booleans()):
+        state, deficient = data.draw(tied_donors())
+    else:
+        state = data.draw(scrambled_states())
+        deficient = data.draw(st.sampled_from(state.ring))
     plain = to_plain(state)
-    deficient = data.draw(st.sampled_from(state.ring))
+    ws = Workspace(state)
     if explicit_guard:
         tainted = frozenset(data.draw(st.sets(st.sampled_from(sorted(state.tokens())))))
         protected = data.draw(st.sampled_from([deficient, *state.ring]))
     else:
-        guard = BatchContext.for_state(state)
+        guard = BatchContext.for_workspace(ws)
         tainted, protected = guard.tainted, guard.protected
     min_size = 2 if floor_only else d + 1
-    got = find_donor(state, deficient, order, min_size, tainted, protected)
+    got = find_donor(ws, deficient, order, min_size, tainted, protected)
     ring, current = plain["ring"], plain["current"]
     if not explicit_guard:  # the reference derives the start-of-batch guard itself
         tainted = {tok for tok, _ in plain["members"][current]}
@@ -161,7 +193,8 @@ def test_next_state_matches_oracle_at_any_horizon(data, choose, order, d, horizo
 def test_insert_preserves_validity(state, choose, d):
     policy = OperatorPolicy(d=d)
     strat = StrategySet(choose=choose)
-    out, log = insert_worker(state, policy, strat, WorkerId("a1", state.next_seq))
+    out, log = on_workspace(insert_worker, state, policy, strat,
+                            WorkerId("a1", state.next_seq))
     assert check_state(out).ok
     assert out.n == state.n + 1
     assert_transition_contract(state, advance_current(out), log)
@@ -248,3 +281,97 @@ def test_trace_roundtrips(seed):
     write_trace(buf, roster, events)
     buf.seek(0)
     assert read_trace(buf) == (roster, events)
+
+
+# -- the workspace's indexes ----------------------------------------------
+
+def assert_indexes_rebuilt(ws, roster):
+    """The workspace's indexes equal a from-scratch rebuild of its lists,
+    it holds exactly ``roster``, and its frozen state is a valid ring
+    (an emptied group is the one thing a batch may leave to its end)."""
+    assert len(ws.members) == len(ws.ring)
+    assert ws.pos == {g: k for k, g in enumerate(ws.ring)}
+    assert ws.group == {w.token: g for g, ms in zip(ws.ring, ws.members) for w in ms}
+    by_size = {}
+    for k, ms in enumerate(ws.members):
+        by_size.setdefault(len(ms), []).append(k)
+    assert ws.by_size == by_size
+    assert set(ws.group) == roster
+    assert check_state(ws.freeze()).codes() <= {Code.EMPTY_GROUP}
+
+
+def drive_workspace(state, policy, strat, steps):
+    """Apply ``steps`` to workspaces the way ``next_state`` batches do,
+    checking the indexes after every operation.  A step is ("arrive", _),
+    ("depart", pick), which removes the present worker ``pick`` (mod the
+    pool), or ("publish", _), which reconciles, freezes and advances, and
+    starts the next batch from the result when it is publishable, else
+    from the last published state (dropping the batch, as a stall does).
+    Returns every change-log entry made and the number of donations that
+    left their donor below the floor (the emergency donation)."""
+    published = state
+    ws, ctx = Workspace(state), None
+    roster = set(ws.group)
+    entries, fresh, emergencies = [], 0, 0
+    for op, pick in steps:
+        ctx = ctx or BatchContext.for_workspace(ws)
+        if op == "arrive":
+            fresh += 1
+            token = f"a{fresh}"
+            log = insert_worker(ws, policy, strat, WorkerId(token, ws.next_seq))
+            roster.add(token)
+        elif op == "depart" and roster:
+            token = sorted(roster)[pick % len(roster)]
+            log = remove_worker(ws, policy, strat, token, ctx)
+            roster.discard(token)
+        elif op == "publish":
+            log = _reconcile(ws, policy, strat, ctx)
+        else:
+            continue
+        assert_indexes_rebuilt(ws, roster)
+        emergencies += sum(isinstance(e, Donated) and e.from_group in ws.pos
+                           and len(ws.members_of(e.from_group)) < policy.d for e in log)
+        entries.extend(log)
+        if op == "publish":
+            candidate = advance_current(ws.freeze())
+            if (check_state(candidate, policy.d).ok
+                    and validate_pair(published, candidate).ok):
+                published = candidate
+            ws, ctx = Workspace(published), None
+            roster = set(ws.group)
+    return entries, emergencies
+
+
+all_choose_kinds = st.sampled_from(CHOOSE_KINDS)
+churn = st.lists(st.tuples(st.sampled_from(["arrive", "depart", "depart", "publish"]),
+                           st.integers(min_value=0, max_value=63)), max_size=40)
+
+
+@given(scrambled_states(max_size=4), ds, st.sampled_from([2, 3]), all_choose_kinds,
+       find_orders, churn)
+@settings(max_examples=300, deadline=None)
+def test_workspace_indexes_match_a_rebuild(state, d, mult, choose, order, steps):
+    drive_workspace(state, OperatorPolicy(d=d, max_multiplier=mult),
+                    StrategySet.seeded(choose, order, 0), steps)
+
+
+def test_workspace_churn_reaches_every_repair():
+    """Churn like the test above splits, joins and donates at every d, and
+    at d >= 2 also donates in an emergency and enters degraded mode.  (At
+    d = 1 neither exists: an emergency donor keeps its one member, and a
+    pool of n < 2 cannot fill two groups.)"""
+    rng = random.Random("workspace-churn")
+    ops = ["arrive", "depart", "depart", "publish"]
+    for d in (1, 2, 3):
+        seen, emergencies = set(), 0
+        for k in range(60):
+            policy = OperatorPolicy(d=d, max_multiplier=rng.choice([2, 3]))
+            strat = StrategySet.seeded(rng.choice(CHOOSE_KINDS), rng.choice(FIND_ORDERS), k)
+            state = build_initial_state([f"w{i}" for i in range(rng.randint(2, 12))], policy)
+            steps = [(rng.choice(ops), rng.randrange(64)) for _ in range(40)]
+            entries, n = drive_workspace(state, policy, strat, steps)
+            seen |= {type(e).__name__ for e in entries}
+            emergencies += n
+        assert {"Split", "Joined", "Donated"} <= seen, (d, seen)
+        if d >= 2:
+            assert "DegradedEntered" in seen and emergencies, (d, seen, emergencies)

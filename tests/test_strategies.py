@@ -5,6 +5,7 @@ import pytest
 from grtc import (
     GrtcError,
     StrategySet,
+    Workspace,
     choose_group,
     counter_of_group,
     find_donor,
@@ -19,62 +20,63 @@ from conftest import make_state
 class TestChoose:
     def test_balanced_picks_smallest(self, fig1, policy):
         # sizes g1:3 g2:2 g3:4
-        assert choose_group(fig1, policy, "balanced") == "g2"
+        assert choose_group(Workspace(fig1), policy, "balanced") == "g2"
 
     def test_farthest_picks_max_counter(self, fig1, policy):
         # counter oracle: g3 sits two hops from the current group
         distances = {g: counter_of_group(fig1, g) for g in fig1.ring}
         assert max(distances, key=distances.get) == "g3"
-        assert choose_group(fig1, policy, "farthest") == "g3"
+        assert choose_group(Workspace(fig1), policy, "farthest") == "g3"
 
     def test_concentrated_picks_biggest(self, fig1, policy):
         sizes = {g: len(fig1.members_of(g)) for g in fig1.ring}
         assert max(sizes.values()) == sizes["g3"]
-        assert choose_group(fig1, policy, "concentrated") == "g3"
+        assert choose_group(Workspace(fig1), policy, "concentrated") == "g3"
 
     def test_concentrated_tie_breaks_to_smallest_counter(self, policy):
         state = make_state([("g1", ["w1", "w2"]), ("g2", ["w3", "w4"]),
                             ("g3", ["w5"])], "g2")
         # g1 and g2 tie on size; g2 is current (counter 0)
-        assert choose_group(state, policy, "concentrated") == "g2"
+        assert choose_group(Workspace(state), policy, "concentrated") == "g2"
 
     def test_balanced_tie_breaks_to_largest_counter(self, policy):
         state = make_state([("g1", ["w1"]), ("g2", ["w2"]),
                             ("g3", ["w3", "w4"])], "g1")
         # g1/g2 tie at size 1; g2 has the larger counter
-        assert choose_group(state, policy, "balanced") == "g2"
+        assert choose_group(Workspace(state), policy, "balanced") == "g2"
 
     def test_balanced_never_max_concentrated_never_min(self, fig1, policy):
         sizes = {g: len(fig1.members_of(g)) for g in fig1.ring}
-        assert sizes[choose_group(fig1, policy, "balanced")] != max(sizes.values())
-        assert sizes[choose_group(fig1, policy, "concentrated")] != min(sizes.values())
+        ws = Workspace(fig1)
+        assert sizes[choose_group(ws, policy, "balanced")] != max(sizes.values())
+        assert sizes[choose_group(ws, policy, "concentrated")] != min(sizes.values())
 
     def test_hybrid_prefers_group_at_risk(self, fig1, policy):
         # g2 sits at the floor (size 2 = d)
-        assert choose_group(fig1, policy, "hybrid") == "g2"
+        assert choose_group(Workspace(fig1), policy, "hybrid") == "g2"
 
     def test_hybrid_falls_back_to_farthest(self, policy):
         state = make_state([("g1", ["w1", "w2", "w3"]),
                             ("g2", ["w4", "w5", "w6"])], "g1")
-        assert choose_group(state, policy, "hybrid") == \
-            choose_group(state, policy, "farthest")
+        assert choose_group(Workspace(state), policy, "hybrid") == \
+            choose_group(Workspace(state), policy, "farthest")
 
     def test_random_uniform_and_seeded(self, fig1, policy):
         rng = random.Random("s:choose")
-        picks = [choose_group(fig1, policy, "random", rng) for _ in range(300)]
+        picks = [choose_group(Workspace(fig1), policy, "random", rng) for _ in range(300)]
         assert set(picks) == set(fig1.ring)
         rng2 = random.Random("s:choose")
-        assert picks == [choose_group(fig1, policy, "random", rng2)
+        assert picks == [choose_group(Workspace(fig1), policy, "random", rng2)
                          for _ in range(300)]
 
     def test_random_requires_rng(self, fig1, policy):
         with pytest.raises(GrtcError):
-            choose_group(fig1, policy, "random")
+            choose_group(Workspace(fig1), policy, "random")
 
     def test_deterministic_strategies_ignore_seed(self, fig1, policy):
         for kind in ("farthest", "concentrated", "balanced", "hybrid"):
-            a = choose_group(fig1, policy, kind, random.Random(1))
-            b = choose_group(fig1, policy, kind, random.Random(2))
+            a = choose_group(Workspace(fig1), policy, kind, random.Random(1))
+            b = choose_group(Workspace(fig1), policy, kind, random.Random(2))
             assert a == b
 
     def test_unknown_strategy_rejected(self):
@@ -105,8 +107,9 @@ class TestPartitionForSplit:
 def scan(state, deficient, order, d=2):
     """find_donor for a donor that stays at the floor d, guarded as at the
     start of a batch (the current group's workers, its successor)."""
-    guard = BatchContext.for_state(state)
-    return find_donor(state, deficient, order, d + 1, guard.tainted, guard.protected)
+    ws = Workspace(state)
+    guard = BatchContext.for_workspace(ws)
+    return find_donor(ws, deficient, order, d + 1, guard.tainted, guard.protected)
 
 
 class TestFindDonor:
