@@ -15,6 +15,7 @@ The environment variable GRTC_SEED overrides the config seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from .errors import ConfigError, InvalidState
@@ -51,6 +52,15 @@ def number(value, path: str, kind: type = float):
         raise ConfigError(f"{path} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}")
     return kind(value)
+
+
+def finite(value, path: str) -> float:
+    """A config number that must be finite (the JSON reader accepts NaN
+    and Infinity)."""
+    x = number(value, path)
+    if not math.isfinite(x):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    return x
 
 
 def section(config: dict, key: str) -> dict:
@@ -164,9 +174,9 @@ def parse_schedule(spec) -> TaskSchedule:
                 raise ConfigError("config.schedule.times must be an array of numbers, "
                                   f"got {type(times).__name__}")
             return TaskSchedule.explicit(
-                [number(t, f"config.schedule.times[{k}]") for k, t in enumerate(times)])
-        start = number(spec["start"], "config.schedule.start") if "start" in spec else None
-        return TaskSchedule.periodic(number(spec["interval"], "config.schedule.interval"),
+                [finite(t, f"config.schedule.times[{k}]") for k, t in enumerate(times)])
+        start = finite(spec["start"], "config.schedule.start") if "start" in spec else None
+        return TaskSchedule.periodic(finite(spec["interval"], "config.schedule.interval"),
                                      number(spec["count"], "config.schedule.count", int),
                                      start=start)
     except (KeyError, ValueError) as e:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isfinite
 from operator import attrgetter
 
 from .errors import InconsistentEvent, InvalidState, OrderError, StallError
@@ -43,13 +43,15 @@ from .traces import WorkerEvent
 
 @dataclass(frozen=True)
 class TaskSchedule:
-    """Strictly increasing task times, explicit or periodic."""
+    """Strictly increasing, finite task times, explicit or periodic."""
 
     times: tuple[float, ...]
 
     def __post_init__(self):
         if not self.times:
             raise ValueError("schedule needs at least one task time")
+        if not all(map(isfinite, self.times)):  # NaN would slip past every check below
+            raise ValueError("task times must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("task times must be strictly increasing")
         if self.times[0] <= 0:
@@ -231,16 +233,21 @@ def run_rotation(initial: RotationState, policy: OperatorPolicy,
                  config: dict | None = None) -> RunRecord:
     """Drive the full rotation over the schedule.
 
-    The window for task time t_i is (t_{i-1}, t_i] with t_0 = 0.  On a
+    The window for task time t_i is (t_{i-1}, t_i] with t_0 = 0, so an
+    event time must be a finite number > 0 (else OrderError).  On a
     stall the window's events stay queued and are retried, merged with
     the next window, until a valid state can be built again.
     """
     report = check_state(initial)
     if not report.ok:
         raise InvalidState(report)
-    for a, b in zip(events, events[1:]):
-        if b.t < a.t:
-            raise OrderError(f"events out of order at t={b.t}")
+    last = 0.0
+    for e in events:
+        if not 0 < e.t < inf:
+            raise OrderError(f"event time {e.t!r} is not a finite number > 0")
+        if e.t < last:
+            raise OrderError(f"events out of order at t={e.t}")
+        last = e.t
 
     record = RunRecord(config=dict(config or {}))
     record.states.append(initial)

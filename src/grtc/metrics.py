@@ -17,6 +17,8 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import is_not
 from typing import NamedTuple
 
 from .errors import CorruptRecord, InvalidPair
@@ -77,16 +79,28 @@ class WorkerStress(NamedTuple):
 def transition_stress(prev: RotationState, nxt: RotationState,
                       weights: StressWeights, log: ChangeLog
                       ) -> dict[str, WorkerStress]:
-    """Per-worker stress for one published transition.
+    """Per-worker stress for one published transition: one row per
+    worker who stays."""
+    pair = validate_pair(prev, nxt)
+    if not pair.ok:
+        raise InvalidPair(str(pair))
+    return _stress_rows(prev, nxt, weights, log)
+
+
+def _stress_rows(prev: RotationState, nxt: RotationState, weights: StressWeights,
+                 log: ChangeLog, positions: list[int] | None = None
+                 ) -> dict[str, WorkerStress]:
+    """The stress rows of the staying workers, in ring and member order.
 
     A worker's expected counter is last state's counter minus one, except
     for the group that just performed, which expects to wait a full lap
     of the new ring.  The achieved counter comes from the new state.
-    """
-    pair = validate_pair(prev, nxt)
-    if not pair.ok:
-        raise InvalidPair(str(pair))
 
+    ``positions`` limits both states to those ring positions.  That is
+    sound when both states have the same ring, repeat no group id and no
+    token, and every position left out holds equal member tuples on both
+    sides.  By default every position of each state is read.
+    """
     moved_tokens: set[str] = set()
     for e in log:
         if isinstance(e, (Split, Joined)):
@@ -96,13 +110,14 @@ def transition_stress(prev: RotationState, nxt: RotationState,
 
     # token -> (group, counter) in prev, in one pass over its positions
     prev_cur, prev_m = prev.index_of(prev.current), prev.m
-    before_of = {w.token: (g, (k - prev_cur) % prev_m)
-                 for k, (g, ms) in enumerate(zip(prev.ring, prev.members)) for w in ms}
+    before_of = {w.token: (prev.ring[k], (k - prev_cur) % prev_m)
+                 for k in (range(prev_m) if positions is None else positions)
+                 for w in prev.members[k]}
     cur, m = nxt.index_of(nxt.current), nxt.m
     out: dict[str, WorkerStress] = {}
-    for k, (g, ms) in enumerate(zip(nxt.ring, nxt.members)):
-        actual = (k - cur) % m
-        for w in ms:
+    for k in range(m) if positions is None else positions:
+        g, actual = nxt.ring[k], (k - cur) % m
+        for w in nxt.members[k]:
             was = before_of.get(w.token)
             if was is None:
                 continue  # arrived this transition
@@ -177,7 +192,11 @@ class RunReport:
 
 def summarize_run(record: RunRecord, weights: StressWeights | None = None
                   ) -> RunReport:
-    """Deterministic aggregation of a whole run record."""
+    """Deterministic aggregation of a whole run record.
+
+    A transition that keeps the ring costs O(m) plus the sizes of the
+    groups whose member tuples changed; any other costs O(n+m).
+    """
     weights = weights or StressWeights()
     if not record.states:
         raise CorruptRecord("record has no states")
@@ -200,28 +219,47 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None
     total_drop = total_rise = total_moves = 0
     stress_total = 0.0
     entry_counts: Counter[type] = Counter()
-    keyed = None  # a members value whose every token already has its slot
+    pool = record.states[0].tokens()  # the tokens of the state before each transition
+    size = record.states[0].n         # len(pool) unless a token sits in two groups
+    fresh = set(pool)                 # the tokens of that state that may lack a slot
+    distinct = None                   # the last ring found to repeat no group id
     for prev, nxt, log in zip(record.states, record.states[1:], record.change_logs):
         entry_counts.update(map(type, log))
-        if nxt.ring == prev.ring and nxt.members == prev.members:
-            pair = validate_pair(prev, nxt)
-            if not pair.ok:
-                raise InvalidPair(str(pair))
-            if nxt.index_of(nxt.current) == (prev.index_of(prev.current) + 1) % prev.m:
-                # an idle transition: every counter falls by one, as
-                # promised, so every staying worker's row is zero
-                if keyed is not prev.members:
-                    for ms in prev.members:
-                        for w in ms:
-                            slot(w.token)
-                    keyed = nxt.members
-                continue
-        for token, ws in transition_stress(prev, nxt, weights, log).items():
+        ring, rows = nxt.ring, None
+        if ((ring is prev.ring or ring == prev.ring)
+                and (ring is distinct or len(set(ring)) == len(ring))):
+            # The same ring, repeating no id: a state that follows moved
+            # ``current`` one position, so every counter in a group whose
+            # member tuple is unchanged fell by one, as promised, and its
+            # rows are zero.  Only the changed positions are read.
+            distinct = ring
+            before, after = prev.members, nxt.members
+            changed = [k for k in compress(count(), map(is_not, before, after))
+                       if before[k] != after[k]]
+            gone = {w.token for k in changed for w in before[k]}
+            came = [w.token for k in changed for w in after[k]]
+            pool.difference_update(gone)
+            pool.update(came)
+            size += len(came) - len(gone)
+            if len(pool) == size:  # (else a token sits in two groups of prev or nxt)
+                pair = validate_pair(prev, nxt)
+                if not pair.ok:
+                    raise InvalidPair(str(pair))
+                rows = _stress_rows(prev, nxt, weights, log, changed)
+                arrivals = [t for t in came if t not in gone]
+        if rows is None:
+            rows = transition_stress(prev, nxt, weights, log)
+            pool, size = nxt.tokens(), nxt.n
+            arrivals = pool.difference(rows)
+        # a token on both sides of a transition gets its slot, stress or not
+        for token in fresh:
+            if token in pool:
+                slot(token)
+        fresh = arrivals
+        for ws in rows.values():
             if not (ws.drop or ws.rise or ws.moved):
-                if token not in per_worker:
-                    slot(token)
                 continue  # a zero row adds 0 and 0.0: nothing changes
-            s = slot(token)
+            s = slot(ws.token)
             s["stress"] += ws.score
             s["moves"] += int(ws.moved)
             s["drops"] += ws.drop

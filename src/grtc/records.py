@@ -90,20 +90,31 @@ def dump_record(record: RunRecord, path) -> None:
     """Write ``record_to_dict(record)`` byte for byte as ``json.dump(...,
     indent=1)`` would, streaming the states one at a time.
 
-    A state whose ring and members are the previous state's objects (as
-    ``advance_current`` leaves them) reuses that snapshot's encoded text
-    instead of encoding it again.  Only one snapshot's text is held at a
-    time.
+    While the ring stays the same (and repeats no group id), a group
+    whose member tuple is the previous state's object keeps that
+    state's encoded row; only the changed rows are encoded again.  Only
+    one snapshot's rows are held at a time.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.write(f'{{\n "v": {SCHEMA_VERSION},\n "config": {_nested(record.config)},\n "states": ')
-        ring = members = body = None
+        ring = members = None  # ``ring`` is None unless its rows can be reused
+        rows: list[str] = []
         sep = "["
         for s in record.states:
-            if s.ring is not ring or s.members is not members:
-                ring, members, body = s.ring, s.members, _ring_and_members(s)
+            if (s.ring is ring or s.ring == ring) and len(s.members) == len(rows):
+                for k, ms in enumerate(s.members):
+                    if ms is not members[k]:
+                        rows[k] = _group_row(ring[k], ms)
+            else:
+                groups = dict(zip(s.ring, s.members))  # one row per id, as in JSON
+                rows = [_group_row(g, ms) for g, ms in groups.items()]
+                ring = s.ring if len(rows) == len(s.ring) == len(s.members) else None
+                head = ('   "ring": [\n    ' + ",\n    ".join(map(_str, s.ring)) + "\n   ]"
+                        if s.ring else '   "ring": []')
+            members = s.members
+            body = "{\n" + ",\n".join(rows) + "\n   }" if rows else "{}"
             f.write(f'{sep}\n  {{\n   "step": {s.step_index},\n'
-                    f'   "current": {_str(s.current)},\n{body}\n  }}')
+                    f'   "current": {_str(s.current)},\n{head},\n   "members": {body}\n  }}')
             sep = ","
         f.write("\n ]" if record.states else "[]")
         for key, value in _history(record).items():
@@ -111,17 +122,10 @@ def dump_record(record: RunRecord, path) -> None:
         f.write("\n}\n")
 
 
-def _ring_and_members(state: RotationState) -> str:
-    """The "ring" and "members" lines of one snapshot, as indented in a record."""
-    ring = ('   "ring": [\n    ' + ",\n    ".join(map(_str, state.ring)) + "\n   ]"
-            if state.ring else '   "ring": []')
-    groups = {g: ms for g, ms in zip(state.ring, state.members)}
-    rows = ",\n".join(
-        f"    {_str(g)}: "
-        + ("[\n     " + ",\n     ".join([_str(w.token) for w in ms]) + "\n    ]"
-           if ms else "[]")
-        for g, ms in groups.items())
-    return f'{ring},\n   "members": ' + ("{\n" + rows + "\n   }" if groups else "{}")
+def _group_row(g: str, ms) -> str:
+    """One group's line of a snapshot's "members" object, as indented in a record."""
+    return (f"    {_str(g)}: " + ("[\n     " + ",\n     ".join([_str(w.token) for w in ms])
+                                 + "\n    ]" if ms else "[]"))
 
 
 def _nested(value) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -125,8 +126,9 @@ def write_trace_file(path, initial, events) -> None:
 
 
 def read_trace(stream: IO[str]) -> tuple[list[str], list[WorkerEvent]]:
-    """Parse and cross-check a trace: ordered timestamps, departures only
-    of present workers, arrivals only of never-seen tokens."""
+    """Parse and cross-check a trace: finite timestamps > 0 in order,
+    string tokens, departures only of present workers, arrivals only of
+    never-seen tokens.  Nothing is coerced."""
     lines = stream.read().splitlines()
     if not lines:
         raise ParseError("empty trace", line=1)
@@ -156,11 +158,16 @@ def read_trace(stream: IO[str]) -> tuple[list[str], list[WorkerEvent]]:
         except json.JSONDecodeError as e:
             raise ParseError(e.msg, line=no) from None
         try:
-            ev = WorkerEvent(float(obj["t"]), str(obj["op"]), str(obj["worker"]))
-        except (KeyError, TypeError, ValueError):
+            t, op, worker = obj["t"], obj["op"], obj["worker"]
+        except (KeyError, TypeError):
             raise ParseError(f"malformed event {text!r}", line=no) from None
-        if ev.op not in ("arrive", "depart"):
-            raise ParseError(f"unknown op {ev.op!r}", line=no)
+        if type(t) not in (int, float) or not 0 < t <= sys.float_info.max:
+            raise ParseError(f"event time {t!r} is not a finite number > 0", line=no)
+        if op not in ("arrive", "depart"):
+            raise ParseError(f"unknown op {op!r}", line=no)
+        if not isinstance(worker, str):
+            raise ParseError(f"worker {worker!r} is not a string", line=no)
+        ev = WorkerEvent(float(t), op, worker)
         if last_t is not None and ev.t < last_t:
             raise OrderError(f"timestamp {ev.t} before previous {last_t}", line=no)
         last_t = ev.t

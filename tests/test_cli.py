@@ -201,6 +201,37 @@ class TestRun:
         assert not out.exists()
         assert f"error: {text}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schedule, text", [
+        ({"times": [1.0, float("nan"), 3.0]}, "config.schedule.times[1] must be finite, got nan"),
+        ({"times": [1.0, float("inf")]}, "config.schedule.times[1] must be finite, got inf"),
+        ({"interval": float("nan"), "count": 5}, "config.schedule.interval must be finite"),
+        ({"interval": 1.0, "count": 5, "start": float("nan")},
+         "config.schedule.start must be finite"),
+    ], ids=["time-nan", "time-infinite", "interval-nan", "start-nan"])
+    def test_schedule_numbers_must_be_finite(self, tmp_path, capsys, schedule, text):
+        # json.dumps writes NaN and Infinity, which the config reader accepts
+        path = write_json(tmp_path / "config.json", dict(RUN_CONFIG, schedule=schedule))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"error: {text}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t, text", [
+        ("-1.0", "event time -1.0"), ("0.0", "event time 0.0"), ("NaN", "event time nan"),
+    ], ids=["negative", "zero", "nan"])
+    def test_trace_event_outside_every_window(self, tmp_path, capsys, t, text):
+        # the first task window is (0, t_1]: such an arrival would vanish
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"format": "grtc-trace", "v": 1, "initial": '
+                         + json.dumps([f"w{k}" for k in range(1, 9)]) + "}\n"
+                         f'{{"t": {t}, "op": "arrive", "worker": "x1"}}\n'
+                         '{"t": 0.5, "op": "arrive", "worker": "x2"}\n')
+        out = tmp_path / "out"
+        assert main(["run", config, "--trace", str(trace), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"error: line 2: {text} is not a finite number > 0" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_fresh_record_clean(self, tmp_path, capsys):

@@ -241,9 +241,53 @@ def same_json(a: dict, b: dict) -> bool:
     return json.dumps(a) == json.dumps(b)
 
 
+def chain(first, *steps):
+    """States that follow one another: each step maps ring position to a
+    new member tuple (every other position keeps its tuple object) and
+    moves ``current`` one position along the same ring object."""
+    states = [first]
+    for changes in steps:
+        prev = states[-1]
+        members = list(prev.members)
+        for k, tokens in changes.items():
+            members[k] = tuple(WorkerId(t, 0) for t in tokens)
+        nxt = advance_current(prev)
+        states.append(RotationState(nxt.ring, tuple(members), nxt.current, nxt.step_index))
+    return RunRecord(states=states, change_logs=[()] * len(steps))
+
+
+def five_groups():
+    # ring A..E, current A; E sits at counter 4 and performs last
+    return make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4"]), ("C", ["w5", "w6"]),
+                       ("D", ["w7", "w8"]), ("E", ["w9", "w10"])], "A")
+
+
+@pytest.fixture
+def fold_spy(monkeypatch):
+    """Counts ``transition_stress`` calls and records the positions the
+    fold reads on the transitions it does not hand to it."""
+    import grtc.metrics as metrics
+    seen = {"full": 0, "positions": []}
+    real_full, real_rows = metrics.transition_stress, metrics._stress_rows
+
+    def full(*args):
+        seen["full"] += 1
+        return real_full(*args)
+
+    def rows(prev, nxt, weights, log, positions=None):
+        if positions is not None:
+            seen["positions"].append(list(positions))
+        return real_rows(prev, nxt, weights, log, positions)
+
+    monkeypatch.setattr(metrics, "transition_stress", full)
+    monkeypatch.setattr(metrics, "_stress_rows", rows)
+    return seen
+
+
 class TestFoldMatchesReference:
-    """summarize_run skips transitions that leave the ring and every member
-    list unchanged and adds only non-zero rows; the reports must not move."""
+    """On a transition that keeps the ring, summarize_run reads only the
+    groups whose member tuples changed, and it adds only non-zero rows;
+    the reports must not move."""
 
     @given(runs(), weight_sets)
     @settings(max_examples=200, deadline=None)
@@ -303,3 +347,55 @@ class TestFoldMatchesReference:
         # one idle transition: w4..w9 never perform, yet each has a row
         record = run_rotation(fig1, policy, strategies, TaskSchedule.periodic(1.0, 1), [])
         assert set(summarize_run(record, W).per_worker) == fig1.tokens()
+
+    def test_arrival_in_an_untouched_group_gets_a_row(self):
+        # x1 arrives in E, which then stays untouched and never performs:
+        # x1 is on both sides of the second transition, so it has a row
+        record = chain(five_groups(), {4: ["w9", "w10", "x1"]}, {2: ["w5"]}, {})
+        report = summarize_run(record, W)
+        assert "x1" in report.per_worker
+        assert same_json(report.to_dict(), reference_report(record, W))
+
+    def test_arrival_that_departs_next_transition_gets_no_row(self):
+        record = chain(five_groups(), {4: ["w9", "w10", "x1"]}, {4: ["w9", "w10"]}, {})
+        report = summarize_run(record, W)
+        assert "x1" not in report.per_worker
+        assert same_json(report.to_dict(), reference_report(record, W))
+
+    def test_equal_ring_that_is_another_object(self, fold_spy):
+        first = five_groups()
+        record = chain(first, {3: ["w7"]}, {3: ["w7", "w8"]})
+        # the same ids in a new tuple, and a new but equal tuple for A
+        last = record.states[-1]
+        record.states[-1] = RotationState(tuple(list(last.ring)),
+                                          (tuple(list(last.members[0])),) + last.members[1:],
+                                          last.current, last.step_index)
+        assert record.states[-1].ring is not first.ring
+        report = summarize_run(record, W)
+        assert same_json(report.to_dict(), reference_report(record, W))
+        assert fold_spy == {"full": 0, "positions": [[3], [3]]}
+
+    def test_loaded_record_compares_member_tuples_by_equality(self, fold_spy):
+        record = TestSummarize().run_fixture(count=60)
+        rings_changed = sum(a.ring != b.ring for a, b in zip(record.states, record.states[1:]))
+        via_disk = summarize_record_dict(record_to_dict(record), W)
+        assert same_json(via_disk.to_dict(), reference_report(record, W))
+        # fresh tuples everywhere: only a ring change takes the full path,
+        # and the other transitions read only the groups whose members differ
+        assert 0 < rings_changed == fold_spy["full"]
+        changed = [[k for k, (a, b) in enumerate(zip(prev.members, nxt.members)) if a != b]
+                   for prev, nxt in zip(record.states, record.states[1:]) if prev.ring == nxt.ring]
+        assert fold_spy["positions"] == changed
+        assert sum(map(len, changed)) < sum(s.m for s in record.states[1:]) / 2
+
+    @pytest.mark.parametrize("steps", [
+        # nxt puts w3 in E as well as in B (untouched): its row is a rise
+        [{4: ["w9", "w10", "w3"]}, {}],
+        # prev holds w3 in B and E; nxt drops it from E, so only B holds it
+        [{4: ["w9", "w10", "w3"]}, {4: ["w9", "w10"]}, {}],
+    ], ids=["nxt-repeats", "prev-repeats"])
+    def test_token_in_two_groups_folds_as_the_reference(self, steps):
+        record = chain(five_groups(), *steps)
+        report = summarize_run(record, W)
+        assert report.total_drop + report.total_rise > 0
+        assert same_json(report.to_dict(), reference_report(record, W))

@@ -194,6 +194,34 @@ configs = st.dictionaries(
     max_size=4)
 
 
+group_ids = st.sampled_from(["g1", "g2", "g3", "\xe9", "\u2603"])
+
+
+@st.composite
+def state_chains(draw):
+    """States that share some member tuple objects with the state before
+    them and not others; the ring is kept, copied, renamed (repeated ids
+    included), grown or shrunk, and groups may be empty."""
+    def group():
+        return tuple(WorkerId(t, 0) for t in draw(st.lists(tokens, max_size=3)))
+
+    ring = tuple(draw(st.lists(group_ids, min_size=1, max_size=4)))
+    members = tuple(group() for _ in ring)
+    states = [RotationState(ring, members, ring[0])]
+    for step in range(1, draw(st.integers(1, 6))):
+        how = draw(st.sampled_from(["same", "same", "copy", "rename", "resize"]))
+        if how == "copy":
+            ring = tuple(list(ring))
+        elif how == "rename":
+            ring = tuple(draw(st.lists(group_ids, min_size=len(ring), max_size=len(ring))))
+        elif how == "resize":
+            ring = tuple(draw(st.lists(group_ids, min_size=1, max_size=4)))
+        members = tuple(members[k] if k < len(members) and draw(st.booleans()) else group()
+                        for k in range(len(ring)))
+        states.append(RotationState(ring, members, ring[0], step))
+    return RunRecord(config={"d": 2}, states=states)
+
+
 class TestRecordIO:
     def test_dump_and_load_roundtrip(self, record, record_doc, tmp_path):
         path = tmp_path / "record.json"
@@ -227,6 +255,25 @@ class TestRecordIO:
         states = [] if ring is None else [RotationState(ring, members, "g1")]
         record = RunRecord(config={"d": 2}, states=states)
         assert dumped_bytes(record, tmp_path) == reference_bytes(record)
+
+    def test_dump_reencodes_only_changed_groups(self, tmp_path):
+        a, b, c = ((WorkerId("\xe9a", 1),), (WorkerId("\u2603b", 2),),
+                   (WorkerId("c", 3), WorkerId("\U0001f600", 4)))
+        ring = ("g1", "g2", "g3")
+        states = [RotationState(ring, (a, b, c), "g1"),
+                  RotationState(ring, (a, (), c), "g2", 1),          # an emptied group
+                  RotationState(("g1", "g4", "g3"), (a, (), c), "g1", 2),  # renamed, same tuples
+                  RotationState(("g1", "g4", "g1"), (a, b, c), "g4", 3),   # a repeated id
+                  RotationState(("g1", "g4", "g1"), (a, b, c), "g1", 4),
+                  RotationState(tuple(["g1", "g4", "g3"]), (a, b, (b[0],)), "g4", 5)]
+        record = RunRecord(config={"d": 2}, states=states)
+        assert dumped_bytes(record, tmp_path) == reference_bytes(record)
+
+    @given(state_chains())
+    @settings(max_examples=300, deadline=None)
+    def test_dump_matches_json_dump_on_shared_member_tuples(self, tmp_path_factory, record):
+        directory = tmp_path_factory.mktemp("chain")
+        assert dumped_bytes(record, directory) == reference_bytes(record)
 
     @given(runs(config=configs))
     @settings(max_examples=150, deadline=None)

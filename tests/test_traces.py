@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import pytest
 
@@ -123,3 +124,30 @@ class TestIO:
     def test_wrong_format_header(self):
         with pytest.raises(ParseError):
             read_trace(io.StringIO('{"format": "something-else", "v": 1}\n'))
+
+    @pytest.mark.parametrize("event, text", [
+        ('{"t": -1.0, "op": "arrive", "worker": "x1"}', "event time -1.0 is not"),
+        ('{"t": 0.0, "op": "arrive", "worker": "x1"}', "event time 0.0 is not"),
+        ('{"t": NaN, "op": "arrive", "worker": "x1"}', "event time nan is not"),
+        ('{"t": Infinity, "op": "arrive", "worker": "x1"}', "event time inf is not"),
+        ('{"t": "0.7", "op": "arrive", "worker": "x1"}', "event time '0.7' is not"),
+        ('{"t": true, "op": "arrive", "worker": "x1"}', "event time True is not"),
+        ('{"t": 1.5, "op": "arrive", "worker": 7}', "worker 7 is not a string"),
+        ('{"t": 1.5, "op": ["arrive"], "worker": "x1"}', "unknown op ['arrive']"),
+        ('[1.5, "arrive", "x1"]', "malformed event"),
+    ], ids=["negative", "zero", "nan", "infinite", "time-string", "time-bool",
+            "worker-number", "op-array", "not-an-object"])
+    def test_event_fields_are_checked_not_coerced(self, event, text):
+        buf = io.StringIO(
+            '{"format": "grtc-trace", "v": 1, "initial": ["w1", "w2"]}\n'
+            + event + '\n{"t": 2.5, "op": "depart", "worker": "w1"}\n')
+        with pytest.raises(ParseError, match=re.escape(text)) as exc:
+            read_trace(buf)
+        assert exc.value.line == 2
+
+    def test_integer_time_reads_as_float(self):
+        buf = io.StringIO(
+            '{"format": "grtc-trace", "v": 1, "initial": ["w1", "w2"]}\n'
+            '{"t": 2, "op": "arrive", "worker": "x1"}\n')
+        _, [event] = read_trace(buf)
+        assert type(event.t) is float and event.t == 2.0
