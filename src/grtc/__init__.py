@@ -40,7 +40,6 @@ from .generator import (
 )
 from .metrics import (
     StressWeights,
-    summarize_record_dict,
     summarize_run,
     transition_stress,
 )

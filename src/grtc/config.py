@@ -51,7 +51,11 @@ def number(value, path: str, kind: type = float):
     if type(value) not in ((int,) if kind is int else (int, float)):
         raise ConfigError(f"{path} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{path} must be a finite number, "
+                          f"got an integer of {len(str(abs(value)))} digits") from None
 
 
 def finite(value, path: str) -> float:

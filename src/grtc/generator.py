@@ -76,17 +76,17 @@ class TaskSchedule:
 class RunRecord:
     """Everything one run produced: states, per-transition change logs,
     stall intervals and the config echo.  ``states[0]`` is the initial
-    state; ``change_logs[i]`` explains ``states[i] -> states[i+1]``."""
+    state; ``change_logs[i]`` explains ``states[i] -> states[i+1]``.
+
+    Every state passes ``check_state``, as ``run_rotation`` checks the
+    initial state and every state it publishes; ``summarize_run`` and
+    ``dump_record`` rely on it."""
 
     config: dict = field(default_factory=dict)
     states: list[RotationState] = field(default_factory=list)
     change_logs: list[ChangeLog] = field(default_factory=list)
     stalls: list[tuple[float, float]] = field(default_factory=list)
     unconsumed: list[WorkerEvent] = field(default_factory=list)
-
-    @property
-    def final_state(self) -> RotationState:
-        return self.states[-1]
 
 
 def partition_events(events: list[WorkerEvent], t_prev: float,

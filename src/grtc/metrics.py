@@ -21,9 +21,9 @@ from itertools import compress, count
 from operator import is_not
 from typing import NamedTuple
 
-from .errors import CorruptRecord, InvalidPair
+from .errors import InvalidPair
 from .generator import RunRecord
-from .operators import ChangeLog, Donated, Inserted, Joined, Removed, Split, entry_from_dict
+from .operators import ChangeLog, Donated, Inserted, Joined, Removed, Split
 from .state import RotationState, validate_pair
 
 CSV_COLUMNS = [
@@ -97,9 +97,9 @@ def _stress_rows(prev: RotationState, nxt: RotationState, weights: StressWeights
     of the new ring.  The achieved counter comes from the new state.
 
     ``positions`` limits both states to those ring positions.  That is
-    sound when both states have the same ring, repeat no group id and no
-    token, and every position left out holds equal member tuples on both
-    sides.  By default every position of each state is read.
+    sound when both states have the same ring and every position left out
+    holds equal member tuples on both sides.  By default every position
+    of each state is read.
     """
     moved_tokens: set[str] = set()
     for e in log:
@@ -192,16 +192,13 @@ class RunReport:
 
 def summarize_run(record: RunRecord, weights: StressWeights | None = None
                   ) -> RunReport:
-    """Deterministic aggregation of a whole run record.
+    """Deterministic aggregation of a whole run record, every state of
+    which passes ``check_state`` (see ``RunRecord``).
 
     A transition that keeps the ring costs O(m) plus the sizes of the
     groups whose member tuples changed; any other costs O(n+m).
     """
     weights = weights or StressWeights()
-    if not record.states:
-        raise CorruptRecord("record has no states")
-    if len(record.change_logs) != len(record.states) - 1:
-        raise CorruptRecord("change log count does not match state count")
 
     group_counts = [s.m for s in record.states]
     burden = statistics.fmean(1.0 / m for m in group_counts)
@@ -220,19 +217,17 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None
     stress_total = 0.0
     entry_counts: Counter[type] = Counter()
     pool = record.states[0].tokens()  # the tokens of the state before each transition
-    size = record.states[0].n         # len(pool) unless a token sits in two groups
     fresh = set(pool)                 # the tokens of that state that may lack a slot
-    distinct = None                   # the last ring found to repeat no group id
     for prev, nxt, log in zip(record.states, record.states[1:], record.change_logs):
         entry_counts.update(map(type, log))
-        ring, rows = nxt.ring, None
-        if ((ring is prev.ring or ring == prev.ring)
-                and (ring is distinct or len(set(ring)) == len(ring))):
-            # The same ring, repeating no id: a state that follows moved
-            # ``current`` one position, so every counter in a group whose
-            # member tuple is unchanged fell by one, as promised, and its
-            # rows are zero.  Only the changed positions are read.
-            distinct = ring
+        if nxt.ring is prev.ring or nxt.ring == prev.ring:
+            # The same ring: a state that follows moved ``current`` one
+            # position, so every counter in a group whose member tuple is
+            # unchanged fell by one, as promised, and its rows are zero.
+            # Only the changed positions are read.
+            pair = validate_pair(prev, nxt)
+            if not pair.ok:
+                raise InvalidPair(str(pair))
             before, after = prev.members, nxt.members
             changed = [k for k in compress(count(), map(is_not, before, after))
                        if before[k] != after[k]]
@@ -240,16 +235,11 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None
             came = [w.token for k in changed for w in after[k]]
             pool.difference_update(gone)
             pool.update(came)
-            size += len(came) - len(gone)
-            if len(pool) == size:  # (else a token sits in two groups of prev or nxt)
-                pair = validate_pair(prev, nxt)
-                if not pair.ok:
-                    raise InvalidPair(str(pair))
-                rows = _stress_rows(prev, nxt, weights, log, changed)
-                arrivals = [t for t in came if t not in gone]
-        if rows is None:
+            rows = _stress_rows(prev, nxt, weights, log, changed)
+            arrivals = [t for t in came if t not in gone]
+        else:
             rows = transition_stress(prev, nxt, weights, log)
-            pool, size = nxt.tokens(), nxt.n
+            pool = nxt.tokens()
             arrivals = pool.difference(rows)
         # a token on both sides of a transition gets its slot, stress or not
         for token in fresh:
@@ -299,25 +289,7 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None
     )
 
 
-def summarize_record_dict(doc: dict, weights: StressWeights | None = None
-                          ) -> RunReport:
-    """Summarize a record loaded from disk (snapshot form)."""
-    from .records import snapshot_to_state
-
-    rec = RunRecord(config=doc.get("config", {}))
-    seq_of: dict[str, int] = {}
-    for snap in doc["states"]:
-        state = snapshot_to_state(snap, seq_of)
-        for ms in state.members:
-            for w in ms:
-                seq_of[w.token] = w.seq
-        rec.states.append(state)
-    rec.change_logs = [tuple(map(entry_from_dict, log)) for log in doc["change_logs"]]
-    rec.stalls = [(s["time"], s["duration"]) for s in doc.get("stalls", [])]
-    return summarize_run(rec, weights)
-
-
 __all__ = [
     "CSV_COLUMNS", "StressWeights", "WorkerStress", "RunReport",
-    "transition_stress", "summarize_run", "summarize_record_dict",
+    "transition_stress", "summarize_run",
 ]

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (BelowThreshold, CorruptRecord, DonorTooSmall, ForbiddenMove,
-                     TooFewGroups)
+from .errors import BelowThreshold, DonorTooSmall, ForbiddenMove, TooFewGroups
 from .state import GroupId, WorkerId, Workspace
 from .strategies import StrategySet, choose_group, find_donor, partition_for_split
 
@@ -48,7 +47,6 @@ class OperatorPolicy:
 
 
 # -- change log entries -------------------------------------------------
-# ``from_dict`` inverts ``to_dict``; seq is not serialized and decodes as 0.
 
 @dataclass(frozen=True)
 class Inserted:
@@ -58,10 +56,6 @@ class Inserted:
     def to_dict(self):
         return {"op": "inserted", "worker": self.worker.token, "group": self.group}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(WorkerId(d["worker"], 0), d["group"])
-
 
 @dataclass(frozen=True)
 class Removed:
@@ -70,10 +64,6 @@ class Removed:
 
     def to_dict(self):
         return {"op": "removed", "worker": self.worker.token, "group": self.group}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(WorkerId(d["worker"], 0), d["group"])
 
 
 @dataclass(frozen=True)
@@ -86,10 +76,6 @@ class Split:
         return {"op": "split", "group": self.group, "new_group": self.new_group,
                 "moved": [w.token for w in self.moved]}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["group"], d["new_group"], tuple(WorkerId(t, 0) for t in d["moved"]))
-
 
 @dataclass(frozen=True)
 class Joined:
@@ -100,10 +86,6 @@ class Joined:
     def to_dict(self):
         return {"op": "joined", "survivor": self.survivor, "absorbed": self.absorbed,
                 "moved": [w.token for w in self.moved]}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["survivor"], d["absorbed"], tuple(WorkerId(t, 0) for t in d["moved"]))
 
 
 @dataclass(frozen=True)
@@ -116,10 +98,6 @@ class Donated:
         return {"op": "donated", "worker": self.worker.token,
                 "from": self.from_group, "to": self.to_group}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(WorkerId(d["worker"], 0), d["from"], d["to"])
-
 
 @dataclass(frozen=True)
 class DegradedEntered:
@@ -128,35 +106,15 @@ class DegradedEntered:
     def to_dict(self):
         return {"op": "degraded", "group": self.group}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["group"])
-
 
 @dataclass(frozen=True)
 class Stalled:
     def to_dict(self):
         return {"op": "stalled"}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls()
-
 
 Entry = Inserted | Removed | Split | Joined | Donated | DegradedEntered | Stalled
 ChangeLog = tuple[Entry, ...]
-
-ENTRY_KINDS = {"inserted": Inserted, "removed": Removed, "split": Split,
-               "joined": Joined, "donated": Donated, "degraded": DegradedEntered,
-               "stalled": Stalled}
-
-
-def entry_from_dict(d: dict) -> Entry:
-    kind = ENTRY_KINDS.get(d["op"])
-    if kind is None:
-        raise CorruptRecord(f"unknown change log op {d['op']!r}")
-    return kind.from_dict(d)
-
 
 @dataclass
 class BatchContext:

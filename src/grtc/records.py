@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _str
 
 from .errors import CorruptRecord
 from .generator import RunRecord
-from .state import RotationState, WorkerId
+from .state import RotationState
 
 SCHEMA_VERSION = 1
 STALL_KEYS = ("time", "duration")
@@ -38,34 +38,6 @@ def state_snapshot(state: RotationState) -> dict:
         "members": {g: [w.token for w in ms]
                     for g, ms in zip(state.ring, state.members)},
     }
-
-
-def snapshot_to_state(snap: dict, seq_of: dict[str, int] | None = None) -> RotationState:
-    """Rebuild a state value from its snapshot.
-
-    Sequence numbers are not part of the snapshot; unless a mapping is
-    given they are assigned in order of appearance, which is enough for
-    validation and metrics but not for resuming a simulation.
-    """
-    seq_of = dict(seq_of or {})
-    members = []
-    counter = max(seq_of.values(), default=0)
-    for g in snap["ring"]:
-        row = []
-        for token in snap["members"][g]:
-            if token not in seq_of:
-                counter += 1
-                seq_of[token] = counter
-            row.append(WorkerId(token, seq_of[token]))
-        members.append(tuple(row))
-    return RotationState(
-        ring=tuple(snap["ring"]),
-        members=tuple(members),
-        current=snap["current"],
-        step_index=snap["step"],
-        used_group_ids=frozenset(snap["ring"]),
-        next_seq=counter + 1,
-    )
 
 
 def record_to_dict(record: RunRecord) -> dict:
@@ -88,35 +60,33 @@ def _history(record: RunRecord) -> dict:
 
 def dump_record(record: RunRecord, path) -> None:
     """Write ``record_to_dict(record)`` byte for byte as ``json.dump(...,
-    indent=1)`` would, streaming the states one at a time.
+    indent=1)`` would, streaming the states one at a time.  Every state
+    passes ``check_state`` (see ``RunRecord``).
 
-    While the ring stays the same (and repeats no group id), a group
-    whose member tuple is the previous state's object keeps that
-    state's encoded row; only the changed rows are encoded again.  Only
-    one snapshot's rows are held at a time.
+    While the ring stays the same, a group whose member tuple is the
+    previous state's object keeps that state's encoded row; only the
+    changed rows are encoded again.  Only one snapshot's rows are held
+    at a time.
     """
     with open(path, "w", encoding="utf-8") as f:
         f.write(f'{{\n "v": {SCHEMA_VERSION},\n "config": {_nested(record.config)},\n "states": ')
-        ring = members = None  # ``ring`` is None unless its rows can be reused
-        rows: list[str] = []
+        ring = members = None
         sep = "["
         for s in record.states:
-            if (s.ring is ring or s.ring == ring) and len(s.members) == len(rows):
+            if s.ring is ring or s.ring == ring:
                 for k, ms in enumerate(s.members):
                     if ms is not members[k]:
                         rows[k] = _group_row(ring[k], ms)
             else:
-                groups = dict(zip(s.ring, s.members))  # one row per id, as in JSON
-                rows = [_group_row(g, ms) for g, ms in groups.items()]
-                ring = s.ring if len(rows) == len(s.ring) == len(s.members) else None
-                head = ('   "ring": [\n    ' + ",\n    ".join(map(_str, s.ring)) + "\n   ]"
-                        if s.ring else '   "ring": []')
+                ring = s.ring
+                rows = [_group_row(g, ms) for g, ms in zip(ring, s.members)]
+                head = '   "ring": [\n    ' + ",\n    ".join(map(_str, ring)) + "\n   ]"
             members = s.members
-            body = "{\n" + ",\n".join(rows) + "\n   }" if rows else "{}"
+            body = "{\n" + ",\n".join(rows) + "\n   }"
             f.write(f'{sep}\n  {{\n   "step": {s.step_index},\n'
                     f'   "current": {_str(s.current)},\n{head},\n   "members": {body}\n  }}')
             sep = ","
-        f.write("\n ]" if record.states else "[]")
+        f.write("\n ]")
         for key, value in _history(record).items():
             f.write(f",\n {_str(key)}: {_nested(value)}")
         f.write("\n}\n")
@@ -124,8 +94,7 @@ def dump_record(record: RunRecord, path) -> None:
 
 def _group_row(g: str, ms) -> str:
     """One group's line of a snapshot's "members" object, as indented in a record."""
-    return (f"    {_str(g)}: " + ("[\n     " + ",\n     ".join([_str(w.token) for w in ms])
-                                 + "\n    ]" if ms else "[]"))
+    return f"    {_str(g)}: [\n     " + ",\n     ".join([_str(w.token) for w in ms]) + "\n    ]"
 
 
 def _nested(value) -> str:

@@ -51,8 +51,6 @@ class Code(Enum):
     FOLLOWS_OVERLAP = "FollowsOverlap"
     FOLLOWS_CURRENT_GONE = "FollowsCurrentGone"
     FOLLOWS_WRONG_SUCCESSOR = "FollowsWrongSuccessor"
-    BELOW_FLOOR_DEGRADED = "BelowFloorDegraded"
-    REPLAY_MISMATCH = "ReplayMismatch"
 
 
 @dataclass(frozen=True)
@@ -66,15 +64,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """All violations found, not just the first.
-
-    ``violations`` are hard failures.  ``warnings`` carry the soft
-    below-floor notes emitted for degraded states (too few workers to
-    give every group its minimum); a state with only warnings is valid.
-    """
+    """All violations found, not just the first."""
 
     violations: tuple[Violation, ...] = ()
-    warnings: tuple[Violation, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -84,11 +76,7 @@ class ValidationReport:
         return {v.code for v in self.violations}
 
     def __str__(self) -> str:
-        if self.ok and not self.warnings:
-            return "ok"
-        lines = [str(v) for v in self.violations]
-        lines += [f"(warning) {w}" for w in self.warnings]
-        return "; ".join(lines)
+        return "; ".join(map(str, self.violations)) or "ok"
 
 
 @dataclass(frozen=True)
@@ -128,9 +116,6 @@ class RotationState:
     def successor(self, g: GroupId) -> GroupId:
         return self.ring[(self.index_of(g) + 1) % self.m]
 
-    def predecessor(self, g: GroupId) -> GroupId:
-        return self.ring[(self.index_of(g) - 1) % self.m]
-
     # -- workers -------------------------------------------------------
 
     def tokens(self) -> set[str]:
@@ -141,13 +126,6 @@ class RotationState:
             for w in ms:
                 if w.token == token:
                     return g
-        raise UnknownWorker(token)
-
-    def worker(self, token: str) -> WorkerId:
-        for ms in self.members:
-            for w in ms:
-                if w.token == token:
-                    return w
         raise UnknownWorker(token)
 
 
@@ -280,15 +258,10 @@ def build_state(groups: Sequence[tuple[GroupId, Sequence]],
     return state if report.ok else report
 
 
-def check_state(state: RotationState, d: int | None = None) -> ValidationReport:
-    """Check the structural conditions of a single state.
-
-    With ``d`` given, groups below the floor are reported: as warnings
-    when the pool is too small to satisfy the floor at all (n < 2d,
-    degraded mode), as hard violations otherwise.
-    """
+def check_state(state: RotationState) -> ValidationReport:
+    """Check the structural conditions of a single state.  The group-size
+    floor is not one of them: ``next_state`` tests it before it publishes."""
     violations: list[Violation] = []
-    warnings: list[Violation] = []
 
     if len(set(state.ring)) != len(state.ring):  # find the repeats only if any
         seen: set[GroupId] = set()
@@ -327,17 +300,7 @@ def check_state(state: RotationState, d: int | None = None) -> ValidationReport:
             if not ms:
                 violations.append(Violation(Code.EMPTY_GROUP, f"group {g} is empty"))
 
-    if d is not None and d >= 1:
-        degraded = state.n < 2 * d
-        for g, ms in zip(state.ring, state.members):
-            if 0 < len(ms) < d:
-                v = Violation(
-                    Code.BELOW_FLOOR_DEGRADED,
-                    f"group {g} has {len(ms)} < d={d} members"
-                    + (" (degraded: n < 2d)" if degraded else f" while n={state.n} >= 2d"))
-                (warnings if degraded else violations).append(v)
-
-    return ValidationReport(tuple(violations), tuple(warnings))
+    return ValidationReport(tuple(violations))
 
 
 def validate_pair(prev: RotationState, nxt: RotationState) -> ValidationReport:

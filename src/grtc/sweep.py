@@ -35,6 +35,8 @@ DEFAULT_AXES = {
 
 def expand(spec: dict) -> list[dict]:
     """All run configs for a sweep spec, in axis order."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"sweep spec must be an object, got {type(spec).__name__}")
     axes = []
     for name in AXIS_ORDER:
         values = spec.get(name, DEFAULT_AXES[name])

@@ -201,6 +201,30 @@ class TestRun:
         assert not out.exists()
         assert f"error: {text}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, trace_change, path", [
+        ({"weights": {"alpha": 10**400}}, {}, "config.weights.alpha"),
+        ({"weights": {"gamma": -10**400}}, {}, "config.weights.gamma"),
+        ({"schedule": {"interval": 10**400, "count": 3}}, {}, "config.schedule.interval"),
+        ({"schedule": {"interval": 1.0, "count": 3, "start": 10**400}}, {},
+         "config.schedule.start"),
+        ({"schedule": {"times": [1.0, 10**400]}}, {}, "config.schedule.times[1]"),
+        ({}, {"duration": 10**400}, "trace.duration"),
+        ({}, {"arrival_rate": 10**400}, "trace.arrival_rate"),
+        ({}, {"departure_rate": 10**400}, "trace.departure_rate"),
+    ], ids=["weight", "weight-negative", "interval", "start", "time", "trace-duration",
+            "arrival-rate", "departure-rate"])
+    def test_integer_beyond_the_float_range(self, tmp_path, capsys, change, trace_change, path):
+        # json.dumps writes each 10**400 out as a 401-digit integer
+        config = write_json(tmp_path / "config.json", dict(RUN_CONFIG, **change))
+        spec = {"duration": 25, "arrival_rate": 0.4, "departure_rate": 0.05,
+                "initial_workers": 6, **trace_change}
+        trace_config = write_json(tmp_path / "trace.json", spec)
+        out = tmp_path / "out"
+        assert main(["run", config, "--trace-config", trace_config, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {path} must be a finite number, got an integer of 401 digits\n")
+
     @pytest.mark.parametrize("schedule, text", [
         ({"times": [1.0, float("nan"), 3.0]}, "config.schedule.times[1] must be finite, got nan"),
         ({"times": [1.0, float("inf")]}, "config.schedule.times[1] must be finite, got inf"),
@@ -371,6 +395,15 @@ class TestSweep:
         assert len(lines) == 3
         assert all(line.endswith("workers") or "error" in lines[0]
                    for line in lines[1:])
+
+    @pytest.mark.parametrize("spec, kind", [([1, 2], "list"), ("spec", "str")],
+                             ids=["array", "string"])
+    def test_spec_not_an_object(self, tmp_path, capsys, spec, kind):
+        path = write_json(tmp_path / "spec.json", spec)
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: sweep spec must be an object, got {kind}\n"
 
     def test_trace_key_error_row(self, tmp_path):
         trace = {k: v for k, v in SWEEP_SPEC["trace"].items() if k != "duration"}

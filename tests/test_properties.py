@@ -334,7 +334,9 @@ def drive_workspace(state, policy, strat, steps):
         entries.extend(log)
         if op == "publish":
             candidate = advance_current(ws.freeze())
-            if (check_state(candidate, policy.d).ok
+            if (check_state(candidate).ok
+                    and (candidate.n < 2 * policy.d
+                         or min(map(len, candidate.members)) >= policy.d)
                     and validate_pair(published, candidate).ok):
                 published = candidate
             ws, ctx = Workspace(published), None

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +18,13 @@ from grtc import (
     generate_trace,
     load_record,
     build_initial_state,
+    check_state,
     record_to_dict,
     run_rotation,
     validate_record,
 )
 from grtc.generator import RunRecord
-from grtc.recordcheck import ReplayFailure, replay_entries
+from grtc.recordcheck import ReplayFailure, check_snapshot, replay_entries
 
 from conftest import runs, scripted_run, tokens
 
@@ -137,6 +139,28 @@ class TestValidateRecord:
                                    "group": snap["ring"][0]}])
 
 
+class TestFloorReporting:
+    """A group below the floor d is a warning while the pool is too small
+    to give every group d workers (n < 2d), and a violation otherwise."""
+
+    def test_below_floor_is_warning_when_degraded(self):
+        snap = {"step": 0, "current": "g1", "ring": ["g1", "g2"],
+                "members": {"g1": ["w1"], "g2": ["w2"]}}
+        result = check_snapshot(snap, 0, d=2)  # n=2 < 2d=4
+        assert result.ok
+        assert [(f.code, f.detail) for f in result.warnings] == [
+            ("BelowFloorDegraded", "group g1 has 1 < d=2 members"),
+            ("BelowFloorDegraded", "group g2 has 1 < d=2 members")]
+
+    def test_below_floor_is_violation_when_feasible(self):
+        snap = {"step": 0, "current": "g1", "ring": ["g1", "g2"],
+                "members": {"g1": ["w1"], "g2": ["w2", "w3", "w4"]}}
+        result = check_snapshot(snap, 0, d=2)  # n=4 = 2d
+        assert not result.warnings
+        assert [(f.code, f.detail) for f in result.violations] == [
+            ("BelowFloorDegraded", "group g1 has 1 < d=2 members although n=4 >= 2d")]
+
+
 def _members_as_list(doc):
     snap = doc["states"][1]
     snap["members"] = list(snap["members"].values())
@@ -199,13 +223,19 @@ group_ids = st.sampled_from(["g1", "g2", "g3", "\xe9", "\u2603"])
 
 @st.composite
 def state_chains(draw):
-    """States that share some member tuple objects with the state before
-    them and not others; the ring is kept, copied, renamed (repeated ids
-    included), grown or shrunk, and groups may be empty."""
-    def group():
-        return tuple(WorkerId(t, 0) for t in draw(st.lists(tokens, max_size=3)))
+    """States that pass ``check_state`` and share some member tuple
+    objects with the state before them and not others; the ring is kept,
+    copied, renamed, grown or shrunk."""
+    serial = count()  # a suffix that keeps every token of the chain distinct
 
-    ring = tuple(draw(st.lists(group_ids, min_size=1, max_size=4)))
+    def group():
+        return tuple(WorkerId(f"{t}#{next(serial)}", 0)
+                     for t in draw(st.lists(tokens, min_size=1, max_size=3)))
+
+    def ring_of(size):
+        return tuple(draw(st.lists(group_ids, min_size=size, max_size=size, unique=True)))
+
+    ring = ring_of(draw(st.integers(2, 4)))
     members = tuple(group() for _ in ring)
     states = [RotationState(ring, members, ring[0])]
     for step in range(1, draw(st.integers(1, 6))):
@@ -213,12 +243,13 @@ def state_chains(draw):
         if how == "copy":
             ring = tuple(list(ring))
         elif how == "rename":
-            ring = tuple(draw(st.lists(group_ids, min_size=len(ring), max_size=len(ring))))
+            ring = ring_of(len(ring))
         elif how == "resize":
-            ring = tuple(draw(st.lists(group_ids, min_size=1, max_size=4)))
+            ring = ring_of(draw(st.integers(2, 4)))
         members = tuple(members[k] if k < len(members) and draw(st.booleans()) else group()
                         for k in range(len(ring)))
         states.append(RotationState(ring, members, ring[0], step))
+    assert all(check_state(s).ok for s in states)
     return RunRecord(config={"d": 2}, states=states)
 
 
@@ -243,29 +274,17 @@ class TestRecordIO:
         assert record.stalls and record.unconsumed
         assert dumped_bytes(record, tmp_path) == reference_bytes(record)
 
-    @pytest.mark.parametrize("ring, members", [
-        (("g1", "g2"), ((WorkerId("w1", 1),), ())),
-        (("g1", "g2", "g1"), ((WorkerId("w1", 1),), (WorkerId("w2", 2),),
-                              (WorkerId("w3", 3),))),
-        ((), ()),
-        (None, None),
-    ], ids=["empty-group", "repeated-group", "empty-ring", "no-states"])
-    def test_dump_matches_json_dump_on_states_no_run_publishes(
-            self, tmp_path, ring, members):
-        states = [] if ring is None else [RotationState(ring, members, "g1")]
-        record = RunRecord(config={"d": 2}, states=states)
-        assert dumped_bytes(record, tmp_path) == reference_bytes(record)
-
     def test_dump_reencodes_only_changed_groups(self, tmp_path):
-        a, b, c = ((WorkerId("\xe9a", 1),), (WorkerId("\u2603b", 2),),
-                   (WorkerId("c", 3), WorkerId("\U0001f600", 4)))
+        a, b, c, d = ((WorkerId("\xe9a", 1),), (WorkerId("\u2603b", 2),),
+                      (WorkerId("c", 3), WorkerId("\U0001f600", 4)), (WorkerId("d\n", 5),))
         ring = ("g1", "g2", "g3")
         states = [RotationState(ring, (a, b, c), "g1"),
-                  RotationState(ring, (a, (), c), "g2", 1),          # an emptied group
-                  RotationState(("g1", "g4", "g3"), (a, (), c), "g1", 2),  # renamed, same tuples
-                  RotationState(("g1", "g4", "g1"), (a, b, c), "g4", 3),   # a repeated id
-                  RotationState(("g1", "g4", "g1"), (a, b, c), "g1", 4),
-                  RotationState(tuple(["g1", "g4", "g3"]), (a, b, (b[0],)), "g4", 5)]
+                  RotationState(ring, (a, d, c), "g2", 1),                 # one changed group
+                  RotationState(("g1", "g4", "g3"), (a, d, c), "g1", 2),   # renamed, same tuples
+                  RotationState(("g4", "g1"), (d, a), "g4", 3),            # shrunk and reordered
+                  RotationState(("g4", "g1"), (d, a + c), "g1", 4),
+                  RotationState(tuple(["g4", "g1"]), (b, a + c), "g4", 5)]  # an equal ring
+        assert all(check_state(s).ok for s in states)
         record = RunRecord(config={"d": 2}, states=states)
         assert dumped_bytes(record, tmp_path) == reference_bytes(record)
 

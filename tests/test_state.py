@@ -8,13 +8,16 @@ from grtc import (
     WorkerId,
     advance_current,
     build_state,
-    check_state,
     counter_of_group,
     counter_of_worker,
     validate_pair,
 )
 
 from conftest import make_state
+
+
+def worker(state, token):
+    return next(w for ms in state.members for w in ms if w.token == token)
 
 
 def ring_walk_counter(state, g):
@@ -68,21 +71,7 @@ class TestBuildState:
     def test_seq_assigned_in_appearance_order(self, fig1):
         seqs = [w.seq for ms in fig1.members for w in ms]
         assert seqs == sorted(seqs)
-        assert fig1.worker("w1").seq < fig1.worker("w9").seq
-
-
-class TestFloorReporting:
-    def test_below_floor_is_warning_when_degraded(self):
-        state = make_state([("g1", ["w1"]), ("g2", ["w2"])], "g1")
-        report = check_state(state, d=2)  # n=2 < 2d=4
-        assert report.ok
-        assert any(w.code is Code.BELOW_FLOOR_DEGRADED for w in report.warnings)
-
-    def test_below_floor_is_violation_when_feasible(self):
-        state = make_state([("g1", ["w1"]), ("g2", ["w2", "w3", "w4"])], "g1")
-        report = check_state(state, d=2)  # n=4 >= 2d
-        assert not report.ok
-        assert Code.BELOW_FLOOR_DEGRADED in report.codes()
+        assert worker(fig1, "w1").seq < worker(fig1, "w9").seq
 
 
 class TestCounters:
@@ -147,7 +136,7 @@ class TestValidatePair:
 
     def test_overlap_detected(self, fig1):
         # move w1 (member of old current g1) into g2, the next current group
-        w1 = fig1.worker("w1")
+        w1 = worker(fig1, "w1")
         moved = make_state(
             [("g1", ["w2", "w3"]),
              ("g2", ["w4", "w5", WorkerId("w1", w1.seq)]),
