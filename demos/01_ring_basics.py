@@ -8,7 +8,6 @@ Run: python3 demos/01_ring_basics.py
 
 from grtc import (
     OperatorPolicy,
-    StrategySet,
     Workspace,
     advance_current,
     build_state,
@@ -20,7 +19,6 @@ from grtc import (
     split_group,
     validate_pair,
 )
-from grtc.operators import BatchContext
 
 
 def show(state, label):
@@ -52,11 +50,10 @@ print(f"  the old/new state pair is a legal rotation step: "
 print(f"  w6's countdown ticked down to {counter_of_worker(nxt, 'w6')}")
 
 # Structural surgery.  The operators change a Workspace, a mutable copy
-# of one state, in place and return the change log; freezing the
-# workspace gives the new state.  (A transition applies its whole batch
-# of arrivals and departures to one workspace.)
+# of one state, in place and append what they did to its change log
+# (ws.log); freezing the workspace gives the new state.  (A transition
+# applies its whole batch of arrivals and departures to one workspace.)
 policy = OperatorPolicy(d=2, max_multiplier=2)
-strategies = StrategySet()
 
 big = build_state(
     [("g1", ["w1", "w2", "w3", "w4", "w5"]),  # five members: above max(d)=4
@@ -64,9 +61,9 @@ big = build_state(
      ("g3", ["w8", "w9"])],
     current="g1")
 ws = Workspace(big)
-log = split_group(ws, policy, strategies, "g1")
+split_group(ws, policy, "g1")
 show(ws.freeze(), "\nafter splitting the oversized current group")
-print(f"  change log: {[e.to_dict() for e in log]}")
+print(f"  change log: {[e.to_dict() for e in ws.log]}")
 print("  the senior half stays; the newest members moved into a fresh group")
 print("  placed right behind the current group, so none of them performs next")
 
@@ -75,20 +72,19 @@ small = build_state(
     [("g1", ["w1", "w2"]), ("g2", ["w3"]), ("g3", ["w4", "w5"]),
      ("g4", ["w6", "w7", "w8"])],
     current="g1")
-# Join and donate take the batch's guard: the workers who just performed
-# (g1's) must not move into the group that performs next (g2).
+# The workspace also holds the batch's guard: the workers who just
+# performed (g1's) must not move into the group that performs next (g2).
 ws = Workspace(small)
-guard = BatchContext.for_workspace(ws)
-log = join_groups(ws, policy, "g2", guard)
+join_groups(ws, "g2")
 show(ws.freeze(), "\nafter joining the one-member group with its successor")
-print(f"  change log: {[e.to_dict() for e in log]}")
+print(f"  change log: {[e.to_dict() for e in ws.log]}")
 
 # ... or receive the newest worker of a group that can spare one
 # (the donor must keep at least d members).
 ws = Workspace(small)
-log = donate_worker(ws, policy, "g4", "g2", guard)
+donate_worker(ws, policy, "g4", "g2")
 show(ws.freeze(), "\nafter a donation instead of a join")
-print(f"  change log: {[e.to_dict() for e in log]}")
+print(f"  change log: {[e.to_dict() for e in ws.log]}")
 
 # Validation is a value, not an exception: ask for the full report.
 broken = build_state([("g1", ["w1", "w1"]), ("g2", [])], current="g9")

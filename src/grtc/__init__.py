@@ -78,7 +78,6 @@ from .strategies import (
     StrategySet,
     choose_group,
     find_donor,
-    partition_for_split,
 )
 from .traces import (
     TraceConfig,

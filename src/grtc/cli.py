@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GrtcError, OSError, KeyError, TypeError, ValueError) as e:
+    except (GrtcError, OSError) as e:  # anything else is a bug, not bad input
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -8,15 +8,12 @@ weights, seed, schedule and the initial pool.
      "seed": 42,
      "schedule": {"interval": 1.0, "count": 100},   # or {"times": [...]}
      "initial": {"workers": 8}}                     # or explicit groups
-
-The environment variable GRTC_SEED overrides the config seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 
 from .errors import ConfigError, InvalidState
 from .generator import TaskSchedule, build_initial_state
@@ -34,6 +31,8 @@ def load_json(path) -> dict:
         raise ConfigError(f"{path}: no such file") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}: {e.msg}") from None
+    except ValueError as e:  # an integer past the digit limit, or text not UTF-8
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def parse_horizon(value) -> int | None:
@@ -75,16 +74,6 @@ def section(config: dict, key: str) -> dict:
     return value
 
 
-def effective_seed(config: dict):
-    env = os.environ.get("GRTC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            return env
-    return config.get("seed", 0)
-
-
 class RunSetup:
     """Everything needed to execute one run, parsed and validated."""
 
@@ -106,7 +95,7 @@ class RunSetup:
         # scan bounded to ``horizon`` hops that widens to the whole ring on
         # a miss returns the same donor as one whole-ring scan
         self.horizon = parse_horizon(find.get("horizon"))
-        self.seed = effective_seed(config)
+        self.seed = config.get("seed", 0)
         self.strategies = StrategySet.seeded(config.get("choose", "balanced"),
                                              find.get("order", "pred-first"), self.seed)
 
@@ -121,7 +110,7 @@ class RunSetup:
         self.schedule = parse_schedule(config.get("schedule"))
 
     def echo(self) -> dict:
-        """Config as recorded in run records (with the effective seed)."""
+        """Config as recorded in run records, defaults filled in."""
         out = dict(self.config)
         out["d"] = self.policy.d
         out["max_multiplier"] = self.policy.max_multiplier

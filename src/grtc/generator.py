@@ -19,7 +19,6 @@ from operator import attrgetter
 
 from .errors import InconsistentEvent, InvalidState, OrderError, StallError
 from .operators import (
-    BatchContext,
     ChangeLog,
     OperatorPolicy,
     Stalled,
@@ -129,7 +128,7 @@ def _settled(smallest: int, n: int, d: int) -> bool:
 
 
 def _reconcile(ws: Workspace, policy: OperatorPolicy,
-               strategies: StrategySet, ctx: BatchContext) -> ChangeLog:
+               strategies: StrategySet) -> None:
     """Batch-end repair pass.
 
     Fixes what per-event repairs could not: transiently emptied groups,
@@ -140,9 +139,8 @@ def _reconcile(ws: Workspace, policy: OperatorPolicy,
     the publish-time checks to turn into a stall.
     """
     if _settled(min(ws.by_size), ws.n, policy.d):
-        return ()  # the overwhelmingly common case
+        return  # the overwhelmingly common case
 
-    log: list = []
     hopeless: set[str] = set()
 
     def targets() -> list[str]:
@@ -161,16 +159,14 @@ def _reconcile(ws: Workspace, policy: OperatorPolicy,
         if not todo:
             break
         g = todo[0]
-        entries, outcome = _repair_deficiency(ws, policy, strategies, g, ctx)
-        log.extend(entries)
+        outcome = _repair_deficiency(ws, policy, strategies, g)
         if outcome == "blocked":
             hopeless.add(g)
         elif outcome == "degraded" and ws.members_of(g):
             if ws.n < 2 * policy.d:
-                log.extend(_note_degraded(ctx, g))
+                _note_degraded(ws, g)
             else:
                 hopeless.add(g)
-    return tuple(log)
 
 
 def next_state(state: RotationState, policy: OperatorPolicy,
@@ -190,23 +186,19 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     """
     if batch or not _settled(min(map(len, state.members)), state.n, policy.d):
         ws = Workspace(state)
-        ctx = BatchContext.for_workspace(ws)
-        log: list = []
         for ev in batch:
             if ev.op == "arrive":
                 if ev.worker in ws.group:
                     raise InconsistentEvent(f"arrival of present worker {ev.worker}")
-                entries = insert_worker(ws, policy, strategies,
-                                        WorkerId(ev.worker, ws.next_seq))
+                insert_worker(ws, policy, strategies, WorkerId(ev.worker, ws.next_seq))
             elif ev.op == "depart":
                 if ev.worker not in ws.group:
                     raise InconsistentEvent(f"departure of absent worker {ev.worker}")
-                entries = remove_worker(ws, policy, strategies, ev.worker, ctx)
+                remove_worker(ws, policy, strategies, ev.worker)
             else:
                 raise InconsistentEvent(f"unknown event op {ev.op!r}")
-            log.extend(entries)
-        log.extend(_reconcile(ws, policy, strategies, ctx))
-        out, log = ws.freeze(), tuple(log)
+        _reconcile(ws, policy, strategies)
+        out, log = ws.freeze(), tuple(ws.log)
     else:
         out, log = state, ()
 

@@ -9,19 +9,20 @@ guard is tracked per worker (the "tainted" set) because members of the
 current group can be relocated by splits and would otherwise slip
 through a purely group-based rule.
 
-Operators change a ``Workspace`` in place and return the change log of
-what they did.  The log replays: applying its entries to the state the
+Operators change a ``Workspace`` in place and append what they did to
+its change log, ``ws.log``.  An operator that refuses raises before it
+touches either.  The log replays: applying its entries to the state the
 workspace held before reproduces the state it holds after exactly (see
 ``recordcheck.replay_entries``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BelowThreshold, DonorTooSmall, ForbiddenMove, TooFewGroups
 from .state import GroupId, WorkerId, Workspace
-from .strategies import StrategySet, choose_group, find_donor, partition_for_split
+from .strategies import StrategySet, choose_group, find_donor
 
 
 @dataclass(frozen=True)
@@ -116,28 +117,6 @@ class Stalled:
 Entry = Inserted | Removed | Split | Joined | Donated | DegradedEntered | Stalled
 ChangeLog = tuple[Entry, ...]
 
-@dataclass
-class BatchContext:
-    """Follow-compatibility bookkeeping for one event batch.
-
-    ``tainted`` holds the tokens that belonged to the current group when
-    the batch started (the workers who just performed); ``protected`` is
-    the group that will perform next.  The successor of the current group
-    cannot be displaced by any operator, so ``protected`` is stable for
-    the whole batch.
-    """
-
-    tainted: frozenset[str]
-    protected: GroupId
-    degraded_logged: set[GroupId] = field(default_factory=set)
-
-    @classmethod
-    def for_workspace(cls, ws: Workspace) -> "BatchContext":
-        """The guard of a batch that starts from ``ws``."""
-        i = ws.pos[ws.current]
-        return cls(tainted=frozenset(w.token for w in ws.members[i]),
-                   protected=ws.ring[(i + 1) % len(ws.ring)])
-
 
 def _fresh_group_id(ws: Workspace) -> GroupId:
     k = 1
@@ -148,24 +127,23 @@ def _fresh_group_id(ws: Workspace) -> GroupId:
 
 # -- structural primitives ----------------------------------------------
 
-def split_group(ws: Workspace, policy: OperatorPolicy,
-                strategies: StrategySet, g: GroupId) -> ChangeLog:
+def split_group(ws: Workspace, policy: OperatorPolicy, g: GroupId) -> None:
     """Split an oversized group in two.
 
-    The group keeps its most senior half (smallest sequence numbers); a
-    fresh group takes the newest half.  The fresh group lands just after
-    the split group, except when splitting the current group, where it
-    lands just before it: the one spot near the current group where the
-    moved workers cannot end up performing next.
+    The group keeps its most senior half (smallest sequence numbers, and
+    the extra worker on odd sizes); a fresh group takes the newest half.
+    The fresh group lands just after the split group, except when
+    splitting the current group, where it lands just before it: the one
+    spot near the current group where the moved workers cannot end up
+    performing next.
     """
     i = ws.index_of(g)
     ms = ws.members[i]
     if len(ms) <= policy.max_size:
         raise BelowThreshold(
             f"group {g} has {len(ms)} members, split needs > {policy.max_size}")
-    _, move = partition_for_split(sorted(ms, key=lambda w: w.seq))
-    moving = frozenset(w.token for w in move)
-    moved = tuple(move)  # by seniority
+    moved = tuple(sorted(ms, key=lambda w: w.seq)[(len(ms) + 1) // 2:])  # by seniority
+    moving = frozenset(w.token for w in moved)
 
     fresh = _fresh_group_id(ws)
     at = i if g == ws.current else i + 1  # just before current, else after g
@@ -176,11 +154,10 @@ def split_group(ws: Workspace, policy: OperatorPolicy,
     for w in moved:
         ws.group[w.token] = fresh
     ws.reindex()
-    return (Split(g, fresh, moved),)
+    ws.log.append(Split(g, fresh, moved))
 
 
-def join_groups(ws: Workspace, policy: OperatorPolicy,
-                g_deficient: GroupId, ctx: BatchContext) -> ChangeLog:
+def join_groups(ws: Workspace, g_deficient: GroupId) -> None:
     """Merge a shrunken group with a neighbour.
 
     Survivor selection keeps the current group alive in every case:
@@ -199,7 +176,7 @@ def join_groups(ws: Workspace, policy: OperatorPolicy,
         survivor, absorbed = g_deficient, ws.successor(g_deficient)
 
     moved = ws.members_of(absorbed)
-    if survivor == ctx.protected and any(w.token in ctx.tainted for w in moved):
+    if survivor == ws.protected and any(w.token in ws.tainted for w in moved):
         raise ForbiddenMove(
             f"join would move just-performed workers into {survivor}, "
             "the group performing next")
@@ -212,12 +189,12 @@ def join_groups(ws: Workspace, policy: OperatorPolicy,
     for w in moved:
         ws.group[w.token] = survivor
     ws.reindex()
-    return (Joined(survivor, absorbed, moved),)
+    ws.log.append(Joined(survivor, absorbed, moved))
 
 
 def donate_worker(ws: Workspace, policy: OperatorPolicy,
-                  from_group: GroupId, to_group: GroupId, ctx: BatchContext,
-                  min_size: int | None = None) -> ChangeLog:
+                  from_group: GroupId, to_group: GroupId,
+                  min_size: int | None = None) -> None:
     """Move the newest member of ``from_group`` into ``to_group``.
 
     The donor must keep at least d members afterwards.  Moving a worker
@@ -233,7 +210,7 @@ def donate_worker(ws: Workspace, policy: OperatorPolicy,
         raise DonorTooSmall(
             f"group {from_group} has {len(src)} members, needs >= {floor} to donate")
     w = max(src, key=lambda x: x.seq)
-    if to_group == ctx.protected and w.token in ctx.tainted:
+    if to_group == ws.protected and w.token in ws.tainted:
         raise ForbiddenMove(
             f"worker {w.token} just performed; cannot move into {to_group}, "
             "the group performing next")
@@ -241,55 +218,53 @@ def donate_worker(ws: Workspace, policy: OperatorPolicy,
     j = ws.index_of(to_group)
     ws.set_members(j, ws.members[j] + (w,))
     ws.group[w.token] = to_group
-    return (Donated(w, from_group, to_group),)
+    ws.log.append(Donated(w, from_group, to_group))
 
 
 # -- deficiency repair ----------------------------------------------------
 
 def _repair_deficiency(ws: Workspace, policy: OperatorPolicy,
-                       strategies: StrategySet, g: GroupId, ctx: BatchContext
-                       ) -> tuple[ChangeLog, str]:
+                       strategies: StrategySet, g: GroupId) -> str:
     """One repair attempt for a group that fell below the floor.
 
     Preference order: donation from the nearest group on the ring that
     can spare a worker, then a join, then (for emptied groups with only
     two groups left) an emergency donation that may push the donor below
     the floor.
-    Returns the log and the outcome: "repaired", "degraded" (left below
-    floor, legal because n < 2d) or "blocked" (nothing legal; caller
-    stalls or defers).  Only a repair changes ``ws``.
+    Returns the outcome: "repaired", "degraded" (left below floor, legal
+    because n < 2d) or "blocked" (nothing legal; caller stalls or
+    defers).  Only a repair changes ``ws``.
     """
-    donor = find_donor(ws, g, strategies.find_order, policy.d + 1,
-                       ctx.tainted, ctx.protected)
+    donor = find_donor(ws, g, strategies.find_order, policy.d + 1)
     if donor is not None:
-        return donate_worker(ws, policy, donor, g, ctx), "repaired"
+        donate_worker(ws, policy, donor, g)
+        return "repaired"
 
     if ws.m >= 3:
         try:
-            return join_groups(ws, policy, g, ctx), "repaired"
+            join_groups(ws, g)
+            return "repaired"
         except ForbiddenMove:
             pass
 
     if not ws.members_of(g):
         # an empty group cannot be published; allow a donor to dip below
         # the floor as long as it keeps one worker
-        donor = find_donor(ws, g, strategies.find_order, 2,
-                           ctx.tainted, ctx.protected)
+        donor = find_donor(ws, g, strategies.find_order, 2)
         if donor is not None:
-            log = donate_worker(ws, policy, donor, g, ctx, min_size=2)
-            return log, "repaired" if len(ws.members_of(g)) >= policy.d else "degraded"
-        return (), "blocked"
+            donate_worker(ws, policy, donor, g, min_size=2)
+            return "repaired" if len(ws.members_of(g)) >= policy.d else "degraded"
+        return "blocked"
 
     if ws.n < 2 * policy.d:
-        return (), "degraded"
-    return (), "blocked"
+        return "degraded"
+    return "blocked"
 
 
-def _note_degraded(ctx: BatchContext, g: GroupId) -> ChangeLog:
-    if g in ctx.degraded_logged:
-        return ()
-    ctx.degraded_logged.add(g)
-    return (DegradedEntered(g),)
+def _note_degraded(ws: Workspace, g: GroupId) -> None:
+    if g not in ws.degraded:
+        ws.degraded.add(g)
+        ws.log.append(DegradedEntered(g))
 
 
 # -- the two operators -----------------------------------------------------
@@ -297,26 +272,23 @@ def _note_degraded(ctx: BatchContext, g: GroupId) -> ChangeLog:
 # event first and stalls on whatever they leave broken.
 
 def insert_worker(ws: Workspace, policy: OperatorPolicy,
-                  strategies: StrategySet, w: WorkerId) -> ChangeLog:
+                  strategies: StrategySet, w: WorkerId) -> None:
     """Place an arriving worker, splitting the target group if it overflows.
 
-    ``w`` must not be in the pool yet.  Arriving workers did not perform
-    in the previous state, so unlike ``remove_worker`` this needs no
-    batch context.
+    ``w`` must not be in the pool yet.
     """
     g = choose_group(ws, policy, strategies.choose, strategies.rng)
     i = ws.pos[g]
     ws.set_members(i, ws.members[i] + (w,))
     ws.group[w.token] = g
     ws.next_seq = max(ws.next_seq, w.seq + 1)
+    ws.log.append(Inserted(w, g))
     if len(ws.members[i]) > policy.max_size:
-        return (Inserted(w, g), *split_group(ws, policy, strategies, g))
-    return (Inserted(w, g),)
+        split_group(ws, policy, g)
 
 
 def remove_worker(ws: Workspace, policy: OperatorPolicy,
-                  strategies: StrategySet, token: str, ctx: BatchContext
-                  ) -> ChangeLog:
+                  strategies: StrategySet, token: str) -> None:
     """Remove a departing worker and repair the floor if its group broke it.
 
     A group that cannot be repaired is left as it is for the batch-end
@@ -328,11 +300,8 @@ def remove_worker(ws: Workspace, policy: OperatorPolicy,
     worker = next(x for x in ms if x.token == token)
     ws.set_members(i, tuple(x for x in ms if x.token != token))
     del ws.group[token]
-    log: list = [Removed(worker, g)]
+    ws.log.append(Removed(worker, g))
 
     if len(ws.members[i]) < policy.d:
-        repair_log, outcome = _repair_deficiency(ws, policy, strategies, g, ctx)
-        log.extend(repair_log)
-        if outcome == "degraded":
-            log.extend(_note_degraded(ctx, g))
-    return tuple(log)
+        if _repair_deficiency(ws, policy, strategies, g) == "degraded":
+            _note_degraded(ws, g)

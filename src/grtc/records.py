@@ -109,6 +109,8 @@ def load_record(path) -> dict:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise CorruptRecord(f"{path}:{e.lineno}: {e.msg}") from None
+        except ValueError as e:  # an integer past the digit limit, or text not UTF-8
+            raise CorruptRecord(f"{path}: {e}") from None
     require_shape(doc)
     return doc
 

@@ -146,10 +146,21 @@ class Workspace:
 
     A member change costs O(log m) plus the group's size (``set_members``);
     a ring change costs O(m) (``reindex``).
+
+    The batch's guard and its change log:
+
+    ``tainted``    tokens of the current group when the batch started
+                   (the workers who just performed)
+    ``protected``  the group that performs next.  No operator can displace
+                   the successor of the current group, so it stays fixed
+                   for the whole batch.
+    ``degraded``   groups whose ``DegradedEntered`` is already logged
+    ``log``        the change-log entries the operators appended, in order
     """
 
     __slots__ = ("ring", "members", "current", "step_index", "used_group_ids",
-                 "next_seq", "pos", "group", "by_size")
+                 "next_seq", "pos", "group", "by_size",
+                 "tainted", "protected", "degraded", "log")
 
     def __init__(self, state: RotationState):
         self.ring = state.ring
@@ -160,6 +171,11 @@ class Workspace:
         self.next_seq = state.next_seq
         self.group = {w.token: g for g, ms in zip(state.ring, state.members) for w in ms}
         self.reindex()
+        i = self.pos[self.current]
+        self.tainted = frozenset(w.token for w in self.members[i])
+        self.protected = self.ring[(i + 1) % len(self.ring)]
+        self.degraded: set[GroupId] = set()
+        self.log: list = []
 
     def reindex(self) -> None:
         """Rebuild ``pos`` and ``by_size`` after the ring changed."""

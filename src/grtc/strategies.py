@@ -1,5 +1,5 @@
-"""Pluggable pieces of the update operators: choose, split, find (join
-rules live with the operators since they rewrite the ring).
+"""Pluggable pieces of the update operators: choose and find (split and
+join rules live with the operators since they rewrite the ring).
 
 Choose and find read a ``Workspace``.  All variants except ``random``
 are pure functions of it; the random variant draws from one named,
@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, GrtcError
-from .state import GroupId, WorkerId, Workspace
+from .state import GroupId, Workspace
 
 CHOOSE_KINDS = ("random", "farthest", "concentrated", "balanced", "hybrid")
 FIND_ORDERS = ("pred-first", "succ-first")
@@ -84,31 +84,18 @@ def choose_group(ws: Workspace, policy, kind: str,
     raise GrtcError(f"unknown choose strategy {kind!r}")
 
 
-def partition_for_split(members: list[WorkerId] | tuple[WorkerId, ...]
-                        ) -> tuple[list[WorkerId], list[WorkerId]]:
-    """Halve a seniority-ordered member list: earliest keep, newest move.
-
-    The stay half gets the extra worker on odd sizes.
-    """
-    if len(members) < 2:
-        raise GrtcError(f"cannot split {len(members)} members")
-    keep = (len(members) + 1) // 2
-    return list(members[:keep]), list(members[keep:])
-
-
 def find_donor(ws: Workspace, deficient: GroupId, order: str,
-               min_size: int, tainted: frozenset[str],
-               protected: GroupId) -> GroupId | None:
+               min_size: int) -> GroupId | None:
     """The nearest group on the ring that can spare a worker.
 
     Scanning outward from the deficient group, predecessor then
     successor per hop for ``pred-first`` (the reverse for
     ``succ-first``), return the first group of size at least
     ``min_size`` (d+1 keeps the donor at the floor).  A candidate whose
-    newest member is in ``tainted`` (performed in the previous published
-    state) is skipped when the deficient group is ``protected``, the one
-    performing next: donating there would make that worker perform twice
-    in a row.  Returns None when no group on the ring qualifies.
+    newest member just performed (is in ``ws.tainted``) is skipped when
+    the deficient group is ``ws.protected``, the one performing next:
+    donating there would make that worker perform twice in a row.
+    Returns None when no group on the ring qualifies.
 
     Unguarded, the first group that scan meets is the nearer of two: the
     nearest candidate on the predecessor side and the nearest on the
@@ -119,9 +106,8 @@ def find_donor(ws: Workspace, deficient: GroupId, order: str,
     i = ws.index_of(deficient)
     m = ws.m
     pred_first = order == "pred-first"
-    if deficient == protected:
-        return _walk_donor(ws, i, (-1, +1) if pred_first else (+1, -1),
-                           min_size, tainted)
+    if deficient == ws.protected:
+        return _walk_donor(ws, i, (-1, +1) if pred_first else (+1, -1), min_size)
     pred_rank, succ_rank = (0, 1) if pred_first else (1, 0)
     nearest = []  # (hops, 0 for the order's first side, ring position)
     for size, at in ws.by_size.items():
@@ -135,7 +121,7 @@ def find_donor(ws: Workspace, deficient: GroupId, order: str,
 
 
 def _walk_donor(ws: Workspace, i: int, directions: tuple[int, int],
-                min_size: int, tainted: frozenset[str]) -> GroupId | None:
+                min_size: int) -> GroupId | None:
     """``find_donor``'s scan, hop by hop, with the just-performed guard."""
     m = ws.m
     seen: set[int] = {i}
@@ -148,7 +134,7 @@ def _walk_donor(ws: Workspace, i: int, directions: tuple[int, int],
             ms = ws.members[j]
             if len(ms) < min_size:
                 continue
-            if max(ms, key=lambda w: w.seq).token in tainted:
+            if max(ms, key=lambda w: w.seq).token in ws.tainted:
                 continue
             return ws.ring[j]
     return None

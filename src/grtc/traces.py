@@ -50,13 +50,13 @@ class TraceConfig:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.duration, self.arrival_rate,
                                        self.departure_rate))):
-            raise ValueError("duration and rates must be finite")  # else no end
+            raise ConfigError("duration and rates must be finite")  # else no end
         if self.duration <= 0:
-            raise ValueError("duration must be positive")
+            raise ConfigError("duration must be positive")
         if self.arrival_rate < 0 or self.departure_rate < 0:
-            raise ValueError("rates must be >= 0")
+            raise ConfigError("rates must be >= 0")
         if self.initial_workers < 2:
-            raise ValueError("need at least two initial workers")
+            raise ConfigError("need at least two initial workers")
 
     @classmethod
     def from_spec(cls, spec, seed) -> "TraceConfig":
@@ -72,10 +72,7 @@ class TraceConfig:
             if key not in spec:
                 raise ConfigError(f"trace.{key} is missing")
             values[key] = number(spec[key], f"trace.{key}", kind)
-        try:
-            return cls(seed=seed, **values)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        return cls(seed=seed, **values)
 
 
 def generate_trace(config: TraceConfig) -> tuple[list[str], list[WorkerEvent]]:
@@ -136,6 +133,8 @@ def read_trace(stream: IO[str]) -> tuple[list[str], list[WorkerEvent]]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise ParseError(f"bad header: {e.msg}", line=1) from None
+    except ValueError as e:  # an integer past the digit limit
+        raise ParseError(f"bad header: {e}", line=1) from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ParseError(f"not a {FORMAT_NAME} file", line=1)
     if header.get("v") != FORMAT_VERSION:
@@ -157,6 +156,8 @@ def read_trace(stream: IO[str]) -> tuple[list[str], list[WorkerEvent]]:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise ParseError(e.msg, line=no) from None
+        except ValueError as e:  # an integer past the digit limit
+            raise ParseError(str(e), line=no) from None
         try:
             t, op, worker = obj["t"], obj["op"], obj["worker"]
         except (KeyError, TypeError):
@@ -188,4 +189,7 @@ def read_trace(stream: IO[str]) -> tuple[list[str], list[WorkerEvent]]:
 
 def read_trace_file(path) -> tuple[list[str], list[WorkerEvent]]:
     with open(path, "r", encoding="utf-8") as f:
-        return read_trace(f)
+        try:
+            return read_trace(f)
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from None

@@ -11,7 +11,6 @@ from grtc import (
     build_state,
     run_rotation,
 )
-from grtc.operators import BatchContext
 
 
 @pytest.fixture
@@ -49,13 +48,8 @@ def on_workspace(op, state, *args):
     """Apply one operator the way ``next_state`` does: wrap ``state`` in a
     workspace, call ``op`` on it, freeze it.  Returns (state, change log)."""
     ws = Workspace(state)
-    log = op(ws, *args)
-    return ws.freeze(), log
-
-
-def guard(state):
-    """The batch guard of a batch that starts from ``state``."""
-    return BatchContext.for_workspace(Workspace(state))
+    op(ws, *args)
+    return ws.freeze(), tuple(ws.log)
 
 
 def scripted_run(tokens, n0, script, d=2, count=8, choose="balanced", config=None):

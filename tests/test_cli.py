@@ -159,21 +159,28 @@ class TestRun:
         assert not out.exists()
         assert f"error: config.initial.{where}" in capsys.readouterr().err
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        config = write_json(tmp_path / "config.json",
-                            dict(RUN_CONFIG, choose="random"))
-        out1, out2, out3 = tmp_path / "o1", tmp_path / "o2", tmp_path / "o3"
-        monkeypatch.setenv("GRTC_SEED", "7")
-        main(["run", config, "--out", str(out1)])
-        main(["run", config, "--out", str(out2)])
-        monkeypatch.setenv("GRTC_SEED", "8")
-        main(["run", config, "--out", str(out3)])
-        a = json.loads((out1 / "record.json").read_text())
-        b = json.loads((out2 / "record.json").read_text())
-        c = json.loads((out3 / "record.json").read_text())
-        assert a == b
-        assert a["config"]["seed"] == 7
-        assert c["config"]["seed"] == 8
+    def test_seed_variable_changes_nothing(self, tmp_path, monkeypatch):
+        # GRTC_SEED once overrode every config seed, sweep seeds included
+        config = write_json(tmp_path / "config.json", dict(RUN_CONFIG, choose="random"))
+        spec = write_json(tmp_path / "spec.json", dict(SWEEP_SPEC, choose=["random"]))
+        outputs = []
+        for env in (None, "5"):
+            if env is not None:
+                monkeypatch.setenv("GRTC_SEED", env)
+            run_out, sweep_out = tmp_path / f"run-{env}", tmp_path / f"sweep-{env}"
+            assert main(["run", config, "--out", str(run_out)]) == 0
+            assert main(["sweep", spec, "--out", str(sweep_out)]) == 0
+            outputs.append(((run_out / "record.json").read_bytes(),
+                            (sweep_out / "sweep.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_bug_is_not_reported_as_input_error(self, tmp_path, monkeypatch):
+        def broken(record, weights):
+            raise KeyError("w1")
+        monkeypatch.setattr("grtc.cli.summarize_run", broken)
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        with pytest.raises(KeyError):
+            main(["run", config, "--out", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("change, text", [
         ({"d": True}, "config.d must be an integer, got True"),
@@ -255,6 +262,43 @@ class TestRun:
         assert main(["run", config, "--trace", str(trace), "--out", str(out)]) == 1
         assert not out.exists()
         assert f"error: line 2: {text} is not a finite number > 0" in capsys.readouterr().err
+
+
+HUGE = "1" * 5001  # past Python's 4,300-digit integer conversion limit
+TRACE_HEADER = '{"format": "grtc-trace", "v": 1, "initial": ["w1", "w2", "w3"]}\n'
+
+
+@pytest.mark.parametrize("command, text, where", [
+    ("run", '{"seed": ' + HUGE + "}", "{path}: Exceeds the limit"),
+    ("trace-config", '{"duration": ' + HUGE + "}", "{path}: Exceeds the limit"),
+    ("sweep", '{"seeds": [' + HUGE + "]}", "{path}: Exceeds the limit"),
+    ("trace", '{"format": "grtc-trace", "v": ' + HUGE + "}\n",
+     "line 1: bad header: Exceeds the limit"),
+    ("trace", TRACE_HEADER + '{"t": ' + HUGE + ', "op": "arrive", "worker": "a"}\n',
+     "line 2: Exceeds the limit"),
+    ("validate", '{"v": ' + HUGE + "}", "{path}: Exceeds the limit"),
+    ("run", b'{"choose": "\xff"}', "{path}: 'utf-8' codec can't decode"),
+    ("trace", TRACE_HEADER.encode() + b"\xff\n", "{path}: not UTF-8 text"),
+    ("validate", b"\xff", "{path}: 'utf-8' codec can't decode"),
+], ids=["config", "trace-config", "sweep-spec", "trace-header", "trace-event", "record",
+        "config-not-utf8", "trace-not-utf8", "record-not-utf8"])
+def test_unreadable_input_names_its_file(tmp_path, capsys, command, text, where):
+    path = tmp_path / "input"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    config = write_json(tmp_path / "config.json", RUN_CONFIG)
+    out = str(tmp_path / "out")
+    argv = {"run": ["run", str(path), "--out", out],
+            "trace-config": ["run", config, "--trace-config", str(path), "--out", out],
+            "trace": ["run", config, "--trace", str(path), "--out", out],
+            "sweep": ["sweep", str(path), "--out", out],
+            "validate": ["validate", str(path)]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + where.format(path=path))
+    assert err.count("\n") == 1
 
 
 class TestValidate:
@@ -363,6 +407,17 @@ class TestGenTrace:
         first = record["states"][0]
         tokens = {t for ms in first["members"].values() for t in ms}
         assert tokens == set(header["initial"])
+
+    @pytest.mark.parametrize("flag, value, text", [
+        ("--initial", "1", "need at least two initial workers"),
+        ("--duration", "-1", "duration must be positive"),
+        ("--arrival-rate", "nan", "duration and rates must be finite"),
+    ], ids=["one-worker", "negative-duration", "nan-rate"])
+    def test_bad_settings_exit_1(self, tmp_path, capsys, flag, value, text):
+        trace = tmp_path / "trace.jsonl"
+        assert main(["gen-trace", flag, value, "--out", str(trace)]) == 1
+        assert not trace.exists()
+        assert capsys.readouterr().err == f"error: {text}\n"
 
 
 class TestSweep:

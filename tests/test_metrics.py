@@ -59,14 +59,14 @@ class TestTransitionStress:
         assert stresses["w7"].drop == 1 and stresses["w7"].rise == 0
         assert stresses["w7"].score == W.alpha
 
-    def test_split_of_current_group(self, policy, strategies):
+    def test_split_of_current_group(self, policy):
         # current group of 5 splits: the moved pair expected counter 3,
         # lands at 2, and moved groups: alpha + gamma.  Stayers score 0.
         state = make_state(
             [("A", ["w1", "w2", "w3", "w4", "w5"]),
              ("B", ["w6", "w7"]), ("C", ["w8", "w9"])], "A")
         from grtc import split_group
-        mid, log = on_workspace(split_group, state, policy, strategies, "A")
+        mid, log = on_workspace(split_group, state, policy, "A")
         nxt = advance_current(mid)
         stresses = transition_stress(state, nxt, W, log)
         moved = [w.token for w in log[0].moved]

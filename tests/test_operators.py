@@ -27,11 +27,10 @@ from grtc import (
     state_snapshot,
     validate_pair,
 )
-from grtc.operators import (BatchContext, DegradedEntered, Stalled, insert_worker,
-                            remove_worker)
+from grtc.operators import DegradedEntered, Stalled, insert_worker, remove_worker
 from grtc.recordcheck import replay_entries
 
-from conftest import guard, make_state, on_workspace
+from conftest import make_state, on_workspace
 
 
 def assert_replay_matches(before, log, after):
@@ -130,9 +129,7 @@ class TestRemove:
 
     def test_unknown_worker(self, fig1, policy, strategies):
         with pytest.raises(UnknownWorker):
-            ws = Workspace(fig1)
-            remove_worker(ws, policy, strategies, "nobody",
-                          BatchContext.for_workspace(ws))
+            remove_worker(Workspace(fig1), policy, strategies, "nobody")
 
     def test_no_restructure_roundtrip(self, fig1, policy):
         strat = StrategySet(choose="balanced")
@@ -166,12 +163,12 @@ class TestRemove:
 
 
 class TestSplitGroup:
-    def test_split_non_current(self, policy, strategies):
+    def test_split_non_current(self, policy):
         state = make_state(
             [("A", ["w1", "w2"]),
              ("B", ["w3", "w4", "w5", "w6", "w7"]),
              ("C", ["w8", "w9"])], "A")
-        out, log = on_workspace(split_group, state, policy, strategies, "B")
+        out, log = on_workspace(split_group, state, policy, "B")
         entry = log[0]
         # seq-order oracle: recompute halves from scratch
         by_seq = sorted(state.members_of("B"), key=lambda w: w.seq)
@@ -181,86 +178,103 @@ class TestSplitGroup:
         assert_valid_and_follows(state, out)
         assert_replay_matches(state, log, out)
 
-    def test_split_current_lands_before_it(self, policy, strategies):
+    def test_split_current_lands_before_it(self, policy):
         state = make_state(
             [("A", ["w1", "w2", "w3", "w4", "w5"]),
              ("B", ["w6", "w7"]), ("C", ["w8", "w9"])], "A")
-        out, log = on_workspace(split_group, state, policy, strategies, "A")
+        out, log = on_workspace(split_group, state, policy, "A")
         fresh = log[0].new_group
         assert out.ring[out.index_of("A") - 1] == fresh
         assert out.successor("A") == "B"  # moved workers not in the next group
         assert_valid_and_follows(state, out)
         assert_replay_matches(state, log, out)
 
-    def test_at_threshold_rejected(self, policy, strategies):
+    def test_at_threshold_rejected(self, policy):
         state = make_state(
             [("A", ["w1", "w2", "w3", "w4"]), ("B", ["w5", "w6"])], "A")
         with pytest.raises(BelowThreshold):
-            on_workspace(split_group, state, policy, strategies, "A")
+            on_workspace(split_group, state, policy, "A")
 
-    def test_halves_meet_floor(self, strategies):
+    def test_halves_meet_floor(self):
+        # every splittable size up to 11: the senior half stays, with the
+        # extra worker on odd sizes, and both halves keep the floor
         for d in (1, 2, 3):
             policy = OperatorPolicy(d=d, max_multiplier=2)
-            size = policy.max_size + 1
-            tokens = [f"w{i}" for i in range(1, size + 3)]
-            state = make_state([("A", tokens[:size]), ("B", tokens[size:])], "B")
-            out, log = on_workspace(split_group, state, policy, strategies, "A")
-            assert len(out.members_of("A")) >= d
-            assert len(out.members_of(log[0].new_group)) >= d
+            for size in range(policy.max_size + 1, 12):
+                tokens = [f"w{i}" for i in range(1, size + 3)]
+                state = make_state([("A", tokens[:size]), ("B", tokens[size:])], "B")
+                out, log = on_workspace(split_group, state, policy, "A")
+                stay, moved = out.members_of("A"), log[0].moved
+                assert list(stay) + list(moved) == list(state.members_of("A"))
+                assert len(stay) - len(moved) in (0, 1)
+                assert len(moved) >= d
+                assert out.members_of(log[0].new_group) == moved
 
-    def test_fresh_group_id_never_reused(self, policy, strategies):
+    def test_fresh_group_id_never_reused(self, policy):
         state = make_state([("g1", ["w1", "w2"]), ("g2", ["w3", "w4"]),
                             ("g3", ["w5", "w6", "w7", "w8", "w9"])], "g1")
         # retire g3 via join, then split: the new id must not be g3
-        joined, _ = on_workspace(join_groups, state, policy, "g2", guard(state))
+        joined, _ = on_workspace(join_groups, state, "g2")
         merged = joined.members_of("g2")
         assert len(merged) == 7
-        out, log = on_workspace(split_group, joined, policy, strategies, "g2")
+        out, log = on_workspace(split_group, joined, policy, "g2")
         assert log[0].new_group == "g4"
 
 
 class TestJoinGroups:
-    def test_plain_deficient_absorbs_successor(self, policy):
+    def test_plain_deficient_absorbs_successor(self):
         state = make_state(
             [("A", ["w1", "w2"]), ("B", ["w3"]), ("C", ["w4", "w5"]),
              ("D", ["w6", "w7"])], "A")
-        out, log = on_workspace(join_groups, state, policy, "B", guard(state))
+        out, log = on_workspace(join_groups, state, "B")
         assert (log[0].survivor, log[0].absorbed) == ("B", "C")
         assert out.ring == ("A", "B", "D")
         assert_valid_and_follows(state, out)
         assert_replay_matches(state, log, out)
 
-    def test_predecessor_of_current_absorbed_by_current(self, policy):
+    def test_predecessor_of_current_absorbed_by_current(self):
         state = make_state(
             [("A", ["w1", "w2"]), ("B", ["w3", "w4"]), ("C", ["w5", "w6"]),
              ("D", ["w7"])], "A")
-        out, log = on_workspace(join_groups, state, policy, "D", guard(state))
+        out, log = on_workspace(join_groups, state, "D")
         assert (log[0].survivor, log[0].absorbed) == ("A", "D")
         assert out.ring == ("A", "B", "C")
         assert "A" in out.ring  # the old current group survives
         assert_valid_and_follows(state, out)
         assert_replay_matches(state, log, out)
 
-    def test_deficient_current_absorbs_predecessor(self, policy):
+    def test_deficient_current_absorbs_predecessor(self):
         state = make_state(
             [("A", ["w1"]), ("B", ["w2", "w3"]), ("C", ["w4", "w5"])], "A")
-        out, log = on_workspace(join_groups, state, policy, "A", guard(state))
+        out, log = on_workspace(join_groups, state, "A")
         assert (log[0].survivor, log[0].absorbed) == ("A", "C")
         assert out.ring == ("A", "B")
         assert_valid_and_follows(state, out)
         assert_replay_matches(state, log, out)
 
-    def test_two_groups_rejected(self, policy):
+    def test_two_groups_rejected(self):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3"])], "A")
         with pytest.raises(TooFewGroups):
-            on_workspace(join_groups, state, policy, "B", guard(state))
+            on_workspace(join_groups, state, "B")
+
+    def test_refused_join_leaves_the_workspace_as_it_was(self, policy):
+        # earlier in the batch w3, who just performed in A, went to C; B
+        # performs next, so B absorbing C is refused
+        state = make_state([("A", ["w1", "w2", "w3"]), ("B", ["w4"]),
+                            ("C", ["w5", "w6"])], "A")
+        ws = Workspace(state)
+        donate_worker(ws, policy, "A", "C")
+        ring, members, log = ws.ring, list(ws.members), list(ws.log)
+        with pytest.raises(ForbiddenMove):
+            join_groups(ws, "B")
+        assert (ws.ring, ws.members, ws.log) == (ring, members, log)
 
 
 class TestDonate:
     def test_newest_moves(self, policy):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4", "w5"]),
                             ("C", ["w6", "w7"])], "A")
-        out, log = on_workspace(donate_worker, state, policy, "B", "C", guard(state))
+        out, log = on_workspace(donate_worker, state, policy, "B", "C")
         assert log[0].worker.token == "w5"
         assert [w.token for w in out.members_of("B")] == ["w3", "w4"]
         assert [w.token for w in out.members_of("C")] == ["w6", "w7", "w5"]
@@ -269,13 +283,13 @@ class TestDonate:
     def test_current_to_successor_forbidden(self, policy):
         state = make_state([("A", ["w1", "w2", "w3"]), ("B", ["w4", "w5"])], "A")
         with pytest.raises(ForbiddenMove):
-            on_workspace(donate_worker, state, policy, "A", "B", guard(state))
+            on_workspace(donate_worker, state, policy, "A", "B")
 
     def test_donor_at_floor_rejected(self, policy):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4"]),
                             ("C", ["w5", "w6"])], "A")
         with pytest.raises(DonorTooSmall):
-            on_workspace(donate_worker, state, policy, "B", "C", guard(state))
+            on_workspace(donate_worker, state, policy, "B", "C")
 
 
 class TestEntryCodec:

@@ -28,7 +28,7 @@ from grtc import (
     write_trace,
 )
 from grtc.generator import _reconcile
-from grtc.operators import BatchContext, Donated, insert_worker, remove_worker
+from grtc.operators import Donated, insert_worker, remove_worker
 from grtc.strategies import CHOOSE_KINDS, FIND_ORDERS
 from grtc.recordcheck import replay_entries
 
@@ -145,19 +145,17 @@ def test_find_donor_matches_oracle(data, order, d, floor_only, explicit_guard):
         state = data.draw(scrambled_states())
         deficient = data.draw(st.sampled_from(state.ring))
     plain = to_plain(state)
+    ring, current = plain["ring"], plain["current"]
     ws = Workspace(state)
     if explicit_guard:
         tainted = frozenset(data.draw(st.sets(st.sampled_from(sorted(state.tokens())))))
         protected = data.draw(st.sampled_from([deficient, *state.ring]))
-    else:
-        guard = BatchContext.for_workspace(ws)
-        tainted, protected = guard.tainted, guard.protected
-    min_size = 2 if floor_only else d + 1
-    got = find_donor(ws, deficient, order, min_size, tainted, protected)
-    ring, current = plain["ring"], plain["current"]
-    if not explicit_guard:  # the reference derives the start-of-batch guard itself
+        ws.tainted, ws.protected = tainted, protected
+    else:  # the reference derives the start-of-batch guard itself
         tainted = {tok for tok, _ in plain["members"][current]}
         protected = ring[(ring.index(current) + 1) % len(ring)]
+    min_size = 2 if floor_only else d + 1
+    got = find_donor(ws, deficient, order, min_size)
     want = _scan_donor(ring, plain["members"], deficient, min_size, order, None,
                        tainted, protected)
     assert got == want
@@ -310,24 +308,25 @@ def drive_workspace(state, policy, strat, steps):
     Returns every change-log entry made and the number of donations that
     left their donor below the floor (the emergency donation)."""
     published = state
-    ws, ctx = Workspace(state), None
+    ws = Workspace(state)
     roster = set(ws.group)
     entries, fresh, emergencies = [], 0, 0
     for op, pick in steps:
-        ctx = ctx or BatchContext.for_workspace(ws)
+        done = len(ws.log)
         if op == "arrive":
             fresh += 1
             token = f"a{fresh}"
-            log = insert_worker(ws, policy, strat, WorkerId(token, ws.next_seq))
+            insert_worker(ws, policy, strat, WorkerId(token, ws.next_seq))
             roster.add(token)
         elif op == "depart" and roster:
             token = sorted(roster)[pick % len(roster)]
-            log = remove_worker(ws, policy, strat, token, ctx)
+            remove_worker(ws, policy, strat, token)
             roster.discard(token)
         elif op == "publish":
-            log = _reconcile(ws, policy, strat, ctx)
+            _reconcile(ws, policy, strat)
         else:
             continue
+        log = ws.log[done:]
         assert_indexes_rebuilt(ws, roster)
         emergencies += sum(isinstance(e, Donated) and e.from_group in ws.pos
                            and len(ws.members_of(e.from_group)) < policy.d for e in log)
@@ -339,7 +338,7 @@ def drive_workspace(state, policy, strat, steps):
                          or min(map(len, candidate.members)) >= policy.d)
                     and validate_pair(published, candidate).ok):
                 published = candidate
-            ws, ctx = Workspace(published), None
+            ws = Workspace(published)
             roster = set(ws.group)
     return entries, emergencies
 

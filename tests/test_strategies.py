@@ -9,10 +9,7 @@ from grtc import (
     choose_group,
     counter_of_group,
     find_donor,
-    partition_for_split,
 )
-
-from grtc.operators import BatchContext
 
 from conftest import make_state
 
@@ -84,32 +81,10 @@ class TestChoose:
             StrategySet(choose="nearest")
 
 
-class TestPartitionForSplit:
-    def test_five_members(self):
-        stay, move = partition_for_split(["a", "b", "c", "d", "e"])
-        assert stay == ["a", "b", "c"]
-        assert move == ["d", "e"]
-
-    def test_two_members(self):
-        assert partition_for_split(["a", "b"]) == (["a"], ["b"])
-
-    @pytest.mark.parametrize("n", range(2, 12))
-    def test_halving_property(self, n):
-        stay, move = partition_for_split(list(range(n)))
-        assert stay + move == list(range(n))
-        assert len(stay) - len(move) in (0, 1)
-
-    def test_too_small(self):
-        with pytest.raises(GrtcError):
-            partition_for_split(["a"])
-
-
 def scan(state, deficient, order, d=2):
     """find_donor for a donor that stays at the floor d, guarded as at the
     start of a batch (the current group's workers, its successor)."""
-    ws = Workspace(state)
-    guard = BatchContext.for_workspace(ws)
-    return find_donor(ws, deficient, order, d + 1, guard.tainted, guard.protected)
+    return find_donor(Workspace(state), deficient, order, d + 1)
 
 
 class TestFindDonor:
