@@ -95,7 +95,7 @@ class RunSetup:
         # scan bounded to ``horizon`` hops that widens to the whole ring on
         # a miss returns the same donor as one whole-ring scan
         self.horizon = parse_horizon(find.get("horizon"))
-        self.seed = config.get("seed", 0)
+        self.seed = number(config.get("seed", 0), "config.seed", int)
         self.strategies = StrategySet.seeded(config.get("choose", "balanced"),
                                              find.get("order", "pred-first"), self.seed)
 

@@ -77,9 +77,12 @@ class RunRecord:
     stall intervals and the config echo.  ``states[0]`` is the initial
     state; ``change_logs[i]`` explains ``states[i] -> states[i+1]``.
 
-    Every state passes ``check_state``, as ``run_rotation`` checks the
-    initial state and every state it publishes; ``summarize_run`` and
-    ``dump_record`` rely on it."""
+    Every state passes ``check_state``: ``run_rotation`` checks the
+    initial state, and ``next_state`` publishes only states that pass its
+    publish test, which covers every condition of ``check_state``.
+    ``summarize_run`` and ``dump_record`` rely on it.  The states carry
+    no indexes (only the run's live state does), so the index maps cost
+    O(n) per run, not per state."""
 
     config: dict = field(default_factory=dict)
     states: list[RotationState] = field(default_factory=list)
@@ -169,40 +172,30 @@ def _reconcile(ws: Workspace, policy: OperatorPolicy,
                 hopeless.add(g)
 
 
-def next_state(state: RotationState, policy: OperatorPolicy,
-               strategies: StrategySet, batch: list[WorkerEvent]
-               ) -> tuple[RotationState, ChangeLog]:
-    """One transition: apply a batch of arrivals/departures in order,
-    reconcile, advance the current group and check the result.
+def _publishable(ws: Workspace, policy: OperatorPolicy) -> bool:
+    """The publish test, read off the workspace: every condition of
+    ``check_state``, the floor and ``validate_pair`` for the state that
+    advancing ``ws.current`` publishes.  It costs O(1) per distinct group
+    size plus the size of the group that performs next.  A state that
+    passes is valid and follows the batch's input state."""
+    m, by_size = len(ws.ring), ws.by_size
+    if not (m >= 2 and len(ws.members) == len(ws.pos) == m  # one ring, ids distinct
+            and ws.current in ws.pos and 0 not in by_size):
+        return False
+    n = len(ws.group)
+    if n != sum(size * len(at) for size, at in by_size.items()):
+        return False  # a worker is in two groups
+    if n >= 2 * policy.d and min(by_size) < policy.d:
+        return False
+    performs_next = ws.members[(ws.pos[ws.current] + 1) % m]
+    return ws.tainted.isdisjoint([w.token for w in performs_next])
 
-    The batch runs on one ``Workspace`` built from ``state``.  A state
-    that needs no change (an empty batch and nothing to reconcile)
-    builds none, and the published state shares the input's ring and
-    member tuples.
 
-    Raises StallError when the batch cannot end in a valid state that
-    follows the input state, e.g. when too few workers remain or the
-    only repair would rotate a just-performed worker straight back in.
-    """
-    if batch or not _settled(min(map(len, state.members)), state.n, policy.d):
-        ws = Workspace(state)
-        for ev in batch:
-            if ev.op == "arrive":
-                if ev.worker in ws.group:
-                    raise InconsistentEvent(f"arrival of present worker {ev.worker}")
-                insert_worker(ws, policy, strategies, WorkerId(ev.worker, ws.next_seq))
-            elif ev.op == "depart":
-                if ev.worker not in ws.group:
-                    raise InconsistentEvent(f"departure of absent worker {ev.worker}")
-                remove_worker(ws, policy, strategies, ev.worker)
-            else:
-                raise InconsistentEvent(f"unknown event op {ev.op!r}")
-        _reconcile(ws, policy, strategies)
-        out, log = ws.freeze(), tuple(ws.log)
-    else:
-        out, log = state, ()
-
-    published = advance_current(out)
+def _stall_reason(state: RotationState, published: RotationState,
+                  policy: OperatorPolicy) -> None:
+    """Raise the StallError that says why ``published`` cannot follow
+    ``state``, or return if it can.  These are the full O(n+m) checks, so
+    ``next_state`` runs them only when ``_publishable`` failed."""
     report = check_state(published)
     if not report.ok:
         raise StallError(f"no valid state constructible: {report}")
@@ -216,7 +209,51 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     pair = validate_pair(state, published)
     if not pair.ok:
         raise StallError(f"candidate state does not follow its predecessor: {pair}")
-    return published, log
+
+
+def next_state(state: RotationState, policy: OperatorPolicy,
+               strategies: StrategySet, batch: list[WorkerEvent]
+               ) -> tuple[RotationState, ChangeLog]:
+    """One transition: apply a batch of arrivals/departures in order,
+    reconcile, advance the current group and check the result.
+
+    The batch runs on one ``Workspace`` built from ``state``; the
+    published state carries the workspace's indexes, so the next
+    transition copies them instead of rebuilding them, and the publish
+    test reads them (``_publishable``).  An idle transition (an empty
+    batch on a state that carries indexes and needs no repair) builds no
+    workspace: the state passed the publish test when it was published,
+    and advancing the current group keeps its ring and members.  So a
+    transition costs what its batch changes, plus C-speed copies of the
+    indexes.
+
+    Raises StallError when the batch cannot end in a valid state that
+    follows the input state, e.g. when too few workers remain or the
+    only repair would rotate a just-performed worker straight back in.
+    ``state`` and its indexes are left as they were.
+    """
+    carried = state.indexes
+    if not batch and carried is not None:
+        _pos, group, by_size = carried
+        if _settled(min(by_size), len(group), policy.d):
+            return advance_current(state), ()
+    ws = Workspace(state)
+    for ev in batch:
+        if ev.op == "arrive":
+            if ev.worker in ws.group:
+                raise InconsistentEvent(f"arrival of present worker {ev.worker}")
+            insert_worker(ws, policy, strategies, WorkerId(ev.worker, ws.next_seq))
+        elif ev.op == "depart":
+            if ev.worker not in ws.group:
+                raise InconsistentEvent(f"departure of absent worker {ev.worker}")
+            remove_worker(ws, policy, strategies, ev.worker)
+        else:
+            raise InconsistentEvent(f"unknown event op {ev.op!r}")
+    _reconcile(ws, policy, strategies)
+    published = advance_current(ws.freeze())
+    if not _publishable(ws, policy):
+        _stall_reason(state, published, policy)
+    return published, tuple(ws.log)
 
 
 def run_rotation(initial: RotationState, policy: OperatorPolicy,
@@ -242,7 +279,7 @@ def run_rotation(initial: RotationState, policy: OperatorPolicy,
         last = e.t
 
     record = RunRecord(config=dict(config or {}))
-    record.states.append(initial)
+    record.states.append(initial.without_indexes())
 
     current = initial
     backlog: list[WorkerEvent] = []
@@ -262,7 +299,7 @@ def run_rotation(initial: RotationState, policy: OperatorPolicy,
             record.stalls.append((stall_start, t - stall_start))
             stall_start = None
             log = (Stalled(),) + log
-        record.states.append(nxt)
+        record.states.append(nxt.without_indexes())  # only ``current`` keeps its maps
         record.change_logs.append(log)
         current = nxt
         backlog = []

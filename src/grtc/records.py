@@ -28,6 +28,7 @@ from .state import RotationState
 
 SCHEMA_VERSION = 1
 STALL_KEYS = ("time", "duration")
+EVENT_OPS = ("arrive", "depart")
 
 
 def state_snapshot(state: RotationState) -> dict:
@@ -133,6 +134,8 @@ def require_shape(doc: dict) -> None:
     _require(doc["config"], dict, "config")
     if doc["config"].get("d") is not None:
         _require(doc["config"]["d"], int, "config.d")
+        if doc["config"]["d"] < 1:
+            raise CorruptRecord("config.d: must be >= 1")
     for i, snap in enumerate(doc["states"]):
         _require(snap, dict, f"states[{i}]")
         for key in ("step", "current", "ring", "members"):
@@ -169,6 +172,22 @@ def require_shape(doc: dict) -> None:
                 if key not in stall:
                     raise CorruptRecord(f"stalls[{i}]: missing key {key!r}")
                 _require(stall[key], (int, float), f"stalls[{i}].{key}")
+    events = doc.get("unconsumed", [])
+    _require(events, list, "unconsumed")
+    if not ({*map(type, events)} <= {dict}
+            and {type(e.get("t")) for e in events} <= {int, float}
+            and {type(e.get("op")) for e in events} <= {str}
+            and {e["op"] for e in events} <= {*EVENT_OPS}
+            and {type(e.get("worker")) for e in events} <= {str}):
+        for i, event in enumerate(events):  # locate the first malformed one
+            _require(event, dict, f"unconsumed[{i}]")
+            for key, kind in (("t", (int, float)), ("op", str), ("worker", str)):
+                if key not in event:
+                    raise CorruptRecord(f"unconsumed[{i}]: missing key {key!r}")
+                _require(event[key], kind, f"unconsumed[{i}].{key}")
+            if event["op"] not in EVENT_OPS:
+                raise CorruptRecord(f"unconsumed[{i}].op: expected \"arrive\" or "
+                                    f"\"depart\", got {event['op']!r}")
 
 
 def _require(value, kind: type | tuple[type, ...], path: str) -> None:

@@ -7,12 +7,13 @@ position k is followed by the group at position k+1, wrapping around),
 *counter* is the ring distance from the current group to the worker's own
 group: the number of tasks until their turn.
 
-States are values: nothing mutates a ``RotationState``.  Two
+States are values: nothing mutates a ``RotationState``.  Three
 bookkeeping fields ride along without taking part in equality: the set
-of group ids ever used (so a retired id is never reissued within a run)
-and the next free worker sequence number.  A transition's batch of
-worker events is applied to a ``Workspace``, a mutable and indexed copy
-of one state, which is frozen back into a state at the end.
+of group ids ever used (so a retired id is never reissued within a run),
+the next free worker sequence number, and the indexes of the workspace
+that published the state.  A transition's batch of worker events is
+applied to a ``Workspace``, a mutable and indexed copy of one state,
+which is frozen back into a state at the end.
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ class RotationState:
 
     ``ring`` and ``members`` are parallel: ``members[k]`` is the ordered
     member list of ``ring[k]`` (order = insertion into that group).
+
+    ``indexes`` is ``(pos, group, by_size)`` of the workspace that
+    published the state (see ``Workspace``), or None for a state built
+    any other way.  Only ``Workspace.freeze`` and ``advance_current`` set
+    it, so a state derived with ``dataclasses.replace`` carries none; the
+    next workspace copies it instead of rebuilding it.
     """
 
     ring: tuple[GroupId, ...]
@@ -93,6 +100,7 @@ class RotationState:
     step_index: int = 0
     used_group_ids: frozenset[GroupId] = field(default=frozenset(), compare=False)
     next_seq: int = field(default=1, compare=False)
+    indexes: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     # -- shape ---------------------------------------------------------
 
@@ -128,6 +136,18 @@ class RotationState:
                     return g
         raise UnknownWorker(token)
 
+    def without_indexes(self) -> RotationState:
+        """An equal state that carries no indexes (what a run record keeps)."""
+        if self.indexes is None:
+            return self
+        return RotationState(self.ring, self.members, self.current, self.step_index,
+                             self.used_group_ids, self.next_seq)
+
+
+def _carrying(state: RotationState, indexes: tuple | None) -> RotationState:
+    object.__setattr__(state, "indexes", indexes)
+    return state
+
 
 class Workspace:
     """A mutable copy of one state, indexed so that a worker event costs
@@ -145,7 +165,11 @@ class Workspace:
                  size; only sizes that occur are keys
 
     A member change costs O(log m) plus the group's size (``set_members``);
-    a ring change costs O(m) (``reindex``).
+    a ring change costs O(m) (``reindex``).  A state that carries the
+    indexes of the workspace that published it hands them on: the new
+    workspace copies ``group`` and each ``by_size`` list (C-speed copies)
+    and shares ``pos``, which ``reindex`` replaces and nothing mutates.
+    Any other state has its indexes built, in O(n+m).
 
     The batch's guard and its change log:
 
@@ -169,9 +193,14 @@ class Workspace:
         self.step_index = state.step_index
         self.used_group_ids = state.used_group_ids
         self.next_seq = state.next_seq
-        self.group = {w.token: g for g, ms in zip(state.ring, state.members) for w in ms}
-        self.reindex()
-        i = self.pos[self.current]
+        if state.indexes is None:
+            self.group = {w.token: g for g, ms in zip(state.ring, state.members) for w in ms}
+            self.reindex()
+        else:
+            self.pos, group, by_size = state.indexes
+            self.group = group.copy()
+            self.by_size = {size: at.copy() for size, at in by_size.items()}
+        i = self.index_of(self.current)
         self.tainted = frozenset(w.token for w in self.members[i])
         self.protected = self.ring[(i + 1) % len(self.ring)]
         self.degraded: set[GroupId] = set()
@@ -198,14 +227,17 @@ class Workspace:
             insort(self.by_size.setdefault(new, []), k)
 
     def freeze(self) -> RotationState:
-        return RotationState(
+        """The state the workspace holds.  It takes the workspace's
+        indexes, which stay true to it only while the workspace is not
+        changed again; ``next_state`` freezes last."""
+        return _carrying(RotationState(
             ring=self.ring,
             members=tuple(self.members),
             current=self.current,
             step_index=self.step_index,
             used_group_ids=self.used_group_ids,
             next_seq=self.next_seq,
-        )
+        ), (self.pos, self.group, self.by_size))
 
     # -- the read API of RotationState, by lookup ----------------------
 
@@ -362,12 +394,13 @@ def counter_of_worker(state: RotationState, w: WorkerId | str) -> int:
 
 
 def advance_current(state: RotationState) -> RotationState:
-    """Move the current group forward one ring position."""
-    return RotationState(
+    """Move the current group forward one ring position.  The ring and
+    the members stay, and so do the indexes ``state`` carries."""
+    return _carrying(RotationState(
         ring=state.ring,
         members=state.members,
         current=state.successor(state.current),
         step_index=state.step_index + 1,
         used_group_ids=state.used_group_ids,
         next_seq=state.next_seq,
-    )
+    ), state.indexes)

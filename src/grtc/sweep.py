@@ -3,8 +3,9 @@ simulated run per combination, one CSV row per run.
 
 Rows are emitted in deterministic axis order no matter how many worker
 processes execute the runs, so a sweep's CSV is byte-stable across
-repetitions and parallelism degrees.  A failing combination becomes an
-error row; the sweep continues.
+repetitions and parallelism degrees.  A combination that grtc rejects
+(a ``GrtcError``) becomes an error row and the sweep continues; any other
+exception is a bug and aborts the sweep.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import RunSetup, parse_horizon
-from .errors import ConfigError
+from .config import RunSetup, number, parse_horizon
+from .errors import ConfigError, GrtcError
 from .generator import run_rotation
 from .metrics import CSV_COLUMNS, config_columns, summarize_run
 from .traces import TraceConfig, generate_trace
@@ -47,6 +48,8 @@ def expand(spec: dict) -> list[dict]:
         raise ConfigError("sweep spec needs a 'trace' section")
     if "schedule" not in spec:
         raise ConfigError("sweep spec needs a 'schedule' section")
+    for k, seed in enumerate(axes[-1]):
+        number(seed, f"sweep.seeds[{k}]", int)
 
     combos = []
     for choose, order, horizon, d, mult, seed in itertools.product(*axes):
@@ -82,7 +85,7 @@ def _run_indexed(args: tuple[int, dict]) -> tuple[int, dict, dict | None, str]:
         row, report = run_combo(config)
         row["run_id"] = run_id
         return index, row, report, ""
-    except Exception as e:  # noqa: BLE001 - a bad combination is a row, not an abort
+    except GrtcError as e:  # a bad combination is a row; a bug aborts the sweep
         row = dict.fromkeys(CSV_COLUMNS, "")
         row.update(config_columns(run_id, config), error=str(e))
         return index, row, None, str(e)

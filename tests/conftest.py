@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 
 from grtc import (
     OperatorPolicy,
+    RotationState,
     StrategySet,
     TaskSchedule,
     WorkerEvent,
@@ -44,6 +45,12 @@ def make_state(spec, current):
     return state
 
 
+def afresh(state):
+    """An equal state built without the indexes a published state carries."""
+    return RotationState(state.ring, state.members, state.current, state.step_index,
+                         state.used_group_ids, state.next_seq)
+
+
 def on_workspace(op, state, *args):
     """Apply one operator the way ``next_state`` does: wrap ``state`` in a
     workspace, call ``op`` on it, freeze it.  Returns (state, change log)."""
@@ -52,12 +59,13 @@ def on_workspace(op, state, *args):
     return ws.freeze(), tuple(ws.log)
 
 
-def scripted_run(tokens, n0, script, d=2, count=8, choose="balanced", config=None):
-    """A run over ``tokens``: the first ``n0`` start, the rest arrive in
-    order.  ``script`` holds (gap, op, pick) steps: an arrival of the next
-    newcomer, or a departure of present worker ``pick`` (mod the pool),
-    ``gap`` after the previous event.  A step with nobody to move is
-    skipped, so every event is consistent."""
+def scripted_inputs(tokens, n0, script, d=2, count=8, choose="balanced"):
+    """The inputs of a run over ``tokens``, as ``run_rotation`` takes them:
+    (initial, policy, strategies, schedule, events).  The first ``n0``
+    start, the rest arrive in order.  ``script`` holds (gap, op, pick)
+    steps: an arrival of the next newcomer, or a departure of present
+    worker ``pick`` (mod the pool), ``gap`` after the previous event.  A
+    step with nobody to move is skipped, so every event is consistent."""
     present, newcomers = list(tokens[:n0]), list(tokens[n0:])
     events, t = [], 0.1  # events at t <= 0 are never applied
     for gap, op, pick in script:
@@ -71,9 +79,15 @@ def scripted_run(tokens, n0, script, d=2, count=8, choose="balanced", config=Non
             continue
         events.append(WorkerEvent(t, op, worker))
     policy = OperatorPolicy(d=d)
-    return run_rotation(build_initial_state(list(tokens[:n0]), policy), policy,
-                        StrategySet.seeded(choose, "pred-first", 0),
-                        TaskSchedule.periodic(1.0, count), events, config=config)
+    return (build_initial_state(list(tokens[:n0]), policy), policy,
+            StrategySet.seeded(choose, "pred-first", 0),
+            TaskSchedule.periodic(1.0, count), events)
+
+
+def scripted_run(tokens, n0, script, d=2, count=8, choose="balanced", config=None):
+    """The run of ``scripted_inputs(tokens, n0, script, d, count, choose)``."""
+    return run_rotation(*scripted_inputs(tokens, n0, script, d, count, choose),
+                        config=config)
 
 
 # worker tokens that JSON must escape: quotes, backslashes, control
@@ -86,12 +100,17 @@ steps = st.tuples(st.sampled_from([0.0, 0.3, 1.0, 2.5]),
 
 
 @st.composite
-def runs(draw, config=st.just({})):
-    """Short runs with idle stretches, splits, joins, stalls and unconsumed
-    events, over tokens that need escaping."""
+def run_inputs(draw):
+    """The inputs of short runs with idle stretches, splits, joins, stalls
+    and unconsumed events, over tokens that need escaping."""
     names = draw(st.lists(tokens, min_size=12, max_size=12, unique=True))
-    return scripted_run(names, draw(st.integers(2, 6)), draw(st.lists(steps, max_size=16)),
-                        d=draw(st.integers(1, 3)), count=draw(st.integers(1, 10)),
-                        choose=draw(st.sampled_from(["balanced", "farthest",
-                                                     "concentrated", "hybrid"])),
-                        config=draw(config))
+    return scripted_inputs(names, draw(st.integers(2, 6)), draw(st.lists(steps, max_size=16)),
+                           d=draw(st.integers(1, 3)), count=draw(st.integers(1, 10)),
+                           choose=draw(st.sampled_from(["balanced", "farthest",
+                                                        "concentrated", "hybrid"])))
+
+
+@st.composite
+def runs(draw, config=st.just({})):
+    """The runs of ``run_inputs``, echoing a drawn ``config``."""
+    return run_rotation(*draw(run_inputs()), config=draw(config))

@@ -198,9 +198,14 @@ class TestRun:
          "config.find.horizon must be a positive integer or 'unlimited', got True"),
         ({"weights": {"alpha": "1"}}, "config.weights.alpha must be a number, got '1'"),
         ({"weights": {"beta": float("inf")}}, "stress weights must be finite and >= 0"),
+        ({"seed": [1]}, "config.seed must be an integer, got [1]"),
+        ({"seed": {}}, "config.seed must be an integer, got {}"),
+        ({"seed": None}, "config.seed must be an integer, got None"),
+        ({"seed": True}, "config.seed must be an integer, got True"),
     ], ids=["d-bool", "d-fraction", "d-string", "multiplier-string", "count-fraction",
             "interval-bool", "time-string", "times-string", "horizon-bool",
-            "weight-string", "weight-infinite"])
+            "weight-string", "weight-infinite", "seed-array", "seed-object", "seed-null",
+            "seed-bool"])
     def test_config_number_is_checked_not_coerced(self, tmp_path, capsys, change, text):
         path = write_json(tmp_path / "config.json", dict(RUN_CONFIG, **change))
         out = tmp_path / "out"
@@ -450,6 +455,26 @@ class TestSweep:
         assert len(lines) == 3
         assert all(line.endswith("workers") or "error" in lines[0]
                    for line in lines[1:])
+
+    def test_seed_axis_is_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def never(args):
+            raise AssertionError("a run started")
+        monkeypatch.setattr("grtc.sweep._run_indexed", never)
+        path = write_json(tmp_path / "spec.json", dict(SWEEP_SPEC, seeds=[1, "2"]))
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == \
+            "error: sweep.seeds[1] must be an integer, got '2'\n"
+
+    def test_bug_fails_the_sweep(self, tmp_path, monkeypatch):
+        from grtc.sweep import execute
+
+        def broken(record, weights):
+            raise KeyError("w1")
+        monkeypatch.setattr("grtc.sweep.summarize_run", broken)
+        with pytest.raises(KeyError):
+            execute(SWEEP_SPEC, tmp_path / "out", jobs=1)
 
     @pytest.mark.parametrize("spec, kind", [([1, 2], "list"), ("spec", "str")],
                              ids=["array", "string"])

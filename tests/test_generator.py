@@ -1,3 +1,4 @@
+import copy
 from math import inf, nan
 
 import pytest
@@ -10,6 +11,7 @@ from grtc import (
     StrategySet,
     TaskSchedule,
     WorkerEvent,
+    Workspace,
     advance_current,
     build_initial_state,
     check_state,
@@ -20,12 +22,24 @@ from grtc import (
     validate_pair,
     validate_record,
 )
+from grtc.generator import _publishable, _stall_reason
 
-from conftest import make_state
+from conftest import afresh, make_state
 
 
 def ev(t, op, worker):
     return WorkerEvent(t, op, worker)
+
+
+def move(ws, token, to, stay=False):
+    """Move (or with ``stay`` copy) a worker between workspace groups,
+    past every operator guard."""
+    src = ws.pos[ws.group[token]]
+    w = next(x for x in ws.members[src] if x.token == token)
+    if not stay:
+        ws.set_members(src, tuple(x for x in ws.members[src] if x is not w))
+        ws.group[token] = to
+    ws.set_members(ws.pos[to], ws.members[ws.pos[to]] + (w,))
 
 
 class TestSchedule:
@@ -137,6 +151,55 @@ class TestNextState:
         assert check_state(out).ok
         assert validate_pair(state, out).ok
 
+    def test_stall_leaves_the_input_indexes_intact(self, fig1, policy):
+        strat = StrategySet(choose="balanced")
+        state, _ = next_state(fig1, policy, strat, [ev(0.5, "arrive", "w10")])
+        assert state.indexes is not None
+        before = copy.deepcopy(state.indexes)
+        drain = [ev(1.5, "depart", w) for w in sorted(state.tokens() - {"w2"})]
+        with pytest.raises(StallError):
+            next_state(state, policy, strat, drain)
+        assert state.indexes == before
+        retry = drain + [ev(1.6, "arrive", f"x{i}") for i in range(3)]
+        out, log = next_state(state, policy, strat, retry)
+        assert (out, log) == next_state(afresh(state), policy, strat, retry)
+        assert out.tokens() == {"w2", "x0", "x1", "x2"}
+
+    @pytest.mark.parametrize("moves, text", [
+        ([], None),
+        ([("w3", "g2")], "candidate state does not follow its predecessor: FollowsOverlap: "
+                         "workers of old current group g1 are in new current group g2: "
+                         "['w3']"),
+        ([("w4", "g3")], "groups ['g2'] cannot reach the floor d=2 without breaking "
+                         "the rotation constraints"),
+        ([("w4", "g3"), ("w5", "g3")],
+         "no valid state constructible: EmptyGroup: group g2 is empty"),
+        ([("w6", "g2", True)],
+         "no valid state constructible: NotPartition: workers in more than one group: "
+         "['w6']"),
+    ], ids=["valid", "overlap", "floor", "empty", "two-groups"])
+    def test_publish_test_reads_the_workspace(self, fig1, policy, moves, text):
+        ws = Workspace(fig1)
+        for args in moves:
+            move(ws, *args)
+        published = advance_current(ws.freeze())
+        assert _publishable(ws, policy) == (text is None)
+        if text is None:
+            _stall_reason(fig1, published, policy)
+        else:
+            with pytest.raises(StallError) as raised:
+                _stall_reason(fig1, published, policy)
+            assert str(raised.value) == text
+
+    def test_idle_transition_under_a_higher_floor_repairs(self, policy, strategies):
+        state = make_state([("A", ["w1"]), ("B", ["w2", "w3", "w4"]), ("C", ["w5", "w6"])],
+                           "C")
+        carried, _ = next_state(state, OperatorPolicy(d=1), strategies, [])
+        assert carried.indexes is not None
+        out, log = next_state(carried, policy, strategies, [])
+        assert (out, log) == next_state(afresh(carried), policy, strategies, [])
+        assert [len(ms) for ms in out.members] == [2, 2, 2]
+
     def test_step_index_counts_published_transitions(self, fig1, policy, strategies):
         out, _ = next_state(fig1, policy, strategies, [])
         assert out.step_index == fig1.step_index + 1
@@ -187,6 +250,13 @@ class TestRunRotation:
             assert validate_pair(a, b).ok
         # the resuming transition records that it consumed a stall backlog
         assert record.change_logs[1][0].to_dict() == {"op": "stalled"}
+
+    def test_record_states_carry_no_indexes(self, fig1, policy, strategies):
+        events = [ev(0.5, "arrive", "x1"), ev(1.2, "depart", "w6")]
+        record = run_rotation(fig1, policy, strategies, TaskSchedule.periodic(1.0, 4),
+                              events)
+        assert len(record.states) == 5
+        assert all(s.indexes is None for s in record.states)
 
     def test_stall_until_end_is_recorded(self, policy, strategies):
         state = make_state([("A", ["w1"]), ("B", ["w2"])], "A")

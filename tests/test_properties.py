@@ -1,5 +1,6 @@
 """Property tests over randomly generated states and batches."""
 
+import copy
 import io
 import random
 
@@ -23,16 +24,17 @@ from grtc import (
     next_state,
     partition_events,
     read_trace,
+    run_rotation,
     state_snapshot,
     validate_pair,
     write_trace,
 )
-from grtc.generator import _reconcile
+from grtc.generator import _publishable, _reconcile
 from grtc.operators import Donated, insert_worker, remove_worker
 from grtc.strategies import CHOOSE_KINDS, FIND_ORDERS
 from grtc.recordcheck import replay_entries
 
-from conftest import on_workspace
+from conftest import afresh, on_workspace, run_inputs
 from oracle import _scan_donor, oracle_choose, oracle_next, to_plain
 
 
@@ -333,10 +335,12 @@ def drive_workspace(state, policy, strat, steps):
         entries.extend(log)
         if op == "publish":
             candidate = advance_current(ws.freeze())
-            if (check_state(candidate).ok
-                    and (candidate.n < 2 * policy.d
-                         or min(map(len, candidate.members)) >= policy.d)
-                    and validate_pair(published, candidate).ok):
+            valid = (check_state(candidate).ok
+                     and (candidate.n < 2 * policy.d
+                          or min(map(len, candidate.members)) >= policy.d)
+                     and validate_pair(published, candidate).ok)
+            assert _publishable(ws, policy) == valid  # the publish test reads indexes
+            if valid:
                 published = candidate
             ws = Workspace(published)
             roster = set(ws.group)
@@ -354,6 +358,44 @@ churn = st.lists(st.tuples(st.sampled_from(["arrive", "depart", "depart", "publi
 def test_workspace_indexes_match_a_rebuild(state, d, mult, choose, order, steps):
     drive_workspace(state, OperatorPolicy(d=d, max_multiplier=mult),
                     StrategySet.seeded(choose, order, 0), steps)
+
+
+def transition(state, policy, strat, batch):
+    """``next_state``'s outcome as data: the published state with its
+    bookkeeping and log, or the stall message."""
+    try:
+        out, log = next_state(state, policy, strat, batch)
+    except StallError as e:
+        return str(e)
+    return out, out.used_group_ids, out.next_seq, log
+
+
+@given(run_inputs())
+@settings(max_examples=200, deadline=None)
+def test_carried_indexes_change_no_transition(inputs):
+    """From each state a run publishes, its next batch gives the same
+    state and log, or the same stall, whether the state carries the
+    indexes of the workspace that published it or is built afresh; the
+    carried indexes equal a rebuild, and the run's record keeps none."""
+    initial, policy, strat, schedule, events = inputs
+    record = run_rotation(initial, policy, copy.deepcopy(strat), schedule, events)
+    current, backlog, t_prev = initial, [], 0.0
+    published = [initial]
+    for t in schedule.times:
+        batch = backlog + partition_events(events, t_prev, t)
+        t_prev = t
+        want = transition(afresh(current), policy, copy.deepcopy(strat), batch)
+        got = transition(current, policy, strat, batch)
+        assert got == want
+        if isinstance(got, str):
+            backlog = batch
+            continue
+        current, backlog = got[0], []
+        rebuilt = Workspace(afresh(current))
+        assert current.indexes == (rebuilt.pos, rebuilt.group, rebuilt.by_size)
+        published.append(current)
+    assert record.states == published
+    assert [s.indexes for s in record.states] == [None] * len(published)
 
 
 def test_workspace_churn_reaches_every_repair():

@@ -198,6 +198,26 @@ def _stall_as_number(doc):
     doc["stalls"] = [2.0]
 
 
+def _d_below_one(doc):
+    doc["config"]["d"] = 0
+
+
+def _unconsumed_as_string(doc):
+    doc["unconsumed"] = "x"
+
+
+def _unconsumed_time_as_string(doc):
+    doc["unconsumed"] = [{"t": "x"}]
+
+
+def _unconsumed_without_worker(doc):
+    doc["unconsumed"] = [{"t": 3.0, "op": "depart", "worker": "w1"}, {"t": 4, "op": "arrive"}]
+
+
+def _unconsumed_op_unknown(doc):
+    doc["unconsumed"] = [{"t": 3.0, "op": "leave", "worker": "w1"}]
+
+
 def dumped_bytes(record, directory) -> bytes:
     path = directory / "record.json"
     dump_record(record, path)
@@ -316,6 +336,11 @@ class TestRecordIO:
         (_stall_without_duration, "stalls[1]"),
         (_stall_duration_as_bool, "stalls[0].duration"),
         (_stall_as_number, "stalls[0]"),
+        (_d_below_one, "config.d"),
+        (_unconsumed_as_string, "unconsumed"),
+        (_unconsumed_time_as_string, "unconsumed[0].t"),
+        (_unconsumed_without_worker, "unconsumed[1]"),
+        (_unconsumed_op_unknown, "unconsumed[0].op"),
     ])
     def test_load_names_the_malformed_path(self, record_doc, tmp_path,
                                            corrupt, path):
