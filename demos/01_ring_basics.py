@@ -6,17 +6,15 @@ read the countdown counters, rotate, and apply the structural operators
 Run: python3 demos/01_ring_basics.py
 """
 
-from grtc import (
-    OperatorPolicy,
+from grtc.errors import InvalidState
+from grtc.operators import OperatorPolicy, donate_worker, join_groups, split_group
+from grtc.state import (
     Workspace,
     advance_current,
     build_state,
     check_state,
     counter_of_group,
     counter_of_worker,
-    donate_worker,
-    join_groups,
-    split_group,
     validate_pair,
 )
 
@@ -86,7 +84,10 @@ donate_worker(ws, policy, "g4", "g2")
 show(ws.freeze(), "\nafter a donation instead of a join")
 print(f"  change log: {[e.to_dict() for e in ws.log]}")
 
-# Validation is a value, not an exception: ask for the full report.
-broken = build_state([("g1", ["w1", "w1"]), ("g2", [])], current="g9")
-print(f"\nbuilding a broken state returns every violation at once:\n  {broken}")
+# Building a broken state raises InvalidState, which carries the full
+# report; check_state returns the same report for any state.
+try:
+    build_state([("g1", ["w1", "w1"]), ("g2", [])], current="g9")
+except InvalidState as e:
+    print(f"\nbuilding a broken state reports every violation at once:\n  {e.report}")
 print(f"\nand a valid state reports clean: {check_state(state)}")

@@ -13,78 +13,14 @@ validates the produced records independently, and scores the tradeoff
 between group count (worker burden) and restructuring stress.
 """
 
-from .errors import (
-    BelowThreshold,
-    ConfigError,
-    ConsistencyError,
-    CorruptRecord,
-    DonorTooSmall,
-    ForbiddenMove,
-    GrtcError,
-    InconsistentEvent,
-    InvalidPair,
-    InvalidState,
-    OrderError,
-    ParseError,
-    StallError,
-    TooFewGroups,
-    UnknownGroup,
-    UnknownWorker,
-)
-from .generator import (
-    TaskSchedule,
-    build_initial_state,
-    next_state,
-    partition_events,
-    run_rotation,
-)
-from .metrics import (
-    StressWeights,
-    summarize_run,
-    transition_stress,
-)
-from .operators import (
-    Donated,
-    Inserted,
-    Joined,
-    OperatorPolicy,
-    Removed,
-    Split,
-    donate_worker,
-    join_groups,
-    split_group,
-)
-from .records import (
-    dump_record,
-    load_record,
-    record_to_dict,
-    state_snapshot,
-)
+from .errors import GrtcError, StallError
+from .generator import TaskSchedule, build_initial_state, next_state, run_rotation
+from .metrics import StressWeights, summarize_run
+from .operators import OperatorPolicy
+from .records import dump_record, load_record, record_to_dict
 from .recordcheck import validate_record
-from .state import (
-    Code,
-    RotationState,
-    ValidationReport,
-    WorkerId,
-    Workspace,
-    advance_current,
-    build_state,
-    check_state,
-    counter_of_group,
-    counter_of_worker,
-    validate_pair,
-)
-from .strategies import (
-    StrategySet,
-    choose_group,
-    find_donor,
-)
-from .traces import (
-    TraceConfig,
-    WorkerEvent,
-    generate_trace,
-    read_trace,
-    write_trace,
-)
+from .state import RotationState
+from .strategies import StrategySet
+from .traces import TraceConfig, WorkerEvent, generate_trace, read_trace, write_trace
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import RunSetup, load_json
+from .config import RunSetup, load_json, number
 from .errors import GrtcError
 from .generator import run_rotation
 from .metrics import summarize_run
@@ -37,7 +37,9 @@ def cmd_run(args) -> int:
         roster, events = read_trace_file(args.trace)
     elif args.trace_config:
         spec = load_json(args.trace_config)
-        seed = spec.get("seed", setup.seed) if isinstance(spec, dict) else setup.seed
+        seed = setup.seed
+        if isinstance(spec, dict) and "seed" in spec:
+            seed = number(spec["seed"], "trace.seed", int)
         roster, events = generate_trace(TraceConfig.from_spec(spec, seed))
     else:
         roster, events = None, []

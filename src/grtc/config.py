@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import ConfigError, InvalidState
+from .errors import ConfigError
 from .generator import TaskSchedule, build_initial_state
 from .metrics import StressWeights
 from .operators import OperatorPolicy
@@ -82,14 +82,11 @@ class RunSetup:
             raise ConfigError(f"config must be an object, got {type(config).__name__}")
         self.config = config
         find = section(config, "find")
-        try:
-            self.policy = OperatorPolicy(
-                d=number(config.get("d", 2), "config.d", int),
-                max_multiplier=number(config.get("max_multiplier", 2),
-                                      "config.max_multiplier", int),
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        self.policy = OperatorPolicy(
+            d=number(config.get("d", 2), "config.d", int),
+            max_multiplier=number(config.get("max_multiplier", 2),
+                                  "config.max_multiplier", int),
+        )
 
         # accepted and echoed only: the donor scan is nearest-first, so a
         # scan bounded to ``horizon`` hops that widens to the whole ring on
@@ -100,12 +97,9 @@ class RunSetup:
                                              find.get("order", "pred-first"), self.seed)
 
         w = section(config, "weights")
-        try:
-            self.weights = StressWeights(**{
-                key: number(w.get(key, default), f"config.weights.{key}")
-                for key, default in (("alpha", 1.0), ("beta", 0.25), ("gamma", 0.5))})
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        self.weights = StressWeights(**{
+            key: number(w.get(key, default), f"config.weights.{key}")
+            for key, default in (("alpha", 1.0), ("beta", 0.25), ("gamma", 0.5))})
 
         self.schedule = parse_schedule(config.get("schedule"))
 
@@ -142,8 +136,6 @@ class RunSetup:
             if "current" not in spec:
                 raise ConfigError("explicit initial groups need a 'current' field")
             built = build_state(groups, current=spec["current"])
-            if not isinstance(built, RotationState):
-                raise InvalidState(built)
             if roster is not None and built.tokens() != set(roster):
                 raise ConfigError(
                     "explicit initial groups do not match the trace roster")
@@ -160,17 +152,17 @@ class RunSetup:
 def parse_schedule(spec) -> TaskSchedule:
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'schedule' object")
-    try:
-        if "times" in spec:
-            times = spec["times"]
-            if not isinstance(times, list):
-                raise ConfigError("config.schedule.times must be an array of numbers, "
-                                  f"got {type(times).__name__}")
-            return TaskSchedule.explicit(
-                [finite(t, f"config.schedule.times[{k}]") for k, t in enumerate(times)])
-        start = finite(spec["start"], "config.schedule.start") if "start" in spec else None
-        return TaskSchedule.periodic(finite(spec["interval"], "config.schedule.interval"),
-                                     number(spec["count"], "config.schedule.count", int),
-                                     start=start)
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad schedule: {e}") from None
+    if "times" in spec:
+        times = spec["times"]
+        if not isinstance(times, list):
+            raise ConfigError("config.schedule.times must be an array of numbers, "
+                              f"got {type(times).__name__}")
+        return TaskSchedule.explicit(
+            [finite(t, f"config.schedule.times[{k}]") for k, t in enumerate(times)])
+    for key in ("interval", "count"):
+        if key not in spec:
+            raise ConfigError(f"config.schedule.{key} is missing")
+    start = finite(spec["start"], "config.schedule.start") if "start" in spec else None
+    return TaskSchedule.periodic(finite(spec["interval"], "config.schedule.interval"),
+                                 number(spec["count"], "config.schedule.count", int),
+                                 start=start)

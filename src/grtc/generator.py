@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from math import inf, isfinite
 from operator import attrgetter
 
-from .errors import InconsistentEvent, InvalidState, OrderError, StallError
+from .errors import ConfigError, InconsistentEvent, InvalidState, OrderError, StallError
 from .operators import (
     ChangeLog,
     OperatorPolicy,
@@ -48,13 +48,13 @@ class TaskSchedule:
 
     def __post_init__(self):
         if not self.times:
-            raise ValueError("schedule needs at least one task time")
+            raise ConfigError("schedule needs at least one task time")
         if not all(map(isfinite, self.times)):  # NaN would slip past every check below
-            raise ValueError("task times must be finite")
+            raise ConfigError("task times must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("task times must be strictly increasing")
+            raise ConfigError("task times must be strictly increasing")
         if self.times[0] <= 0:
-            raise ValueError("task times must be positive")
+            raise ConfigError("task times must be positive")
 
     @classmethod
     def explicit(cls, times) -> "TaskSchedule":
@@ -64,9 +64,9 @@ class TaskSchedule:
     def periodic(cls, interval: float, count: int,
                  start: float | None = None) -> "TaskSchedule":
         if count < 1:
-            raise ValueError("count must be >= 1")
+            raise ConfigError("schedule count must be >= 1")
         if interval <= 0:
-            raise ValueError("interval must be positive")
+            raise ConfigError("schedule interval must be positive")
         t0 = interval if start is None else start
         return cls(tuple(t0 + k * interval for k in range(count)))
 
@@ -117,11 +117,7 @@ def build_initial_state(workers: list[WorkerId | str],
     groups: list[list[WorkerId]] = [[] for _ in range(m)]
     for i, w in enumerate(roster):
         groups[i % m].append(w)
-    built = build_state([(f"g{k + 1}", ms) for k, ms in enumerate(groups)],
-                        current="g1")
-    if not isinstance(built, RotationState):
-        raise InvalidState(built)
-    return built
+    return build_state([(f"g{k + 1}", ms) for k, ms in enumerate(groups)], current="g1")
 
 
 def _settled(smallest: int, n: int, d: int) -> bool:

@@ -21,7 +21,7 @@ from itertools import compress, count
 from operator import is_not
 from typing import NamedTuple
 
-from .errors import InvalidPair
+from .errors import ConfigError, InvalidPair
 from .generator import RunRecord
 from .operators import ChangeLog, Donated, Inserted, Joined, Removed, Split
 from .state import RotationState, validate_pair
@@ -61,7 +61,7 @@ class StressWeights:
 
     def __post_init__(self):
         if not all(math.isfinite(x) and x >= 0 for x in (self.alpha, self.beta, self.gamma)):
-            raise ValueError("stress weights must be finite and >= 0")
+            raise ConfigError("stress weights must be finite and >= 0")
 
 
 class WorkerStress(NamedTuple):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BelowThreshold, DonorTooSmall, ForbiddenMove, TooFewGroups
+from .errors import BelowThreshold, ConfigError, DonorTooSmall, ForbiddenMove, TooFewGroups
 from .state import GroupId, WorkerId, Workspace
 from .strategies import StrategySet, choose_group, find_donor
 
@@ -38,9 +38,9 @@ class OperatorPolicy:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError("d must be >= 1")
+            raise ConfigError("d must be >= 1")
         if self.max_multiplier < 2:
-            raise ValueError("max_multiplier must be >= 2")
+            raise ConfigError("max_multiplier must be >= 2")
 
     @property
     def max_size(self) -> int:

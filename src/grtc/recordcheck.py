@@ -208,11 +208,10 @@ def check_replay(prev: dict, entries: list[dict], nxt: dict,
     except ReplayFailure as e:
         out.violations.append(Finding(step, "ReplayMismatch", str(e)))
         return out
-    if got != nxt:
-        diffs = []
-        for key in ("step", "current", "ring", "members"):
-            if got[key] != nxt[key]:
-                diffs.append(f"{key}: replay {got[key]!r} != recorded {nxt[key]!r}")
+    # only the replayed keys: a snapshot may carry additive keys
+    diffs = [f"{key}: replay {got[key]!r} != recorded {nxt[key]!r}"
+             for key in ("step", "current", "ring", "members") if got[key] != nxt[key]]
+    if diffs:
         out.violations.append(Finding(step, "ReplayMismatch", "; ".join(diffs)))
     return out
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .errors import UnknownGroup, UnknownWorker
+from .errors import InvalidState, UnknownGroup, UnknownWorker
 
 GroupId = str
 
@@ -273,11 +273,11 @@ class Workspace:
 
 def build_state(groups: Sequence[tuple[GroupId, Sequence]],
                 current: GroupId,
-                step_index: int = 0) -> RotationState | ValidationReport:
+                step_index: int = 0) -> RotationState:
     """Build a state whose ring order equals the given list order.
 
-    Returns the state when every validity condition holds, otherwise the
-    full :class:`ValidationReport`.  Plain string tokens are accepted for
+    Raises :class:`InvalidState`, carrying the full report, unless every
+    validity condition holds.  Plain string tokens are accepted for
     workers; they get sequence numbers in order of appearance.
     """
     ring = tuple(g for g, _ in groups)
@@ -303,7 +303,9 @@ def build_state(groups: Sequence[tuple[GroupId, Sequence]],
         next_seq=seq,
     )
     report = check_state(state)
-    return state if report.ok else report
+    if not report.ok:
+        raise InvalidState(report)
+    return state
 
 
 def check_state(state: RotationState) -> ValidationReport:

@@ -27,7 +27,9 @@ class StrategySet:
 
     choose: str = "balanced"
     find_order: str = "pred-first"
-    rng: random.Random = field(default_factory=random.Random, repr=False, compare=False)
+    # the seed-0 stream of ``seeded``, so a default set is deterministic too
+    rng: random.Random = field(default_factory=lambda: random.Random("0:choose"),
+                               repr=False, compare=False)
 
     def __post_init__(self):
         if self.choose not in CHOOSE_KINDS:

@@ -41,7 +41,7 @@ class TraceConfig:
     are allowed as degenerate limits (no arrivals / nobody leaves).
     """
 
-    seed: int | str = 0
+    seed: int = 0
     duration: float = 100.0
     arrival_rate: float = 1.0
     departure_rate: float = 0.1

@@ -7,11 +7,10 @@ from grtc import (
     StrategySet,
     TaskSchedule,
     WorkerEvent,
-    Workspace,
     build_initial_state,
-    build_state,
     run_rotation,
 )
+from grtc.state import Workspace, build_state
 
 
 @pytest.fixture
@@ -19,13 +18,11 @@ def fig1():
     """Nine workers in three groups, current g1, successor g2.
 
     Sizes 3/2/4 with d=2; the worked example used throughout."""
-    state = build_state(
+    return build_state(
         [("g1", ["w1", "w2", "w3"]),
          ("g2", ["w4", "w5"]),
          ("g3", ["w6", "w7", "w8", "w9"])],
         current="g1")
-    assert not isinstance(state, tuple)
-    return state
 
 
 @pytest.fixture
@@ -40,9 +37,7 @@ def strategies():
 
 def make_state(spec, current):
     """spec: list of (gid, [tokens]) with seq = appearance order."""
-    state = build_state(spec, current=current)
-    assert hasattr(state, "ring"), f"invalid fixture state: {state}"
-    return state
+    return build_state(spec, current=current)
 
 
 def afresh(state):

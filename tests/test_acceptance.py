@@ -24,21 +24,23 @@ from grtc import (
     TaskSchedule,
     TraceConfig,
     WorkerEvent,
-    WorkerId,
-    Workspace,
-    advance_current,
     build_initial_state,
-    build_state,
-    choose_group,
-    counter_of_group,
     generate_trace,
     next_state,
     record_to_dict,
     run_rotation,
-    transition_stress,
-    validate_pair,
     validate_record,
 )
+from grtc.metrics import transition_stress
+from grtc.state import (
+    WorkerId,
+    Workspace,
+    advance_current,
+    build_state,
+    counter_of_group,
+    validate_pair,
+)
+from grtc.strategies import choose_group
 sys.path.insert(0, str(Path(__file__).parent))
 from oracle import oracle_choose, oracle_next, to_plain  # noqa: E402
 

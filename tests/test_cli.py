@@ -1,8 +1,12 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from grtc import GrtcError, TraceConfig
 from grtc.cli import main
+from grtc.config import RunSetup
 
 RUN_CONFIG = {
     "d": 2,
@@ -14,6 +18,9 @@ RUN_CONFIG = {
     "schedule": {"interval": 1.0, "count": 25},
     "initial": {"workers": 9},
 }
+
+TRACE_SPEC = {"duration": 25, "arrival_rate": 0.4, "departure_rate": 0.05,
+              "initial_workers": 6}
 
 SWEEP_SPEC = {
     "choose": ["balanced", "concentrated"],
@@ -66,9 +73,7 @@ class TestRun:
 
     def test_run_with_trace_config(self, tmp_path):
         config = write_json(tmp_path / "config.json", RUN_CONFIG)
-        trace_config = write_json(tmp_path / "trace.json", {
-            "duration": 25, "arrival_rate": 0.4, "departure_rate": 0.05,
-            "initial_workers": 6})
+        trace_config = write_json(tmp_path / "trace.json", TRACE_SPEC)
         out = tmp_path / "out"
         assert main(["run", config, "--trace-config", trace_config,
                      "--out", str(out)]) == 0
@@ -116,6 +121,8 @@ class TestRun:
         ({"duration": "long", "arrival_rate": 0.4, "departure_rate": 0.05,
           "initial_workers": 6}, "error: trace.duration must be a number"),
         ([25, 0.4], "error: trace must be an object"),
+        *[({**TRACE_SPEC, "seed": seed}, f"error: trace.seed must be an integer, got {got}")
+          for seed, got in (([1, 2], "[1, 2]"), ("7", "'7'"), (True, "True"), (None, "None"))],
     ])
     def test_bad_trace_config(self, tmp_path, capsys, spec, text):
         config = write_json(tmp_path / "config.json", RUN_CONFIG)
@@ -136,8 +143,7 @@ class TestRun:
             "duration-infinite", "rate-infinite"])
     def test_trace_number_is_checked_not_coerced(self, tmp_path, capsys, key, value, text):
         config = write_json(tmp_path / "config.json", RUN_CONFIG)
-        spec = {"duration": 25, "arrival_rate": 0.4, "departure_rate": 0.05,
-                "initial_workers": 6, key: value}
+        spec = dict(TRACE_SPEC, **{key: value})
         trace_config = write_json(tmp_path / "trace.json", spec)
         out = tmp_path / "out"
         assert main(["run", config, "--trace-config", trace_config,
@@ -228,8 +234,7 @@ class TestRun:
     def test_integer_beyond_the_float_range(self, tmp_path, capsys, change, trace_change, path):
         # json.dumps writes each 10**400 out as a 401-digit integer
         config = write_json(tmp_path / "config.json", dict(RUN_CONFIG, **change))
-        spec = {"duration": 25, "arrival_rate": 0.4, "departure_rate": 0.05,
-                "initial_workers": 6, **trace_change}
+        spec = dict(TRACE_SPEC, **trace_change)
         trace_config = write_json(tmp_path / "trace.json", spec)
         out = tmp_path / "out"
         assert main(["run", config, "--trace-config", trace_config, "--out", str(out)]) == 1
@@ -251,6 +256,24 @@ class TestRun:
         assert main(["run", path, "--out", str(out)]) == 1
         assert not out.exists()
         assert f"error: {text}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schedule, text", [
+        ({"interval": 1.0}, "config.schedule.count is missing"),
+        ({"count": 5}, "config.schedule.interval is missing"),
+        ({"interval": 1.0, "count": 0}, "schedule count must be >= 1"),
+        ({"interval": -1.0, "count": 5}, "schedule interval must be positive"),
+        ({"interval": 1e308, "count": 3}, "task times must be finite"),
+        ({"times": []}, "schedule needs at least one task time"),
+        ({"times": [2.0, 1.0]}, "task times must be strictly increasing"),
+        ({"times": [0.0, 1.0]}, "task times must be positive"),
+    ], ids=["no-count", "no-interval", "count-zero", "interval-negative", "overflow",
+            "no-times", "decreasing", "zero-time"])
+    def test_bad_schedule(self, tmp_path, capsys, schedule, text):
+        path = write_json(tmp_path / "config.json", dict(RUN_CONFIG, schedule=schedule))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {text}\n"
 
     @pytest.mark.parametrize("t, text", [
         ("-1.0", "event time -1.0"), ("0.0", "event time 0.0"), ("NaN", "event time nan"),
@@ -495,3 +518,60 @@ class TestSweep:
             f"run-{k:04d},{choose},pred-first,unlimited,2,2,1,,,,,,,,,,,"
             "trace.duration is missing"
             for k, choose in enumerate(SWEEP_SPEC["choose"])]
+
+
+# -- malformed inputs: only a GrtcError may escape -----------------------
+
+# small integers only, so no roster or schedule is huge
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["random", "hybrid", "succ-first", "unlimited", "g1", "w1"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["g1", "w1", "count", "times"]), inner, max_size=3),
+    max_leaves=8)
+# a deleted key, numbers near the bounds and lists of them come up
+# often; any JSON value now and then
+MISSING = object()
+NUMBER = st.integers(-2, 4) | st.floats()
+VALUE = st.just(MISSING) | NUMBER | st.lists(NUMBER, max_size=4) | JSON
+CONFIG_KEYS = ["d", "max_multiplier", "choose", "seed", "find.order", "find.horizon",
+               "weights.alpha", "weights.beta", "weights.gamma", "schedule.interval",
+               "schedule.count", "schedule.start", "schedule.times", "initial.workers",
+               "initial.groups", "initial.current"]
+GROUPS_CONFIG = dict(RUN_CONFIG, initial={"groups": [["g1", ["w1", "w2"]], ["g2", ["w3"]]],
+                                          "current": "g1"})
+
+
+def edited(base, edits):
+    """``base`` with each dotted key set to its value, or deleted for ``MISSING``."""
+    doc = copy.deepcopy(base)
+    for path, value in edits:
+        *parents, key = path.split(".")
+        target = doc
+        for p in parents:
+            target = target.setdefault(p, {})
+        if value is MISSING:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([RUN_CONFIG, GROUPS_CONFIG]),
+       st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), VALUE), min_size=1, max_size=3))
+def test_malformed_config_raises_only_grtc_errors(base, edits):
+    try:
+        RunSetup(edited(base, edits)).initial_state()
+    except GrtcError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(TRACE_SPEC)), VALUE), min_size=1, max_size=3)
+       .map(lambda edits: edited(TRACE_SPEC, edits)) | JSON)
+def test_malformed_trace_spec_raises_only_grtc_errors(spec):
+    try:
+        TraceConfig.from_spec(spec, 0)
+    except GrtcError:
+        pass

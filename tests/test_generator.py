@@ -4,25 +4,20 @@ from math import inf, nan
 import pytest
 
 from grtc import (
-    InconsistentEvent,
-    OrderError,
     OperatorPolicy,
     StallError,
     StrategySet,
     TaskSchedule,
     WorkerEvent,
-    Workspace,
-    advance_current,
     build_initial_state,
-    check_state,
     next_state,
-    partition_events,
     record_to_dict,
     run_rotation,
-    validate_pair,
     validate_record,
 )
-from grtc.generator import _publishable, _stall_reason
+from grtc.errors import ConfigError, InconsistentEvent, OrderError
+from grtc.generator import _publishable, _stall_reason, partition_events
+from grtc.state import Workspace, advance_current, check_state, validate_pair
 
 from conftest import afresh, make_state
 
@@ -48,11 +43,11 @@ class TestSchedule:
         assert s.times == (0.5, 1.0, 1.5, 2.0)
 
     def test_explicit_must_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TaskSchedule.explicit([1.0, 1.0, 2.0])
 
     def test_positive_times(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TaskSchedule.explicit([0.0, 1.0])
 
     @pytest.mark.parametrize("make", [
@@ -64,7 +59,7 @@ class TestSchedule:
     ], ids=["time-nan", "time-infinite", "interval-nan", "interval-infinite", "start-nan"])
     def test_finite_times(self, make):
         # every comparison with NaN is false, so no ordering check can catch it
-        with pytest.raises(ValueError, match="task times must be finite"):
+        with pytest.raises(ConfigError, match="task times must be finite"):
             make()
 
 

@@ -6,25 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grtc import (
-    InvalidPair,
     OperatorPolicy,
     RotationState,
     StrategySet,
+    StressWeights,
     TaskSchedule,
     TraceConfig,
     WorkerEvent,
-    WorkerId,
-    StressWeights,
-    advance_current,
     build_initial_state,
-    counter_of_worker,
     generate_trace,
     next_state,
     run_rotation,
     summarize_run,
-    transition_stress,
 )
+from grtc.errors import InvalidPair
 from grtc.generator import RunRecord
+from grtc.metrics import transition_stress
+from grtc.state import WorkerId, advance_current, counter_of_worker
 
 from conftest import make_state, on_workspace, runs
 
@@ -65,7 +63,7 @@ class TestTransitionStress:
         state = make_state(
             [("A", ["w1", "w2", "w3", "w4", "w5"]),
              ("B", ["w6", "w7"]), ("C", ["w8", "w9"])], "A")
-        from grtc import split_group
+        from grtc.operators import split_group
         mid, log = on_workspace(split_group, state, policy, "A")
         nxt = advance_current(mid)
         stresses = transition_stress(state, nxt, W, log)

@@ -1,34 +1,37 @@
 import pytest
 
-from grtc import (
+from grtc import OperatorPolicy, StallError, StrategySet, WorkerEvent, next_state
+from grtc.errors import (
     BelowThreshold,
-    Donated,
     DonorTooSmall,
     ForbiddenMove,
-    Inserted,
-    Joined,
-    OperatorPolicy,
-    Removed,
-    Split,
-    StallError,
-    StrategySet,
     TooFewGroups,
     UnknownWorker,
-    WorkerEvent,
+)
+from grtc.operators import (
+    DegradedEntered,
+    Donated,
+    Inserted,
+    Joined,
+    Removed,
+    Split,
+    Stalled,
+    donate_worker,
+    insert_worker,
+    join_groups,
+    remove_worker,
+    split_group,
+)
+from grtc.recordcheck import replay_entries
+from grtc.records import state_snapshot
+from grtc.state import (
     WorkerId,
     Workspace,
     advance_current,
     check_state,
     counter_of_worker,
-    donate_worker,
-    join_groups,
-    next_state,
-    split_group,
-    state_snapshot,
     validate_pair,
 )
-from grtc.operators import DegradedEntered, Stalled, insert_worker, remove_worker
-from grtc.recordcheck import replay_entries
 
 from conftest import make_state, on_workspace
 

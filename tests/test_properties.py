@@ -7,32 +7,31 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from grtc import (
-    Code,
     OperatorPolicy,
     RotationState,
     StallError,
     StrategySet,
     WorkerEvent,
+    build_initial_state,
+    next_state,
+    read_trace,
+    run_rotation,
+    write_trace,
+)
+from grtc.generator import _publishable, _reconcile, partition_events
+from grtc.operators import Donated, insert_worker, remove_worker
+from grtc.recordcheck import replay_entries
+from grtc.records import state_snapshot
+from grtc.state import (
+    Code,
     WorkerId,
     Workspace,
     advance_current,
-    build_initial_state,
     check_state,
-    choose_group,
     counter_of_group,
-    find_donor,
-    next_state,
-    partition_events,
-    read_trace,
-    run_rotation,
-    state_snapshot,
     validate_pair,
-    write_trace,
 )
-from grtc.generator import _publishable, _reconcile
-from grtc.operators import Donated, insert_worker, remove_worker
-from grtc.strategies import CHOOSE_KINDS, FIND_ORDERS
-from grtc.recordcheck import replay_entries
+from grtc.strategies import CHOOSE_KINDS, FIND_ORDERS, choose_group, find_donor
 
 from conftest import afresh, on_workspace, run_inputs
 from oracle import _scan_donor, oracle_choose, oracle_next, to_plain

@@ -7,24 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grtc import (
-    CorruptRecord,
     OperatorPolicy,
     RotationState,
     StrategySet,
     TaskSchedule,
     TraceConfig,
-    WorkerId,
+    build_initial_state,
     dump_record,
     generate_trace,
     load_record,
-    build_initial_state,
-    check_state,
     record_to_dict,
     run_rotation,
     validate_record,
 )
+from grtc.errors import CorruptRecord
 from grtc.generator import RunRecord
 from grtc.recordcheck import ReplayFailure, check_snapshot, replay_entries
+from grtc.state import WorkerId, check_state
 
 from conftest import runs, scripted_run, tokens
 
@@ -92,6 +91,26 @@ class TestValidateRecord:
         snap["members"][g] = list(reversed(snap["members"][g]))
         result = validate_record(doc)
         assert not result.ok
+
+    def test_extra_snapshot_key_is_not_a_finding(self, record_doc):
+        # replay rebuilds step, current, ring and members; other keys are additive
+        doc = copy.deepcopy(record_doc)
+        doc["states"][1]["note"] = "extra"
+        result = validate_record(doc)
+        assert result.ok, result.violations
+
+    def test_replay_mismatch_names_the_key(self, record_doc):
+        # the last state, so only the replay into it can mismatch
+        doc = copy.deepcopy(record_doc)
+        snap = doc["states"][-1]
+        snap["note"] = "extra"
+        g = next(g for g in snap["ring"] if len(snap["members"][g]) > 1)
+        snap["members"][g] = list(reversed(snap["members"][g]))
+        result = validate_record(doc)
+        [finding] = [f for f in result.violations if f.code == "ReplayMismatch"]
+        assert finding.step == len(doc["states"]) - 1
+        assert finding.detail.startswith("members: replay ")
+        assert "note" not in finding.detail
 
     def test_entry_missing_a_key_is_a_finding(self, record_doc):
         doc = copy.deepcopy(record_doc)

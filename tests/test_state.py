@@ -1,9 +1,8 @@
 import pytest
 
-from grtc import (
+from grtc.errors import InvalidState, UnknownGroup, UnknownWorker
+from grtc.state import (
     Code,
-    UnknownGroup,
-    UnknownWorker,
     ValidationReport,
     WorkerId,
     advance_current,
@@ -41,25 +40,32 @@ class TestBuildState:
         assert len(fig1.members_of("g3")) == 4
 
     def test_single_group_rejected(self):
-        report = build_state([("g1", ["w1"])], current="g1")
+        with pytest.raises(InvalidState) as e:
+            build_state([("g1", ["w1"])], current="g1")
+        report = e.value.report
         assert isinstance(report, ValidationReport)
         assert Code.TOO_FEW_GROUPS in report.codes()
 
     def test_empty_group_rejected(self):
-        report = build_state([("g1", ["w1"]), ("g2", [])], current="g1")
+        with pytest.raises(InvalidState) as e:
+            build_state([("g1", ["w1"]), ("g2", [])], current="g1")
+        report = e.value.report
         assert isinstance(report, ValidationReport)
         assert Code.EMPTY_GROUP in report.codes()
 
     def test_all_violations_reported(self):
         # one group, empty, duplicated worker, current absent: every code at once
-        report = build_state(
-            [("g1", ["w1", "w1"]), ("g1", [])], current="gX")
+        with pytest.raises(InvalidState) as e:
+            build_state([("g1", ["w1", "w1"]), ("g1", [])], current="gX")
+        report = e.value.report
         assert isinstance(report, ValidationReport)
         assert {Code.NOT_PARTITION, Code.EMPTY_GROUP, Code.NOT_SINGLE_CYCLE,
                 Code.CURRENT_MISSING} <= report.codes()
 
     def test_duplicate_worker_across_groups(self):
-        report = build_state([("g1", ["w1"]), ("g2", ["w1"])], current="g1")
+        with pytest.raises(InvalidState) as e:
+            build_state([("g1", ["w1"]), ("g2", ["w1"])], current="g1")
+        report = e.value.report
         assert isinstance(report, ValidationReport)
         assert Code.NOT_PARTITION in report.codes()
 

@@ -2,14 +2,9 @@ import random
 
 import pytest
 
-from grtc import (
-    GrtcError,
-    StrategySet,
-    Workspace,
-    choose_group,
-    counter_of_group,
-    find_donor,
-)
+from grtc import GrtcError, StrategySet
+from grtc.state import Workspace, counter_of_group
+from grtc.strategies import choose_group, find_donor
 
 from conftest import make_state
 
@@ -65,6 +60,14 @@ class TestChoose:
         rng2 = random.Random("s:choose")
         assert picks == [choose_group(Workspace(fig1), policy, "random", rng2)
                          for _ in range(300)]
+
+    def test_default_stream_is_seed_zero(self, fig1, policy):
+        # a default set draws from a fixed stream, never from OS entropy
+        sets = (StrategySet(choose="random"), StrategySet(choose="random"),
+                StrategySet.seeded("random", "pred-first", 0))
+        picks = [[choose_group(Workspace(fig1), policy, "random", s.rng) for _ in range(50)]
+                 for s in sets]
+        assert picks[0] == picks[1] == picks[2]
 
     def test_random_requires_rng(self, fig1, policy):
         with pytest.raises(GrtcError):

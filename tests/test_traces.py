@@ -4,16 +4,8 @@ import re
 
 import pytest
 
-from grtc import (
-    ConsistencyError,
-    OrderError,
-    ParseError,
-    TraceConfig,
-    WorkerEvent,
-    generate_trace,
-    read_trace,
-    write_trace,
-)
+from grtc import TraceConfig, WorkerEvent, generate_trace, read_trace, write_trace
+from grtc.errors import ConsistencyError, OrderError, ParseError
 
 
 def roundtrip(initial, events):
