@@ -8,10 +8,12 @@ For each starting pool n0 in 300, 1000 and 3000 the run uses perfbench's station
 trace (``perfbench/workloads.py:churn_trace``: every worker leaves at
 rate 0.05 and is replaced at once, trace seed 0) and churn-large's run
 config (d=2, ``balanced``, ``pred-first``, seed 7, one task per time
-unit, 200 tasks).  It records the event count, the ``run_rotation``
-seconds and µs per event, the seconds of ``summarize_run``,
-``dump_record``, ``load_record`` and ``validate_record``, the record's
-size, and the tracemalloc peak of a second, traced ``run_rotation``.
+unit, 200 tasks).  Each pool is run three times, since one run follows
+the host's drift.  It records the event count, the median
+``run_rotation`` seconds (with their min and max) and µs per event, the
+median seconds of ``summarize_run``, ``dump_record``, ``load_record``
+and ``validate_record``, the record's size, and the tracemalloc peak of
+one more, traced ``run_rotation``.
 
 grtc is imported from ``--src`` (default: this checkout's ``src``), so
 the same script measures another tree, for example a parent commit.
@@ -26,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -35,6 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 POOLS = (300, 1000, 3000)
 TRACE_SEED = 0
+REPEATS = 3  # runs per pool; each timed layer stores its median
+LAYERS = ("run_s", "summarize_run_s", "dump_record_s", "load_record_s", "validate_record_s")
 
 
 def measure(workloads, n0: int, tmp: Path) -> dict:
@@ -56,46 +61,45 @@ def measure(workloads, n0: int, tmp: Path) -> dict:
         return run_rotation(initial, setup.policy, setup.strategies, setup.schedule,
                             events, config=setup.echo())
 
-    t0 = clock()
-    record = run()
-    run_s = clock() - t0
+    seconds: dict[str, list[float]] = {key: [] for key in LAYERS}
 
-    t0 = clock()
-    summarize_run(record, setup.weights)
-    metrics_s = clock() - t0
+    def timed(key, fn, *args):
+        t0 = clock()
+        out = fn(*args)
+        seconds[key].append(clock() - t0)
+        return out
 
     path = tmp / f"record-{n0}.json"
-    t0 = clock()
-    dump_record(record, path)
-    dump_s = clock() - t0
-    record_mb = path.stat().st_size / 1e6
+    for _ in range(REPEATS):
+        record = timed("run_s", run)
+        timed("summarize_run_s", summarize_run, record, setup.weights)
+        timed("dump_record_s", dump_record, record, path)
+        record_mb = path.stat().st_size / 1e6
+        doc = timed("load_record_s", load_record, path)
+        path.unlink()
+        report = timed("validate_record_s", validate_record, doc)
+        if not report.ok:
+            raise SystemExit(f"ladder: the n0={n0} record does not validate: {report}")
+        del record, doc
 
-    t0 = clock()
-    doc = load_record(path)
-    load_s = clock() - t0
-    path.unlink()
-
-    t0 = clock()
-    report = validate_record(doc)
-    validate_s = clock() - t0
-    if not report.ok:
-        raise SystemExit(f"ladder: the n0={n0} record does not validate: {report}")
-
-    del record, doc
     tracemalloc.start()
     run()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
+    median = {key: statistics.median(xs) for key, xs in seconds.items()}
     return {
         "events": len(events),
-        "run_s": round(run_s, 4),
-        "us_per_event": round(run_s / len(events) * 1e6, 2),
-        "summarize_run_s": round(metrics_s, 4),
-        "dump_record_s": round(dump_s, 4),
+        "repeats": REPEATS,
+        "run_s": round(median["run_s"], 4),
+        "run_s_min": round(min(seconds["run_s"]), 4),
+        "run_s_max": round(max(seconds["run_s"]), 4),
+        "us_per_event": round(median["run_s"] / len(events) * 1e6, 2),
+        "summarize_run_s": round(median["summarize_run_s"], 4),
+        "dump_record_s": round(median["dump_record_s"], 4),
         "record_mb": round(record_mb, 2),
-        "load_record_s": round(load_s, 4),
-        "validate_record_s": round(validate_s, 4),
+        "load_record_s": round(median["load_record_s"], 4),
+        "validate_record_s": round(median["validate_record_s"], 4),
         "run_peak_mb": round(peak / 1e6, 2),
     }
 

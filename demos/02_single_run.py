@@ -56,13 +56,14 @@ result = validate_record(doc)
 print(f"\nindependent validation: {'clean' if result.ok else result.violations}"
       f" ({len(doc['states'])} states, {len(result.warnings)} warnings)")
 
-report = summarize_run(record)
+report = summarize_run(record)  # the report.json document
+totals = report["totals"]
 print("\ntradeoff metrics:")
-print(f"  group count   mean {report.mean_m:.2f} (min {report.min_m}, "
-      f"max {report.max_m})")
-print(f"  burden        {report.burden:.3f} (share of tasks per worker, ~1/m)")
-print(f"  stress score  {report.stress_score:.1f} total "
-      f"({report.total_drop} counter drops, {report.total_rise} rises, "
-      f"{report.total_moves} group moves)")
-busiest = max(report.per_worker.items(), key=lambda kv: kv[1]["tasks"])
+print(f"  group count   mean {report['mean_m']:.2f} (min {report['min_m']}, "
+      f"max {report['max_m']})")
+print(f"  burden        {report['burden']:.3f} (share of tasks per worker, ~1/m)")
+print(f"  stress score  {totals['stress']:.1f} total "
+      f"({totals['drop']} counter drops, {totals['rise']} rises, "
+      f"{totals['moves']} group moves)")
+busiest = max(report["per_worker"].items(), key=lambda kv: kv[1]["tasks"])
 print(f"  busiest worker: {busiest[0]} performed {busiest[1]['tasks']} tasks")

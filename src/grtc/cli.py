@@ -53,7 +53,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dump_record(record, out / "record.json")
     with open(out / "report.json", "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=1, sort_keys=True)
+        json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")
     print(f"wrote {out / 'record.json'} and {out / 'report.json'}")
     return 0

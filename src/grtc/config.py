@@ -74,14 +74,28 @@ def section(config: dict, key: str) -> dict:
     return value
 
 
+def known_keys(obj: dict, path: str, keys: tuple[str, ...]) -> None:
+    """Reject a key outside ``keys``: a misspelt key would otherwise
+    run the default silently."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown key {path}.{key}; expected one of: {', '.join(keys)}")
+
+
+CONFIG_KEYS = ("d", "max_multiplier", "choose", "find", "weights", "seed", "schedule",
+               "initial")
+
+
 class RunSetup:
     """Everything needed to execute one run, parsed and validated."""
 
     def __init__(self, config: dict):
         if not isinstance(config, dict):
             raise ConfigError(f"config must be an object, got {type(config).__name__}")
+        known_keys(config, "config", CONFIG_KEYS)
         self.config = config
         find = section(config, "find")
+        known_keys(find, "config.find", ("order", "horizon"))
         self.policy = OperatorPolicy(
             d=number(config.get("d", 2), "config.d", int),
             max_multiplier=number(config.get("max_multiplier", 2),
@@ -97,11 +111,15 @@ class RunSetup:
                                              find.get("order", "pred-first"), self.seed)
 
         w = section(config, "weights")
+        known_keys(w, "config.weights", ("alpha", "beta", "gamma"))
         self.weights = StressWeights(**{
             key: number(w.get(key, default), f"config.weights.{key}")
             for key, default in (("alpha", 1.0), ("beta", 0.25), ("gamma", 0.5))})
 
         self.schedule = parse_schedule(config.get("schedule"))
+        self.initial = section(config, "initial")
+        known_keys(self.initial, "config.initial",
+                   ("groups", "current") if "groups" in self.initial else ("workers",))
 
     def echo(self) -> dict:
         """Config as recorded in run records, defaults filled in."""
@@ -121,7 +139,7 @@ class RunSetup:
     def initial_state(self, roster: list[str] | None = None) -> RotationState:
         """Build the starting state from an explicit roster (e.g. a trace
         header) or from the config's "initial" section."""
-        spec = section(self.config, "initial")
+        spec = self.initial
         if "groups" in spec:
             groups = spec["groups"]
             if not isinstance(groups, list):
@@ -152,6 +170,8 @@ class RunSetup:
 def parse_schedule(spec) -> TaskSchedule:
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'schedule' object")
+    known_keys(spec, "config.schedule",
+               ("times",) if "times" in spec else ("interval", "count", "start"))
     if "times" in spec:
         times = spec["times"]
         if not isinstance(times, list):

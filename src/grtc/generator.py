@@ -77,10 +77,11 @@ class RunRecord:
     stall intervals and the config echo.  ``states[0]`` is the initial
     state; ``change_logs[i]`` explains ``states[i] -> states[i+1]``.
 
-    Every state passes ``check_state``: ``run_rotation`` checks the
-    initial state, and ``next_state`` publishes only states that pass its
-    publish test, which covers every condition of ``check_state``.
-    ``summarize_run`` and ``dump_record`` rely on it.  The states carry
+    Every state passes ``check_state``, and every state after the first
+    follows the one before it (``validate_pair``): ``run_rotation``
+    checks the initial state, and ``next_state`` publishes only states
+    that pass its publish test, which covers both.  ``summarize_run`` and
+    ``dump_record`` rely on it and check neither again.  The states carry
     no indexes (only the run's live state does), so the index maps cost
     O(n) per run, not per state."""
 

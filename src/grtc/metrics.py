@@ -26,26 +26,6 @@ from .generator import RunRecord
 from .operators import ChangeLog, Donated, Inserted, Joined, Removed, Split
 from .state import RotationState, validate_pair
 
-CSV_COLUMNS = [
-    "run_id", "choose", "find_order", "horizon", "d", "max_multiplier", "seed",
-    "mean_m", "burden", "total_drop", "total_rise", "total_moves",
-    "stress_score", "splits", "joins", "donations", "stall_time", "error",
-]
-
-
-def config_columns(run_id: str, config: dict) -> dict:
-    """The CSV columns that identify a run: its id and its config axes."""
-    find = config.get("find", {})
-    return {
-        "run_id": run_id,
-        "choose": config.get("choose", ""),
-        "find_order": find.get("order", ""),
-        "horizon": find.get("horizon", ""),
-        "d": config.get("d", ""),
-        "max_multiplier": config.get("max_multiplier", ""),
-        "seed": config.get("seed", ""),
-    }
-
 
 @dataclass(frozen=True)
 class StressWeights:
@@ -132,77 +112,19 @@ def _stress_rows(prev: RotationState, nxt: RotationState, weights: StressWeights
     return out
 
 
-@dataclass
-class RunReport:
-    """Aggregated tradeoff metrics for one run."""
+def summarize_run(record: RunRecord, weights: StressWeights | None = None) -> dict:
+    """The ``report.json`` document of a run record: group counts,
+    burden, per-worker and total stress, entry counts and stall time.
 
-    group_counts: list[int]
-    mean_m: float
-    min_m: int
-    max_m: int
-    burden: float                      # mean of 1/m over states
-    per_worker: dict[str, dict]        # token -> stress/moves/drops/rises/tasks
-    total_drop: int
-    total_rise: int
-    total_moves: int
-    stress_score: float
-    stress_quantiles: dict[str, float]
-    splits: int
-    joins: int
-    donations: int
-    inserted: int
-    removed: int
-    stall_time: float
-    transitions: int
-
-    def to_dict(self) -> dict:
-        return {
-            "group_counts": self.group_counts,
-            "mean_m": self.mean_m,
-            "min_m": self.min_m,
-            "max_m": self.max_m,
-            "burden": self.burden,
-            "per_worker": {t: self.per_worker[t] for t in sorted(self.per_worker)},
-            "totals": {"drop": self.total_drop, "rise": self.total_rise,
-                       "moves": self.total_moves, "stress": self.stress_score},
-            "stress_quantiles": self.stress_quantiles,
-            "counts": {"splits": self.splits, "joins": self.joins,
-                       "donations": self.donations, "inserted": self.inserted,
-                       "removed": self.removed},
-            "stall_time": self.stall_time,
-            "transitions": self.transitions,
-        }
-
-    def csv_row(self, run_id: str, config: dict) -> dict:
-        return {
-            **config_columns(run_id, config),
-            "mean_m": repr(self.mean_m),
-            "burden": repr(self.burden),
-            "total_drop": self.total_drop,
-            "total_rise": self.total_rise,
-            "total_moves": self.total_moves,
-            "stress_score": repr(self.stress_score),
-            "splits": self.splits,
-            "joins": self.joins,
-            "donations": self.donations,
-            "stall_time": repr(self.stall_time),
-            "error": "",
-        }
-
-
-def summarize_run(record: RunRecord, weights: StressWeights | None = None
-                  ) -> RunReport:
-    """Deterministic aggregation of a whole run record, every state of
-    which passes ``check_state`` (see ``RunRecord``).
-
-    A transition that keeps the ring costs O(m) plus the sizes of the
-    groups whose member tuples changed; any other costs O(n+m).
+    The record is trusted as ``RunRecord`` states it: every state passes
+    ``check_state`` and follows the one before it, so no pair is checked
+    again here.  A transition that keeps the ring reads only the
+    positions whose member tuples changed, in O(m) plus their sizes; a
+    split or a join reads every position, in O(n+m).
     """
     weights = weights or StressWeights()
 
     group_counts = [s.m for s in record.states]
-    burden = statistics.fmean(1.0 / m for m in group_counts)
-
     per_worker: dict[str, dict] = {}
 
     def slot(token: str) -> dict:
@@ -220,32 +142,27 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None
     fresh = set(pool)                 # the tokens of that state that may lack a slot
     for prev, nxt, log in zip(record.states, record.states[1:], record.change_logs):
         entry_counts.update(map(type, log))
+        before, after = prev.members, nxt.members
         if nxt.ring is prev.ring or nxt.ring == prev.ring:
-            # The same ring: a state that follows moved ``current`` one
-            # position, so every counter in a group whose member tuple is
-            # unchanged fell by one, as promised, and its rows are zero.
-            # Only the changed positions are read.
-            pair = validate_pair(prev, nxt)
-            if not pair.ok:
-                raise InvalidPair(str(pair))
-            before, after = prev.members, nxt.members
-            changed = [k for k in compress(count(), map(is_not, before, after))
-                       if before[k] != after[k]]
-            gone = {w.token for k in changed for w in before[k]}
-            came = [w.token for k in changed for w in after[k]]
-            pool.difference_update(gone)
-            pool.update(came)
-            rows = _stress_rows(prev, nxt, weights, log, changed)
-            arrivals = [t for t in came if t not in gone]
+            # The same ring: ``current`` moved one position, so every
+            # counter in a group whose member tuple is unchanged fell by
+            # one, as promised, and its rows are zero.
+            positions = [k for k in compress(count(), map(is_not, before, after))
+                         if before[k] != after[k]]
+            before = [before[k] for k in positions]
+            after = [after[k] for k in positions]
         else:
-            rows = transition_stress(prev, nxt, weights, log)
-            pool = nxt.tokens()
-            arrivals = pool.difference(rows)
+            positions = None
+        gone = {w.token for ms in before for w in ms}
+        came = [w.token for ms in after for w in ms]
+        pool.difference_update(gone)
+        pool.update(came)
+        rows = _stress_rows(prev, nxt, weights, log, positions)
         # a token on both sides of a transition gets its slot, stress or not
         for token in fresh:
             if token in pool:
                 slot(token)
-        fresh = arrivals
+        fresh = [t for t in came if t not in gone]
         for ws in rows.values():
             if not (ws.drop or ws.rise or ws.moved):
                 continue  # a zero row adds 0 and 0.0: nothing changes
@@ -264,32 +181,24 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None
         q1, q2, q3 = statistics.quantiles(series, n=4, method="inclusive")
     else:
         q1 = q2 = q3 = series[0]
-    quantiles = {"min": series[0], "p25": q1, "p50": q2, "p75": q3,
-                 "max": series[-1]}
 
-    return RunReport(
-        group_counts=group_counts,
-        mean_m=statistics.fmean(group_counts),
-        min_m=min(group_counts),
-        max_m=max(group_counts),
-        burden=burden,
-        per_worker=per_worker,
-        total_drop=total_drop,
-        total_rise=total_rise,
-        total_moves=total_moves,
-        stress_score=stress_total,
-        stress_quantiles=quantiles,
-        splits=entry_counts[Split],
-        joins=entry_counts[Joined],
-        donations=entry_counts[Donated],
-        inserted=entry_counts[Inserted],
-        removed=entry_counts[Removed],
-        stall_time=sum(d for _, d in record.stalls),
-        transitions=len(record.change_logs),
-    )
+    return {
+        "group_counts": group_counts,
+        "mean_m": statistics.fmean(group_counts),
+        "min_m": min(group_counts),
+        "max_m": max(group_counts),
+        "burden": statistics.fmean(1.0 / m for m in group_counts),  # mean of 1/m
+        "per_worker": dict(sorted(per_worker.items())),
+        "totals": {"drop": total_drop, "rise": total_rise, "moves": total_moves,
+                   "stress": stress_total},
+        "stress_quantiles": {"min": series[0], "p25": q1, "p50": q2, "p75": q3,
+                             "max": series[-1]},
+        "counts": {"splits": entry_counts[Split], "joins": entry_counts[Joined],
+                   "donations": entry_counts[Donated], "inserted": entry_counts[Inserted],
+                   "removed": entry_counts[Removed]},
+        "stall_time": sum(d for _, d in record.stalls),
+        "transitions": len(record.change_logs),
+    }
 
 
-__all__ = [
-    "CSV_COLUMNS", "StressWeights", "WorkerStress", "RunReport",
-    "transition_stress", "summarize_run",
-]
+__all__ = ["StressWeights", "WorkerStress", "transition_stress", "summarize_run"]

@@ -126,7 +126,8 @@ def replay_entries(snap: dict, entries: list[dict]) -> dict:
     split placement (after the split group; just before the current
     group when the current group itself splits) and the final advance of
     the current group.  Raises ReplayFailure when an entry cannot be
-    applied to the state at hand.
+    applied to the state at hand, or when the state it arrives at has a
+    ring that does not list each of its groups once.
     """
     ring = list(snap["ring"])
     members = {g: list(ms) for g, ms in snap["members"].items()}
@@ -192,6 +193,9 @@ def replay_entries(snap: dict, entries: list[dict]) -> dict:
             members[survivor].extend(members.pop(absorbed))
 
     current = ring[(position(current) + 1) % len(ring)]
+    if sorted(ring) != sorted(members):
+        raise ReplayFailure(f"ring {ring} does not list each group of members "
+                            f"{sorted(members)} once")
     return {
         "step": snap["step"] + 1,
         "current": current,

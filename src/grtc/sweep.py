@@ -16,13 +16,14 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import RunSetup, number, parse_horizon
+from .config import RunSetup, known_keys, number, parse_horizon
 from .errors import ConfigError, GrtcError
 from .generator import run_rotation
-from .metrics import CSV_COLUMNS, config_columns, summarize_run
-from .traces import TraceConfig, generate_trace
+from .metrics import summarize_run
+from .traces import TRACE_KEYS, TraceConfig, generate_trace
 
 AXIS_ORDER = ("choose", "find_order", "horizon", "d", "max_multiplier", "seeds")
+SPEC_KEYS = (*AXIS_ORDER, "schedule", "weights", "trace")
 
 DEFAULT_AXES = {
     "choose": ["balanced"],
@@ -34,10 +35,52 @@ DEFAULT_AXES = {
 }
 
 
+CSV_COLUMNS = [
+    "run_id", "choose", "find_order", "horizon", "d", "max_multiplier", "seed",
+    "mean_m", "burden", "total_drop", "total_rise", "total_moves",
+    "stress_score", "splits", "joins", "donations", "stall_time", "error",
+]
+
+
+def config_columns(run_id: str, config: dict) -> dict:
+    """The CSV columns that identify a run: its id and its config axes."""
+    find = config.get("find", {})
+    return {
+        "run_id": run_id,
+        "choose": config.get("choose", ""),
+        "find_order": find.get("order", ""),
+        "horizon": find.get("horizon", ""),
+        "d": config.get("d", ""),
+        "max_multiplier": config.get("max_multiplier", ""),
+        "seed": config.get("seed", ""),
+    }
+
+
+def csv_row(run_id: str, config: dict, report: dict) -> dict:
+    """The CSV row of a run that completed: its config columns and the
+    headline figures of its report."""
+    totals, counts = report["totals"], report["counts"]
+    return {
+        **config_columns(run_id, config),
+        "mean_m": repr(report["mean_m"]),
+        "burden": repr(report["burden"]),
+        "total_drop": totals["drop"],
+        "total_rise": totals["rise"],
+        "total_moves": totals["moves"],
+        "stress_score": repr(totals["stress"]),
+        "splits": counts["splits"],
+        "joins": counts["joins"],
+        "donations": counts["donations"],
+        "stall_time": repr(report["stall_time"]),
+        "error": "",
+    }
+
+
 def expand(spec: dict) -> list[dict]:
     """All run configs for a sweep spec, in axis order."""
     if not isinstance(spec, dict):
         raise ConfigError(f"sweep spec must be an object, got {type(spec).__name__}")
+    known_keys(spec, "sweep", SPEC_KEYS)
     axes = []
     for name in AXIS_ORDER:
         values = spec.get(name, DEFAULT_AXES[name])
@@ -48,6 +91,11 @@ def expand(spec: dict) -> list[dict]:
         raise ConfigError("sweep spec needs a 'trace' section")
     if "schedule" not in spec:
         raise ConfigError("sweep spec needs a 'schedule' section")
+    if isinstance(spec["trace"], dict):  # any other value fails each run's row
+        if "seed" in spec["trace"]:
+            raise ConfigError("sweep.trace.seed is not allowed: the seeds axis sets "
+                              "each run's trace seed")
+        known_keys(spec["trace"], "sweep.trace", tuple(TRACE_KEYS))
     for k, seed in enumerate(axes[-1]):
         number(seed, f"sweep.seeds[{k}]", int)
 
@@ -67,28 +115,26 @@ def expand(spec: dict) -> list[dict]:
     return combos
 
 
-def run_combo(config: dict) -> tuple[dict, dict]:
-    """Execute one combination; returns (csv row, full report dict)."""
-    setup = RunSetup(config)
+def run_combo(config: dict) -> dict:
+    """Execute one combination; returns its report document."""
+    setup = RunSetup({k: v for k, v in config.items() if k != "trace"})
     roster, events = generate_trace(TraceConfig.from_spec(config["trace"], setup.seed))
     initial = setup.initial_state(roster)
     record = run_rotation(initial, setup.policy, setup.strategies,
                           setup.schedule, events, config=setup.echo())
-    report = summarize_run(record, setup.weights)
-    return report.csv_row("", config), report.to_dict()
+    return summarize_run(record, setup.weights)
 
 
-def _run_indexed(args: tuple[int, dict]) -> tuple[int, dict, dict | None, str]:
+def _run_indexed(args: tuple[int, dict]) -> tuple[int, dict, dict | None]:
     index, config = args
     run_id = f"run-{index:04d}"
     try:
-        row, report = run_combo(config)
-        row["run_id"] = run_id
-        return index, row, report, ""
+        report = run_combo(config)
     except GrtcError as e:  # a bad combination is a row; a bug aborts the sweep
         row = dict.fromkeys(CSV_COLUMNS, "")
         row.update(config_columns(run_id, config), error=str(e))
-        return index, row, None, str(e)
+        return index, row, None
+    return index, csv_row(run_id, config, report), report
 
 
 def execute(spec: dict, out_dir, jobs: int = 1) -> Path:
@@ -113,7 +159,7 @@ def execute(spec: dict, out_dir, jobs: int = 1) -> Path:
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for index, row, report, _error in results:
+        for index, row, report in results:
             writer.writerow(row)
             if report is not None:
                 with open(reports_dir / f"run-{index:04d}.json", "w",
@@ -123,4 +169,4 @@ def execute(spec: dict, out_dir, jobs: int = 1) -> Path:
     return csv_path
 
 
-__all__ = ["expand", "run_combo", "execute"]
+__all__ = ["CSV_COLUMNS", "csv_row", "expand", "run_combo", "execute"]

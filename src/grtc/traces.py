@@ -21,6 +21,10 @@ from .errors import ConfigError, ConsistencyError, OrderError, ParseError
 FORMAT_NAME = "grtc-trace"
 FORMAT_VERSION = 1
 
+# the keys of a JSON ``trace`` object besides "seed", and their number kinds
+TRACE_KEYS = {"duration": float, "arrival_rate": float, "departure_rate": float,
+              "initial_workers": int}
+
 
 @dataclass(frozen=True)
 class WorkerEvent:
@@ -63,12 +67,13 @@ class TraceConfig:
         """Build from a JSON ``trace`` object; the caller picks the seed.
         Numbers are checked, not coerced: ``initial_workers`` must be an
         integer, the rest numbers, and a bool or a string is neither."""
-        from .config import number  # config imports the generator, which imports this
+        # config imports the generator, which imports this
+        from .config import known_keys, number
         if not isinstance(spec, dict):
             raise ConfigError(f"trace must be an object, got {type(spec).__name__}")
+        known_keys(spec, "trace", (*TRACE_KEYS, "seed"))  # the caller reads "seed"
         values = {}
-        for key, kind in (("duration", float), ("arrival_rate", float),
-                          ("departure_rate", float), ("initial_workers", int)):
+        for key, kind in TRACE_KEYS.items():
             if key not in spec:
                 raise ConfigError(f"trace.{key} is missing")
             values[key] = number(spec[key], f"trace.{key}", kind)

@@ -109,3 +109,15 @@ def run_inputs(draw):
 def runs(draw, config=st.just({})):
     """The runs of ``run_inputs``, echoing a drawn ``config``."""
     return run_rotation(*draw(run_inputs()), config=draw(config))
+
+
+def json_values(names: list[str]):
+    """Any JSON value, small: ``names`` (the names of the file being
+    edited, for near misses) as strings and object keys, small integers,
+    any float including NaN and the infinities, short text."""
+    near = st.sampled_from(names)
+    return st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 50) | st.floats() | st.text(max_size=4)
+        | near,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(near, inner, max_size=3),
+        max_leaves=6)

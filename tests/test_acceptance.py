@@ -339,8 +339,8 @@ def test_criterion_8_tradeoff_direction():
                                   TaskSchedule.periodic(1.0, 200), events,
                                   config={"d": 2, "seed": seed})
             rep = summarize_run(record)
-            ms.append(rep.mean_m)
-            stresses.append(rep.stress_score)
+            ms.append(rep["mean_m"])
+            stresses.append(rep["totals"]["stress"])
         return sum(ms) / len(ms), sum(stresses) / len(stresses)
 
     m_conc, s_conc = mean_over_seeds("concentrated")

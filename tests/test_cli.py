@@ -275,6 +275,55 @@ class TestRun:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {text}\n"
 
+    @pytest.mark.parametrize("change, text", [
+        ({"choos": "random", "dd": 5}, "config.choos; expected one of: d, max_multiplier, "
+         "choose, find, weights, seed, schedule, initial"),
+        ({"find": {"order": "pred-first", "horizn": 3}},
+         "config.find.horizn; expected one of: order, horizon"),
+        ({"weights": {"alpha": 1.0, "delta": 2}},
+         "config.weights.delta; expected one of: alpha, beta, gamma"),
+        ({"schedule": {"interval": 1.0, "count": 3, "cuont": 9}},
+         "config.schedule.cuont; expected one of: interval, count, start"),
+        ({"schedule": {"times": [1.0], "count": 3}},
+         "config.schedule.count; expected one of: times"),
+        ({"initial": {"workers": 4, "current": "g1"}},
+         "config.initial.current; expected one of: workers"),
+        ({"initial": {"groups": [["g1", ["w1", "w2"]], ["g2", ["w3", "w4"]]],
+                      "current": "g1", "workers": 4}},
+         "config.initial.workers; expected one of: groups, current"),
+    ], ids=["top-level", "find", "weights", "schedule", "schedule-times", "initial",
+            "initial-groups"])
+    def test_unknown_config_key(self, tmp_path, capsys, change, text):
+        # a misspelt key once ran the default and was echoed into record.json
+        path = write_json(tmp_path / "config.json", dict(RUN_CONFIG, **change))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: unknown key {text}\n"
+
+    def test_unknown_trace_config_key(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        trace_config = write_json(tmp_path / "trace.json", dict(TRACE_SPEC, durattion=5))
+        out = tmp_path / "out"
+        assert main(["run", config, "--trace-config", trace_config, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: unknown key trace.durattion; expected one of: duration, arrival_rate, "
+            "departure_rate, initial_workers, seed\n")
+
+    def test_report_is_the_summary_document(self, tmp_path):
+        from grtc import run_rotation, summarize_run
+        config = write_json(tmp_path / "config.json", RUN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", config, "--out", str(out)]) == 0
+        setup = RunSetup(RUN_CONFIG)
+        record = run_rotation(setup.initial_state(), setup.policy, setup.strategies,
+                              setup.schedule, [], config=setup.echo())
+        report = summarize_run(record, setup.weights)
+        assert type(report) is dict
+        assert (out / "report.json").read_text() == \
+            json.dumps(report, indent=1, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("t, text", [
         ("-1.0", "event time -1.0"), ("0.0", "event time 0.0"), ("NaN", "event time nan"),
     ], ids=["negative", "zero", "nan"])
@@ -489,6 +538,41 @@ class TestSweep:
         assert not out.exists()
         assert capsys.readouterr().err == \
             "error: sweep.seeds[1] must be an integer, got '2'\n"
+
+    @pytest.mark.parametrize("change, text", [
+        ({"chose": ["random"]}, "unknown key sweep.chose; expected one of: choose, "
+         "find_order, horizon, d, max_multiplier, seeds, schedule, weights, trace"),
+        ({"trace": dict(SWEEP_SPEC["trace"], durration=5)},
+         "unknown key sweep.trace.durration; expected one of: duration, arrival_rate, "
+         "departure_rate, initial_workers"),
+        ({"trace": dict(SWEEP_SPEC["trace"], seed=99)},
+         "sweep.trace.seed is not allowed: the seeds axis sets each run's trace seed"),
+    ], ids=["axis", "trace-key", "trace-seed"])
+    def test_unknown_spec_key_is_rejected_before_any_run(self, tmp_path, capsys,
+                                                         monkeypatch, change, text):
+        def never(args):
+            raise AssertionError("a run started")
+        monkeypatch.setattr("grtc.sweep._run_indexed", never)
+        path = write_json(tmp_path / "spec.json", dict(SWEEP_SPEC, **change))
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {text}\n"
+
+    def test_row_metrics_are_the_report_figures(self, tmp_path):
+        import csv
+        from grtc.sweep import csv_row, expand
+        out = tmp_path / "out"
+        assert main(["sweep", write_json(tmp_path / "spec.json", SWEEP_SPEC),
+                     "--out", str(out)]) == 0
+        with open(out / "sweep.csv", encoding="utf-8", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 6
+        for row, config in zip(rows, expand(SWEEP_SPEC)):
+            report = json.loads((out / "reports" / f"{row['run_id']}.json").read_text())
+            expected = csv_row(row["run_id"], config, report)
+            assert row == {k: str(v) for k, v in expected.items()}
+            assert row["total_drop"] == str(report["totals"]["drop"])
 
     def test_bug_fails_the_sweep(self, tmp_path, monkeypatch):
         from grtc.sweep import execute

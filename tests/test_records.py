@@ -4,7 +4,7 @@ import re
 from itertools import count
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grtc import (
     OperatorPolicy,
@@ -20,12 +20,13 @@ from grtc import (
     run_rotation,
     validate_record,
 )
-from grtc.errors import CorruptRecord
+from grtc.cli import main
+from grtc.errors import CorruptRecord, GrtcError
 from grtc.generator import RunRecord
 from grtc.recordcheck import ReplayFailure, check_snapshot, replay_entries
 from grtc.state import WorkerId, check_state
 
-from conftest import runs, scripted_run, tokens
+from conftest import json_values, runs, scripted_run, tokens
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,27 @@ class TestValidateRecord:
                 "members": {"g1": ["w1"], "g2": ["w2"], "gx": ["wx"]}}
         with pytest.raises(ReplayFailure, match="group gx is not in the ring"):
             replay_entries(snap, entries)
+
+    def test_ring_naming_a_group_without_members(self, record_doc, tmp_path, capsys):
+        # the replay out of state 1 once ended in a KeyError on "g9"
+        doc = copy.deepcopy(record_doc)
+        doc["states"][1]["ring"][0] = "g9"
+        result = validate_record(doc)
+        codes = {(f.step, f.code) for f in result.violations}
+        assert {(1, "NotSingleCycle"), (2, "ReplayMismatch")} <= codes
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr()
+        assert "step 2: ReplayMismatch: ring " in out.out
+        assert "Traceback" not in out.out + out.err
+
+    @pytest.mark.parametrize("ring", [["g1", "g1", "g2"], ["g1"]], ids=["twice", "missing"])
+    def test_replay_rejects_a_ring_that_does_not_list_each_group_once(self, ring):
+        snap = {"step": 0, "current": "g1", "ring": ring,
+                "members": {"g1": ["w1"], "g2": ["w2"]}}
+        with pytest.raises(ReplayFailure, match="does not list each group"):
+            replay_entries(snap, [])
 
     def test_replay_rejects_bogus_entry(self, record_doc):
         snap = record_doc["states"][0]
@@ -380,3 +402,58 @@ class TestRecordIO:
         snap = record_doc["states"][0]
         assert set(snap) == {"step", "current", "ring", "members"}
         assert list(snap["members"]) == snap["ring"]  # members in ring order
+
+
+# -- edited records: only a GrtcError may escape ---------------------------
+
+def value_paths(doc, prefix=()):
+    """The path of every value inside a JSON document, root excluded."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+RECORD_VALUES = json_values(["g1", "g2", "g9", "w1", "w2", "op", "inserted", "joined",
+                             "split", "donated", "stalled", "arrive", "depart"])
+
+
+@pytest.fixture(scope="module")
+def short_doc():
+    """A record of ten states with a split, a join, donations, inserts and
+    removals; short, so that an edit lands in a ring or a log often."""
+    script = ([(0.4, "arrive", 0)] + [(0.05, "arrive", 0)] * 6
+              + [(1.0, "depart", 0), (0.1, "depart", 3), (1.0, "depart", 1),
+                 (0.1, "depart", 2), (0.1, "depart", 0), (0.1, "depart", 5),
+                 (0.1, "depart", 1), (1.0, "arrive", 0), (1.0, "depart", 4)])
+    doc = record_to_dict(scripted_run([f"w{k}" for k in range(1, 15)], 6, script,
+                                      count=9, config={"d": 2}))
+    ops = {e["op"] for log in doc["change_logs"] for e in log}
+    assert {"split", "joined", "donated", "inserted", "removed"} <= ops
+    return doc
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_edited_record_raises_only_grtc_errors(short_doc, tmp_path, data):
+    doc = copy.deepcopy(short_doc)
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(value_paths(doc))
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths))
+        target = doc
+        for p in parents:
+            target = target[p]
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(RECORD_VALUES)
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(doc))
+    try:
+        validate_record(load_record(path))
+    except GrtcError:
+        pass

@@ -1,11 +1,27 @@
 import io
+import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grtc import TraceConfig, WorkerEvent, generate_trace, read_trace, write_trace
+from grtc import (
+    GrtcError,
+    OperatorPolicy,
+    StrategySet,
+    TaskSchedule,
+    TraceConfig,
+    WorkerEvent,
+    build_initial_state,
+    generate_trace,
+    read_trace,
+    run_rotation,
+    write_trace,
+)
 from grtc.errors import ConsistencyError, OrderError, ParseError
+
+from conftest import json_values
 
 
 def roundtrip(initial, events):
@@ -143,3 +159,56 @@ class TestIO:
             '{"t": 2, "op": "arrive", "worker": "x1"}\n')
         _, [event] = read_trace(buf)
         assert type(event.t) is float and event.t == 2.0
+
+
+# -- edited trace files: only a GrtcError may escape ------------------------
+
+def trace_lines() -> list[str]:
+    """A short trace with arrivals and departures, one JSON text a line."""
+    buf = io.StringIO()
+    write_trace(buf, *generate_trace(TraceConfig(seed=3, duration=12, arrival_rate=0.8,
+                                                 departure_rate=0.15, initial_workers=5)))
+    return buf.getvalue().splitlines()
+
+
+LINES = trace_lines()
+TRACE_NAMES = ["t", "op", "worker", "arrive", "depart", "w1", "w2", "w9", "format",
+               "grtc-trace", "v", "initial"]
+TRACE_VALUES = json_values(TRACE_NAMES)
+
+
+@st.composite
+def edited_traces(draw) -> str:
+    """The trace with one line deleted, replaced, or with one key of its
+    object deleted or set to any JSON value."""
+    lines = list(LINES)
+    k = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["delete", "text", "value", "key"]))
+    if how == "delete":
+        del lines[k]
+    elif how == "text":
+        lines[k] = draw(st.text(max_size=12))
+    elif how == "value":
+        lines[k] = json.dumps(draw(TRACE_VALUES))
+    else:
+        obj = json.loads(lines[k])
+        key = draw(st.sampled_from(TRACE_NAMES))
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(TRACE_VALUES)
+        lines[k] = json.dumps(obj)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_traces())
+def test_edited_trace_raises_only_grtc_errors(text):
+    policy = OperatorPolicy(d=2)
+    try:
+        roster, events = read_trace(io.StringIO(text))
+        run_rotation(build_initial_state(roster, policy), policy,
+                     StrategySet.seeded("balanced", "pred-first", 0),
+                     TaskSchedule.periodic(1.0, 12), events)
+    except GrtcError:
+        pass
