@@ -11,9 +11,9 @@ config (d=2, ``balanced``, ``pred-first``, seed 7, one task per time
 unit, 200 tasks).  Each pool is run three times, since one run follows
 the host's drift.  It records the event count, the median
 ``run_rotation`` seconds (with their min and max) and µs per event, the
-median seconds of ``summarize_run``, ``dump_record``, ``load_record``
-and ``validate_record``, the record's size, and the tracemalloc peak of
-one more, traced ``run_rotation``.
+median seconds of ``summarize_run``, ``dump_record``, writing
+``report.json``, ``load_record`` and ``validate_record``, the record's
+size, and the tracemalloc peak of one more, traced ``run_rotation``.
 
 grtc is imported from ``--src`` (default: this checkout's ``src``), so
 the same script measures another tree, for example a parent commit.
@@ -39,7 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 POOLS = (300, 1000, 3000)
 TRACE_SEED = 0
 REPEATS = 3  # runs per pool; each timed layer stores its median
-LAYERS = ("run_s", "summarize_run_s", "dump_record_s", "load_record_s", "validate_record_s")
+LAYERS = ("run_s", "summarize_run_s", "dump_record_s", "write_report_s", "load_record_s",
+          "validate_record_s")
 
 
 def measure(workloads, n0: int, tmp: Path) -> dict:
@@ -48,6 +49,11 @@ def measure(workloads, n0: int, tmp: Path) -> dict:
     from grtc.metrics import summarize_run
     from grtc.records import dump_record, load_record
     from grtc.recordcheck import validate_record
+    try:
+        from grtc.records import report_text
+    except ImportError:  # a tree from before report_text wrote report.json this way
+        def report_text(report):
+            return json.dumps(report, indent=1, sort_keys=True) + "\n"
 
     p = workloads.RUN_WORKLOADS["churn-large"]
     setup = RunSetup(dict(workloads.RUN_CONFIG,
@@ -69,18 +75,23 @@ def measure(workloads, n0: int, tmp: Path) -> dict:
         seconds[key].append(clock() - t0)
         return out
 
+    def write_report(report, path):
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(report_text(report))
+
     path = tmp / f"record-{n0}.json"
     for _ in range(REPEATS):
         record = timed("run_s", run)
-        timed("summarize_run_s", summarize_run, record, setup.weights)
+        report = timed("summarize_run_s", summarize_run, record, setup.weights)
         timed("dump_record_s", dump_record, record, path)
+        timed("write_report_s", write_report, report, tmp / f"report-{n0}.json")
         record_mb = path.stat().st_size / 1e6
         doc = timed("load_record_s", load_record, path)
         path.unlink()
-        report = timed("validate_record_s", validate_record, doc)
-        if not report.ok:
-            raise SystemExit(f"ladder: the n0={n0} record does not validate: {report}")
-        del record, doc
+        result = timed("validate_record_s", validate_record, doc)
+        if not result.ok:
+            raise SystemExit(f"ladder: the n0={n0} record does not validate: {result}")
+        del record, report, doc
 
     tracemalloc.start()
     run()
@@ -97,6 +108,7 @@ def measure(workloads, n0: int, tmp: Path) -> dict:
         "us_per_event": round(median["run_s"] / len(events) * 1e6, 2),
         "summarize_run_s": round(median["summarize_run_s"], 4),
         "dump_record_s": round(median["dump_record_s"], 4),
+        "write_report_s": round(median["write_report_s"], 4),
         "record_mb": round(record_mb, 2),
         "load_record_s": round(median["load_record_s"], 4),
         "validate_record_s": round(median["validate_record_s"], 4),

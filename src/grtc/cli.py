@@ -14,7 +14,6 @@ run are ordinary data, never an error exit.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .config import RunSetup, load_json, number
 from .errors import GrtcError
 from .generator import run_rotation
 from .metrics import summarize_run
-from .records import dump_record, load_record
+from .records import dump_record, load_record, report_text
 from .recordcheck import validate_record
 from .sweep import execute as execute_sweep
 from .traces import TraceConfig, generate_trace, read_trace_file, write_trace_file
@@ -53,8 +52,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dump_record(record, out / "record.json")
     with open(out / "report.json", "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(report_text(report))
     print(f"wrote {out / 'record.json'} and {out / 'report.json'}")
     return 0
 

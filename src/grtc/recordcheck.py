@@ -62,7 +62,7 @@ def check_snapshot(snap: dict, step: int, d: int | None = None) -> RecordValidat
         out.violations.append(Finding(step, "NotPartition",
                                       f"workers in more than one group: {dupes}"))
     for g in ring:
-        if not members.get(g):
+        if g in members and not members[g]:  # a group without an entry is NotSingleCycle
             out.violations.append(Finding(step, "EmptyGroup", f"group {g} is empty"))
 
     if d is not None and d >= 1:

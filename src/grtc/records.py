@@ -1,4 +1,4 @@
-"""Run record serialization.
+"""Run record and report serialization.
 
 A run record is a JSON document, schema version 1:
 
@@ -14,16 +14,23 @@ A run record is a JSON document, schema version 1:
 ``change_logs[i]`` explains the transition ``states[i] -> states[i+1]``.
 The "members" object lists groups in ring order; each list is the
 group's member order.
+
+``dump_record`` and ``report_text`` write ``record.json`` and
+``report.json`` byte for byte as ``json.dump(..., indent=1)`` would (the
+report with sorted keys), but from fixed templates rather than through
+json's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
 from .errors import CorruptRecord
 from .generator import RunRecord
+from .operators import DegradedEntered, Donated, Inserted, Joined, Removed, Split, Stalled
 from .state import RotationState
 
 SCHEMA_VERSION = 1
@@ -46,13 +53,6 @@ def record_to_dict(record: RunRecord) -> dict:
         "v": SCHEMA_VERSION,
         "config": record.config,
         "states": [state_snapshot(s) for s in record.states],
-        **_history(record),
-    }
-
-
-def _history(record: RunRecord) -> dict:
-    """The record's keys after "states"."""
-    return {
         "change_logs": [[e.to_dict() for e in log] for log in record.change_logs],
         "stalls": [{"time": t, "duration": d} for t, d in record.stalls],
         "unconsumed": [e.to_dict() for e in record.unconsumed],
@@ -61,41 +61,126 @@ def _history(record: RunRecord) -> dict:
 
 def dump_record(record: RunRecord, path) -> None:
     """Write ``record_to_dict(record)`` byte for byte as ``json.dump(...,
-    indent=1)`` would, streaming the states one at a time.  Every state
-    passes ``check_state`` (see ``RunRecord``).
+    indent=1)`` would, one state, change log, stall or unconsumed event
+    at a time.  Every state passes ``check_state`` (see ``RunRecord``).
+
+    Only the config echo goes through ``json.dumps``.  Everything else
+    has a fixed shape and is written from templates, its strings escaped
+    by the C encoder json uses.
+    """
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f'{{\n "v": {SCHEMA_VERSION},\n "config": {_nested(record.config)}')
+        _write_array(f, "states", _snapshots(record.states))
+        _write_array(f, "change_logs", (
+            "[\n   " + ",\n   ".join([_ENTRY[type(e)](e) for e in log]) + "\n  ]"
+            if log else "[]" for log in record.change_logs))
+        _write_array(f, "stalls", (
+            f'{{\n   "time": {_number(t)},\n   "duration": {_number(d)}\n  }}'
+            for t, d in record.stalls))
+        _write_array(f, "unconsumed", (
+            f'{{\n   "t": {_number(e.t)},\n   "op": {_str(e.op)},\n'
+            f'   "worker": {_str(e.worker)}\n  }}' for e in record.unconsumed))
+        f.write("\n}\n")
+
+
+def _write_array(f, key: str, items) -> None:
+    """Write the record's ``key`` and its array, whose items come encoded."""
+    f.write(f',\n "{key}": ')
+    sep = "["
+    for item in items:
+        f.write(f"{sep}\n  {item}")
+        sep = ","
+    f.write("[]" if sep == "[" else "\n ]")
+
+
+def _snapshots(states):
+    """Each state's snapshot as indented in a record.
 
     While the ring stays the same, a group whose member tuple is the
     previous state's object keeps that state's encoded row; only the
     changed rows are encoded again.  Only one snapshot's rows are held
     at a time.
     """
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f'{{\n "v": {SCHEMA_VERSION},\n "config": {_nested(record.config)},\n "states": ')
-        ring = members = None
-        sep = "["
-        for s in record.states:
-            if s.ring is ring or s.ring == ring:
-                for k, ms in enumerate(s.members):
-                    if ms is not members[k]:
-                        rows[k] = _group_row(ring[k], ms)
-            else:
-                ring = s.ring
-                rows = [_group_row(g, ms) for g, ms in zip(ring, s.members)]
-                head = '   "ring": [\n    ' + ",\n    ".join(map(_str, ring)) + "\n   ]"
-            members = s.members
-            body = "{\n" + ",\n".join(rows) + "\n   }"
-            f.write(f'{sep}\n  {{\n   "step": {s.step_index},\n'
-                    f'   "current": {_str(s.current)},\n{head},\n   "members": {body}\n  }}')
-            sep = ","
-        f.write("\n ]")
-        for key, value in _history(record).items():
-            f.write(f",\n {_str(key)}: {_nested(value)}")
-        f.write("\n}\n")
+    ring = members = None
+    for s in states:
+        if s.ring is ring or s.ring == ring:
+            for k, ms in enumerate(s.members):
+                if ms is not members[k]:
+                    rows[k] = _group_row(ring[k], ms)
+        else:
+            ring = s.ring
+            rows = [_group_row(g, ms) for g, ms in zip(ring, s.members)]
+            head = '   "ring": [\n    ' + ",\n    ".join(map(_str, ring)) + "\n   ]"
+        members = s.members
+        body = "{\n" + ",\n".join(rows) + "\n   }"
+        yield (f'{{\n   "step": {s.step_index},\n   "current": {_str(s.current)},\n'
+               f'{head},\n   "members": {body}\n  }}')
 
 
 def _group_row(g: str, ms) -> str:
     """One group's line of a snapshot's "members" object, as indented in a record."""
     return f"    {_str(g)}: [\n     " + ",\n     ".join([_str(w.token) for w in ms]) + "\n    ]"
+
+
+def _moved(ws) -> str:
+    """An entry's "moved" array, as indented in a record."""
+    return "[\n     " + ",\n     ".join([_str(w.token) for w in ws]) + "\n    ]" if ws else "[]"
+
+
+# each change log entry as indented in a record, keys in ``to_dict``'s order
+_ENTRY = {
+    Inserted: lambda e: f'{{\n    "op": "inserted",\n    "worker": {_str(e.worker.token)},'
+                        f'\n    "group": {_str(e.group)}\n   }}',
+    Removed: lambda e: f'{{\n    "op": "removed",\n    "worker": {_str(e.worker.token)},'
+                       f'\n    "group": {_str(e.group)}\n   }}',
+    Split: lambda e: f'{{\n    "op": "split",\n    "group": {_str(e.group)},\n    '
+                     f'"new_group": {_str(e.new_group)},\n    "moved": {_moved(e.moved)}\n   }}',
+    Joined: lambda e: f'{{\n    "op": "joined",\n    "survivor": {_str(e.survivor)},\n    '
+                      f'"absorbed": {_str(e.absorbed)},\n    "moved": {_moved(e.moved)}\n   }}',
+    Donated: lambda e: f'{{\n    "op": "donated",\n    "worker": {_str(e.worker.token)},\n'
+                       f'    "from": {_str(e.from_group)},\n    "to": {_str(e.to_group)}\n   }}',
+    DegradedEntered: lambda e: f'{{\n    "op": "degraded",\n    "group": {_str(e.group)}\n   }}',
+    Stalled: lambda e: '{\n    "op": "stalled"\n   }',
+}
+
+
+_INFINITIES = (math.inf, -math.inf)
+
+
+def _number(x: int | float) -> str:
+    """A number as ``json.dumps`` writes it: its ``repr``, except that
+    NaN and the infinities are written ``NaN``, ``Infinity`` and
+    ``-Infinity``."""
+    if x != x:
+        return "NaN"
+    if x in _INFINITIES:
+        return "Infinity" if x > 0 else "-Infinity"
+    return repr(x)
+
+
+def report_text(report: dict) -> str:
+    """``json.dumps(report, indent=1, sort_keys=True) + "\\n"`` for the
+    document that ``metrics.summarize_run`` returns, written from fixed
+    shapes: one template per worker over its five keys, one join over
+    the group counts, and every other number through ``_number``.  Its
+    group counts and workers are never empty."""
+    parts = []
+    for key, value in sorted(report.items()):
+        if key == "per_worker":
+            text = "{\n" + ",\n".join([
+                f'  {_str(token)}: {{\n   "drops": {row["drops"]},\n   "moves": {row["moves"]},'
+                f'\n   "rises": {row["rises"]},\n   "stress": {_number(row["stress"])},'
+                f'\n   "tasks": {row["tasks"]}\n  }}'
+                for token, row in sorted(value.items())]) + "\n }"
+        elif key == "group_counts":
+            text = "[\n  " + ",\n  ".join(map(str, value)) + "\n ]"
+        elif isinstance(value, dict):
+            text = "{\n" + ",\n".join([f"  {_str(k)}: {_number(x)}"
+                                        for k, x in sorted(value.items())]) + "\n }"
+        else:
+            text = _number(value)
+        parts.append(f" {_str(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def _nested(value) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from .config import RunSetup, known_keys, number, parse_horizon
 from .errors import ConfigError, GrtcError
 from .generator import run_rotation
 from .metrics import summarize_run
+from .records import report_text
 from .traces import TRACE_KEYS, TraceConfig, generate_trace
 
 AXIS_ORDER = ("choose", "find_order", "horizon", "d", "max_multiplier", "seeds")
@@ -91,11 +91,12 @@ def expand(spec: dict) -> list[dict]:
         raise ConfigError("sweep spec needs a 'trace' section")
     if "schedule" not in spec:
         raise ConfigError("sweep spec needs a 'schedule' section")
-    if isinstance(spec["trace"], dict):  # any other value fails each run's row
-        if "seed" in spec["trace"]:
-            raise ConfigError("sweep.trace.seed is not allowed: the seeds axis sets "
-                              "each run's trace seed")
-        known_keys(spec["trace"], "sweep.trace", tuple(TRACE_KEYS))
+    if not isinstance(spec["trace"], dict):
+        raise ConfigError(f"sweep.trace must be an object, got {type(spec['trace']).__name__}")
+    if "seed" in spec["trace"]:
+        raise ConfigError("sweep.trace.seed is not allowed: the seeds axis sets "
+                          "each run's trace seed")
+    known_keys(spec["trace"], "sweep.trace", tuple(TRACE_KEYS))
     for k, seed in enumerate(axes[-1]):
         number(seed, f"sweep.seeds[{k}]", int)
 
@@ -125,7 +126,9 @@ def run_combo(config: dict) -> dict:
     return summarize_run(record, setup.weights)
 
 
-def _run_indexed(args: tuple[int, dict]) -> tuple[int, dict, dict | None]:
+def _run_indexed(args: tuple[int, dict]) -> tuple[int, dict, str | None]:
+    """One combination's CSV row and, if it completed, its ``report.json``
+    text, encoded here so that a pool's workers encode in parallel."""
     index, config = args
     run_id = f"run-{index:04d}"
     try:
@@ -134,7 +137,7 @@ def _run_indexed(args: tuple[int, dict]) -> tuple[int, dict, dict | None]:
         row = dict.fromkeys(CSV_COLUMNS, "")
         row.update(config_columns(run_id, config), error=str(e))
         return index, row, None
-    return index, csv_row(run_id, config, report), report
+    return index, csv_row(run_id, config, report), report_text(report)
 
 
 def execute(spec: dict, out_dir, jobs: int = 1) -> Path:
@@ -159,13 +162,12 @@ def execute(spec: dict, out_dir, jobs: int = 1) -> Path:
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for index, row, report in results:
+        for index, row, text in results:
             writer.writerow(row)
-            if report is not None:
+            if text is not None:
                 with open(reports_dir / f"run-{index:04d}.json", "w",
                           encoding="utf-8") as rf:
-                    json.dump(report, rf, indent=1, sort_keys=True)
-                    rf.write("\n")
+                    rf.write(text)
     return csv_path
 
 

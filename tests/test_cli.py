@@ -517,6 +517,18 @@ class TestSweep:
         assert main(["sweep", spec, "--out", str(out2), "--jobs", "3"]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_parallel_reports_identical(self, tmp_path):
+        spec = write_json(tmp_path / "spec.json", SWEEP_SPEC)
+        out1, out2 = tmp_path / "j1", tmp_path / "j2"
+        assert main(["sweep", spec, "--out", str(out1), "--jobs", "1"]) == 0
+        assert main(["sweep", spec, "--out", str(out2), "--jobs", "2"]) == 0
+        reports = sorted(p.name for p in (out1 / "reports").iterdir())
+        assert len(reports) == 6
+        assert sorted(p.name for p in (out2 / "reports").iterdir()) == reports
+        for name in reports:
+            assert (out1 / "reports" / name).read_bytes() == \
+                (out2 / "reports" / name).read_bytes()
+
     def test_error_row_keeps_sweep_alive(self, tmp_path, capsys):
         spec = dict(SWEEP_SPEC, seeds=[1],
                     trace=dict(SWEEP_SPEC["trace"], initial_workers=1))
@@ -547,7 +559,8 @@ class TestSweep:
          "departure_rate, initial_workers"),
         ({"trace": dict(SWEEP_SPEC["trace"], seed=99)},
          "sweep.trace.seed is not allowed: the seeds axis sets each run's trace seed"),
-    ], ids=["axis", "trace-key", "trace-seed"])
+        ({"trace": 5}, "sweep.trace must be an object, got int"),
+    ], ids=["axis", "trace-key", "trace-seed", "trace-not-object"])
     def test_unknown_spec_key_is_rejected_before_any_run(self, tmp_path, capsys,
                                                          monkeypatch, change, text):
         def never(args):

@@ -2,6 +2,7 @@ import copy
 import json
 import re
 from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,20 +11,27 @@ from grtc import (
     OperatorPolicy,
     RotationState,
     StrategySet,
+    StressWeights,
     TaskSchedule,
     TraceConfig,
+    WorkerEvent,
     build_initial_state,
     dump_record,
     generate_trace,
     load_record,
     record_to_dict,
     run_rotation,
+    summarize_run,
     validate_record,
 )
 from grtc.cli import main
 from grtc.errors import CorruptRecord, GrtcError
 from grtc.generator import RunRecord
+from grtc.operators import (
+    DegradedEntered, Donated, Inserted, Joined, Removed, Split, Stalled,
+)
 from grtc.recordcheck import ReplayFailure, check_snapshot, replay_entries
+from grtc.records import report_text
 from grtc.state import WorkerId, check_state
 
 from conftest import json_values, runs, scripted_run, tokens
@@ -165,6 +173,17 @@ class TestValidateRecord:
         out = capsys.readouterr()
         assert "step 2: ReplayMismatch: ring " in out.out
         assert "Traceback" not in out.out + out.err
+
+    def test_unknown_ring_group_is_not_an_empty_group(self, tmp_path):
+        # the record of demos/config.example.json, as CI's command-line step edits it
+        config = Path(__file__).parent.parent / "demos" / "config.example.json"
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 0
+        doc = load_record(out / "record.json")
+        doc["states"][1]["ring"][0] = "g9"
+        codes = {f.code for f in validate_record(doc).violations}
+        assert {"NotSingleCycle", "ReplayMismatch"} <= codes
+        assert "EmptyGroup" not in codes
 
     @pytest.mark.parametrize("ring", [["g1", "g1", "g2"], ["g1"]], ids=["twice", "missing"])
     def test_replay_rejects_a_ring_that_does_not_list_each_group_once(self, ring):
@@ -361,6 +380,24 @@ class TestRecordIO:
         directory = tmp_path_factory.mktemp("dump")
         assert dumped_bytes(run, directory) == reference_bytes(run)
 
+    def test_dump_writes_each_fixed_shape_as_json_dump(self, tmp_path):
+        # every entry kind, an empty "moved" and an idle log, and numbers
+        # json writes specially; no run publishes such a log or such stalls
+        w = [WorkerId(t, k) for k, t in enumerate(['w"1', "w\\2", "w\n3", "w\x004", "\xe95"])]
+        ring = ("g1", "\u2603", "\U0001f600")
+        states = [RotationState(ring, ((w[0],), (w[1], w[2]), (w[3], w[4])), "g1"),
+                  RotationState(ring, ((w[0],), (w[1], w[2]), (w[3], w[4])), "\u2603", 1)]
+        log = (Inserted(w[0], "g1"), Removed(w[1], "\u2603"),
+               Split("\U0001f600", "g\n2", (w[2], w[3])), Split("g1", "g3", ()),
+               Joined("g1", "\u2603", (w[4],)), Donated(w[0], "g1", "g\\2"),
+               DegradedEntered("g\"1"), Stalled())
+        record = RunRecord(
+            config={"d": 2}, states=[*states, states[1]], change_logs=[log, ()],
+            stalls=[(3.0, 2.5), (float("nan"), float("inf")), (5, -float("inf"))],
+            unconsumed=[WorkerEvent(7.25, "depart", 'w"1'), WorkerEvent(8, "arrive", "\u26036"),
+                        WorkerEvent(float("inf"), "arrive", "w\x1f")])
+        assert dumped_bytes(record, tmp_path) == reference_bytes(record)
+
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"v": 1, "config": {}, "states": []}))
@@ -402,6 +439,36 @@ class TestRecordIO:
         snap = record_doc["states"][0]
         assert set(snap) == {"step", "current", "ring", "members"}
         assert list(snap["members"]) == snap["ring"]  # members in ring order
+
+
+def report_reference(report: dict) -> str:
+    return json.dumps(report, indent=1, sort_keys=True) + "\n"
+
+
+class TestReportText:
+    @given(runs(), st.tuples(*[st.floats(0, 1e6)] * 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_json_dumps(self, run, weights):
+        report = summarize_run(run, StressWeights(*weights))
+        assert report_text(report) == report_reference(report)
+
+    def test_matches_json_dumps_on_tokens_that_need_escaping(self):
+        tokens = ['w"1', "w\\2", "w\n3", "w\x004", "\xe95", "\u26036", "\U0001f6007", "w8"]
+        record = scripted_run(tokens, 6, [(0.3, "arrive", 0), (0.3, "arrive", 0),
+                                          (1.0, "depart", 3), (1.0, "depart", 0)], d=1)
+        report = summarize_run(record)
+        assert set(report["per_worker"]) == set(tokens) and report["totals"]["stress"] > 0
+        assert report_text(report) == report_reference(report)
+
+    def test_writes_nan_and_the_infinities_as_json_does(self, record):
+        # no run reports them (weights and times are finite), but the number
+        # helper must write each float slot as json does
+        report = summarize_run(record)
+        nan, inf = float("nan"), float("inf")
+        report["burden"], report["totals"]["stress"] = nan, -inf
+        report["stress_quantiles"]["max"] = inf
+        next(iter(report["per_worker"].values()))["stress"] = nan
+        assert report_text(report) == report_reference(report)
 
 
 # -- edited records: only a GrtcError may escape ---------------------------
