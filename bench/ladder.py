@@ -15,6 +15,17 @@ median seconds of ``summarize_run``, ``dump_record``, writing
 ``report.json``, ``load_record`` and ``validate_record``, the record's
 size, and the tracemalloc peak of one more, traced ``run_rotation``.
 
+A ``small`` section then times ``next_state`` where its fixed cost per
+call dominates: on fresh canonical states (ids g1..gm in ring order,
+current g1, members by seniority) for n = 2..8 workers and m = 2..4
+groups, every single departure (``balanced``) and one arrival per
+deterministic choose kind, for d = 1 and 2, as acceptance criterion 6
+compares them with its reference.  Every state is used for n <= 5; for
+n = 6..8, every k-th state, at most SMALL_STATES of them.  Each call
+gets a state built for it alone, outside the timer, so nothing cached
+on one state object serves another.  Per n it stores the median over
+REPEATS passes of µs per call.
+
 grtc is imported from ``--src`` (default: this checkout's ``src``), so
 the same script measures another tree, for example a parent commit.
 The results are stored under ``runs[LABEL]`` of ``--out``; the other
@@ -25,7 +36,9 @@ used, and no test or gate reads the output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import platform
 import statistics
@@ -41,6 +54,9 @@ TRACE_SEED = 0
 REPEATS = 3  # runs per pool; each timed layer stores its median
 LAYERS = ("run_s", "summarize_run_s", "dump_record_s", "write_report_s", "load_record_s",
           "validate_record_s")
+SMALL_NS = range(2, 9)
+SMALL_STATES = 1000  # states per n at most; larger n take every k-th state
+SMALL_KINDS = ("farthest", "concentrated", "balanced", "hybrid")
 
 
 def measure(workloads, n0: int, tmp: Path) -> dict:
@@ -116,6 +132,61 @@ def measure(workloads, n0: int, tmp: Path) -> dict:
     }
 
 
+def canonical_states(n: int) -> list[tuple]:
+    """(ring, members) of every canonical state of n workers in 2..4
+    groups, in criterion 6's order."""
+    from grtc.state import WorkerId
+    workers = [WorkerId(f"w{i + 1}", i + 1) for i in range(n)]
+    out = []
+    for m in range(2, min(4, n) + 1):
+        ring = tuple(f"g{k + 1}" for k in range(m))
+        for assignment in itertools.product(range(m), repeat=n):
+            if len(set(assignment)) != m:
+                continue
+            groups = [[] for _ in range(m)]
+            for w, g in zip(workers, assignment):
+                groups[g].append(w)
+            out.append((ring, tuple(map(tuple, groups))))
+    return out
+
+
+def measure_small(n: int) -> dict:
+    from grtc.errors import StallError
+    from grtc.generator import next_state
+    from grtc.operators import OperatorPolicy
+    from grtc.state import RotationState
+    from grtc.strategies import StrategySet
+    from grtc.traces import WorkerEvent
+
+    states = canonical_states(n)
+    states = states[::math.ceil(len(states) / SMALL_STATES)]
+    remove = StrategySet(choose="balanced", find_order="pred-first")
+    plan = [(OperatorPolicy(d=d), strat, [WorkerEvent(1.0, op, worker)])
+            for d in (1, 2)
+            for strat, op, worker in
+            [(remove, "depart", f"w{i + 1}") for i in range(n)]
+            + [(StrategySet(choose=kind, find_order="pred-first"), "arrive", "a1")
+               for kind in SMALL_KINDS]]
+    clock = time.perf_counter
+    passes = []
+    for _ in range(REPEATS):
+        elapsed = 0.0
+        for ring, members in states:
+            used = frozenset(ring)
+            fresh = [RotationState(ring, members, "g1", 0, used, n + 1) for _ in plan]
+            t0 = clock()
+            for state, (policy, strat, batch) in zip(fresh, plan):
+                try:
+                    next_state(state, policy, strat, batch)
+                except StallError:
+                    pass
+            elapsed += clock() - t0
+        passes.append(elapsed)
+    calls = len(states) * len(plan)
+    return {"states": len(states), "calls": calls,
+            "us_per_call": round(statistics.median(passes) / calls * 1e6, 2)}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
@@ -138,10 +209,15 @@ def main(argv: list[str] | None = None) -> int:
         for n0 in POOLS:
             rows[f"n{n0}"] = row = measure(workloads, n0, Path(tmp))
             print(f"{args.label}: n0={n0} {json.dumps(row)}", flush=True)
+    small = {}
+    for n in SMALL_NS:
+        small[f"n{n}"] = row = measure_small(n)
+        print(f"{args.label}: small n={n} {json.dumps(row)}", flush=True)
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "pools": rows,
+        "small": small,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -49,8 +49,10 @@ print(f"  w6's countdown ticked down to {counter_of_worker(nxt, 'w6')}")
 
 # Structural surgery.  The operators change a Workspace, a mutable copy
 # of one state, in place and append what they did to its change log
-# (ws.log); freezing the workspace gives the new state.  (A transition
-# applies its whole batch of arrivals and departures to one workspace.)
+# (ws.log).  A workspace answers the same questions as a state, so
+# ``show`` reads it directly; a transition applies its whole batch of
+# arrivals and departures to one workspace and publishes the next state
+# from it with ws.publish().
 policy = OperatorPolicy(d=2, max_multiplier=2)
 
 big = build_state(
@@ -60,7 +62,7 @@ big = build_state(
     current="g1")
 ws = Workspace(big)
 split_group(ws, policy, "g1")
-show(ws.freeze(), "\nafter splitting the oversized current group")
+show(ws, "\nafter splitting the oversized current group")
 print(f"  change log: {[e.to_dict() for e in ws.log]}")
 print("  the senior half stays; the newest members moved into a fresh group")
 print("  placed right behind the current group, so none of them performs next")
@@ -74,14 +76,14 @@ small = build_state(
 # performed (g1's) must not move into the group that performs next (g2).
 ws = Workspace(small)
 join_groups(ws, "g2")
-show(ws.freeze(), "\nafter joining the one-member group with its successor")
+show(ws, "\nafter joining the one-member group with its successor")
 print(f"  change log: {[e.to_dict() for e in ws.log]}")
 
 # ... or receive the newest worker of a group that can spare one
 # (the donor must keep at least d members).
 ws = Workspace(small)
 donate_worker(ws, policy, "g4", "g2")
-show(ws.freeze(), "\nafter a donation instead of a join")
+show(ws, "\nafter a donation instead of a join")
 print(f"  change log: {[e.to_dict() for e in ws.log]}")
 
 # Building a broken state raises InvalidState, which carries the full

@@ -143,22 +143,25 @@ def _reconcile(ws: Workspace, policy: OperatorPolicy,
 
     hopeless: set[str] = set()
 
-    def targets() -> list[str]:
-        m, cur = ws.m, ws.pos[ws.current]
-        order = [(ws.ring[(cur + k) % m], len(ws.members[(cur + k) % m]))
-                 for k in range(m)]
-        empty = [g for g, size in order if size == 0]
-        if empty:
-            return [g for g in empty if g not in hopeless]
-        if ws.n >= 2 * policy.d:
-            return [g for g, size in order if size < policy.d and g not in hopeless]
-        return []
+    def target() -> str | None:
+        """The first group to repair in ring order from the current group,
+        skipping hopeless ones: an empty group if any group is empty, else
+        one below the floor while n >= 2d.  Read off ``by_size``, so it
+        costs the number of such groups, not a ring walk."""
+        by_size, d = ws.by_size, policy.d
+        if 0 in by_size:
+            sizes = [0]
+        elif ws.n >= 2 * d:
+            sizes = [size for size in by_size if size < d]
+        else:
+            return None
+        ring, cur = ws.ring, ws.pos[ws.current]
+        m = len(ring)
+        ahead = min(((k - cur) % m for size in sizes for k in by_size[size]
+                     if ring[k] not in hopeless), default=None)
+        return None if ahead is None else ring[(cur + ahead) % m]
 
-    while True:
-        todo = targets()
-        if not todo:
-            break
-        g = todo[0]
+    while (g := target()) is not None:
         outcome = _repair_deficiency(ws, policy, strategies, g)
         if outcome == "blocked":
             hopeless.add(g)
@@ -214,15 +217,16 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     """One transition: apply a batch of arrivals/departures in order,
     reconcile, advance the current group and check the result.
 
-    The batch runs on one ``Workspace`` built from ``state``; the
-    published state carries the workspace's indexes, so the next
-    transition copies them instead of rebuilding them, and the publish
-    test reads them (``_publishable``).  An idle transition (an empty
-    batch on a state that carries indexes and needs no repair) builds no
-    workspace: the state passed the publish test when it was published,
-    and advancing the current group keeps its ring and members.  So a
-    transition costs what its batch changes, plus C-speed copies of the
-    indexes.
+    The batch runs on one ``Workspace`` built from ``state``, and
+    ``Workspace.publish`` builds the published state, current group
+    advanced, in one construction.  That state carries the workspace's
+    indexes, so the next transition copies them instead of rebuilding
+    them, and the publish test reads them (``_publishable``).  An idle
+    transition (an empty batch on a state that carries indexes and needs
+    no repair) builds no workspace: the state passed the publish test
+    when it was published, and advancing the current group keeps its
+    ring and members.  So a transition costs what its batch changes,
+    plus C-speed copies of the indexes.
 
     Raises StallError when the batch cannot end in a valid state that
     follows the input state, e.g. when too few workers remain or the
@@ -247,7 +251,7 @@ def next_state(state: RotationState, policy: OperatorPolicy,
         else:
             raise InconsistentEvent(f"unknown event op {ev.op!r}")
     _reconcile(ws, policy, strategies)
-    published = advance_current(ws.freeze())
+    published = ws.publish()
     if not _publishable(ws, policy):
         _stall_reason(state, published, policy)
     return published, tuple(ws.log)

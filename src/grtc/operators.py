@@ -214,7 +214,7 @@ def donate_worker(ws: Workspace, policy: OperatorPolicy,
         raise ForbiddenMove(
             f"worker {w.token} just performed; cannot move into {to_group}, "
             "the group performing next")
-    ws.set_members(i, tuple(x for x in src if x != w))
+    ws.set_members(i, tuple(x for x in src if x is not w))
     j = ws.index_of(to_group)
     ws.set_members(j, ws.members[j] + (w,))
     ws.group[w.token] = to_group

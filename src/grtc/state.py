@@ -13,7 +13,8 @@ of group ids ever used (so a retired id is never reissued within a run),
 the next free worker sequence number, and the indexes of the workspace
 that published the state.  A transition's batch of worker events is
 applied to a ``Workspace``, a mutable and indexed copy of one state,
-which is frozen back into a state at the end.
+whose ``publish`` builds the next state, current group advanced, in one
+construction at the end.
 """
 
 from __future__ import annotations
@@ -21,20 +22,21 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidState, UnknownGroup, UnknownWorker
 
 GroupId = str
 
 
-@dataclass(frozen=True, order=True)
-class WorkerId:
+class WorkerId(NamedTuple):
     """A worker handle: opaque token plus global arrival sequence number.
 
     ``seq`` increases in order of first appearance over a whole run and
     breaks ties whenever one member of a group must be singled out
     (splits move the newest workers, donations send the newest worker).
+    A tuple, so building, comparing, hashing and ordering (by
+    ``(token, seq)``) one runs in C.
     """
 
     token: str
@@ -89,9 +91,14 @@ class RotationState:
 
     ``indexes`` is ``(pos, group, by_size)`` of the workspace that
     published the state (see ``Workspace``), or None for a state built
-    any other way.  Only ``Workspace.freeze`` and ``advance_current`` set
+    any other way.  Only ``Workspace.publish`` and ``advance_current`` set
     it, so a state derived with ``dataclasses.replace`` carries none; the
     next workspace copies it instead of rebuilding it.
+
+    The class keeps the dataclass's equality, hash, repr, ``replace`` and
+    frozen assignment, but has its own ``__init__``, which fills the
+    instance dict in one call instead of one ``object.__setattr__`` per
+    field.
     """
 
     ring: tuple[GroupId, ...]
@@ -101,6 +108,12 @@ class RotationState:
     used_group_ids: frozenset[GroupId] = field(default=frozenset(), compare=False)
     next_seq: int = field(default=1, compare=False)
     indexes: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __init__(self, ring, members, current, step_index=0,
+                 used_group_ids=frozenset(), next_seq=1):
+        self.__dict__.update(ring=ring, members=members, current=current,
+                             step_index=step_index, used_group_ids=used_group_ids,
+                             next_seq=next_seq, indexes=None)
 
     # -- shape ---------------------------------------------------------
 
@@ -140,23 +153,26 @@ class RotationState:
         """An equal state that carries no indexes (what a run record keeps)."""
         if self.indexes is None:
             return self
-        return RotationState(self.ring, self.members, self.current, self.step_index,
-                             self.used_group_ids, self.next_seq)
+        return _state(self.ring, self.members, self.current, self.step_index,
+                      self.used_group_ids, self.next_seq, None)
 
 
-def _carrying(state: RotationState, indexes: tuple | None) -> RotationState:
-    object.__setattr__(state, "indexes", indexes)
+def _state(ring, members, current, step_index, used_group_ids, next_seq,
+           indexes) -> RotationState:
+    """A state that carries ``indexes``."""
+    state = RotationState(ring, members, current, step_index, used_group_ids, next_seq)
+    state.__dict__["indexes"] = indexes
     return state
 
 
 class Workspace:
     """A mutable copy of one state, indexed so that a worker event costs
     lookups instead of ring scans.  ``next_state`` applies its batch to
-    one workspace and freezes it into the published state.
+    one workspace, and ``publish`` builds the published state from it.
 
     ``ring`` is a tuple, replaced when a split or join changes it.
     ``members[k]`` is the member tuple of ``ring[k]``; a change replaces
-    the tuple, so ``freeze`` shares every untouched one with the input
+    the tuple, so ``publish`` shares every untouched one with the input
     state.  The indexes, which every mutation keeps in step:
 
     ``pos``      group id -> ring position
@@ -169,7 +185,7 @@ class Workspace:
     indexes of the workspace that published it hands them on: the new
     workspace copies ``group`` and each ``by_size`` list (C-speed copies)
     and shares ``pos``, which ``reindex`` replaces and nothing mutates.
-    Any other state has its indexes built, in O(n+m).
+    Any other state has its indexes built, in one O(n+m) pass.
 
     The batch's guard and its change log:
 
@@ -194,14 +210,26 @@ class Workspace:
         self.used_group_ids = state.used_group_ids
         self.next_seq = state.next_seq
         if state.indexes is None:
-            self.group = {w.token: g for g, ms in zip(state.ring, state.members) for w in ms}
-            self.reindex()
+            self.pos = pos = {}
+            self.group = group = {}
+            self.by_size = by_size = {}
+            k = 0
+            for g, ms in zip(state.ring, state.members):
+                pos[g] = k
+                for w in ms:
+                    group[w.token] = g
+                size = len(ms)
+                if size in by_size:
+                    by_size[size].append(k)
+                else:
+                    by_size[size] = [k]
+                k += 1
         else:
             self.pos, group, by_size = state.indexes
             self.group = group.copy()
             self.by_size = {size: at.copy() for size, at in by_size.items()}
         i = self.index_of(self.current)
-        self.tainted = frozenset(w.token for w in self.members[i])
+        self.tainted = frozenset([w.token for w in self.members[i]])
         self.protected = self.ring[(i + 1) % len(self.ring)]
         self.degraded: set[GroupId] = set()
         self.log: list = []
@@ -226,18 +254,14 @@ class Workspace:
                 del self.by_size[old]
             insort(self.by_size.setdefault(new, []), k)
 
-    def freeze(self) -> RotationState:
-        """The state the workspace holds.  It takes the workspace's
-        indexes, which stay true to it only while the workspace is not
-        changed again; ``next_state`` freezes last."""
-        return _carrying(RotationState(
-            ring=self.ring,
-            members=tuple(self.members),
-            current=self.current,
-            step_index=self.step_index,
-            used_group_ids=self.used_group_ids,
-            next_seq=self.next_seq,
-        ), (self.pos, self.group, self.by_size))
+    def publish(self) -> RotationState:
+        """The state the workspace holds with the current group advanced
+        one ring position: what ``next_state`` publishes.  It takes the
+        workspace's indexes, which stay true to it only while the
+        workspace is not changed again; ``next_state`` publishes last."""
+        return _state(self.ring, tuple(self.members), self.successor(self.current),
+                      self.step_index + 1, self.used_group_ids, self.next_seq,
+                      (self.pos, self.group, self.by_size))
 
     # -- the read API of RotationState, by lookup ----------------------
 
@@ -398,11 +422,6 @@ def counter_of_worker(state: RotationState, w: WorkerId | str) -> int:
 def advance_current(state: RotationState) -> RotationState:
     """Move the current group forward one ring position.  The ring and
     the members stay, and so do the indexes ``state`` carries."""
-    return _carrying(RotationState(
-        ring=state.ring,
-        members=state.members,
-        current=state.successor(state.current),
-        step_index=state.step_index + 1,
-        used_group_ids=state.used_group_ids,
-        next_seq=state.next_seq,
-    ), state.indexes)
+    return _state(state.ring, state.members, state.successor(state.current),
+                  state.step_index + 1, state.used_group_ids, state.next_seq,
+                  state.indexes)

@@ -14,7 +14,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import ConfigError, ConsistencyError, OrderError, ParseError
 
@@ -26,8 +26,10 @@ TRACE_KEYS = {"duration": float, "arrival_rate": float, "departure_rate": float,
               "initial_workers": int}
 
 
-@dataclass(frozen=True)
-class WorkerEvent:
+class WorkerEvent(NamedTuple):
+    """One arrival or departure.  A tuple, so building one costs what a
+    tuple does."""
+
     t: float
     op: str  # "arrive" | "depart"
     worker: str
@@ -173,22 +175,22 @@ def read_trace(stream: IO[str]) -> tuple[list[str], list[WorkerEvent]]:
             raise ParseError(f"unknown op {op!r}", line=no)
         if not isinstance(worker, str):
             raise ParseError(f"worker {worker!r} is not a string", line=no)
-        ev = WorkerEvent(float(t), op, worker)
-        if last_t is not None and ev.t < last_t:
-            raise OrderError(f"timestamp {ev.t} before previous {last_t}", line=no)
-        last_t = ev.t
-        if ev.op == "arrive":
-            if ev.worker in seen:
+        t = float(t)
+        if last_t is not None and t < last_t:
+            raise OrderError(f"timestamp {t} before previous {last_t}", line=no)
+        last_t = t
+        if op == "arrive":
+            if worker in seen:
                 raise ConsistencyError(
-                    f"arrival of already-used token {ev.worker}", line=no)
-            present.add(ev.worker)
-            seen.add(ev.worker)
+                    f"arrival of already-used token {worker}", line=no)
+            present.add(worker)
+            seen.add(worker)
         else:
-            if ev.worker not in present:
+            if worker not in present:
                 raise ConsistencyError(
-                    f"departure of absent worker {ev.worker}", line=no)
-            present.discard(ev.worker)
-        events.append(ev)
+                    f"departure of absent worker {worker}", line=no)
+            present.discard(worker)
+        events.append(WorkerEvent(t, op, worker))
     return list(initial), events
 
 

@@ -40,18 +40,23 @@ def make_state(spec, current):
     return build_state(spec, current=current)
 
 
-def afresh(state):
-    """An equal state built without the indexes a published state carries."""
-    return RotationState(state.ring, state.members, state.current, state.step_index,
-                         state.used_group_ids, state.next_seq)
+def snapshot(ws):
+    """The state a workspace holds, current group not advanced, carrying
+    no indexes.  Given a state, it returns an equal state built without
+    the indexes a published state carries."""
+    return RotationState(ws.ring, tuple(ws.members), ws.current, ws.step_index,
+                         ws.used_group_ids, ws.next_seq)
+
+
+afresh = snapshot  # said of a state rather than a workspace
 
 
 def on_workspace(op, state, *args):
     """Apply one operator the way ``next_state`` does: wrap ``state`` in a
-    workspace, call ``op`` on it, freeze it.  Returns (state, change log)."""
+    workspace, call ``op`` on it, snapshot it.  Returns (state, change log)."""
     ws = Workspace(state)
     op(ws, *args)
-    return ws.freeze(), tuple(ws.log)
+    return snapshot(ws), tuple(ws.log)
 
 
 def scripted_inputs(tokens, n0, script, d=2, count=8, choose="balanced"):

@@ -9,8 +9,11 @@ scan orders.
 
 import itertools
 import json
+import multiprocessing
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -186,12 +189,15 @@ def test_criterion_5_zero_stress_purity(corpus):
 
 # -- criterion 6: exhaustive oracle equivalence ------------------------------
 
-def enumerate_states(n, m):
-    """Every assignment of workers w1..wn to m ring positions (none empty),
-    canonical: ids g1..gm in ring order, current g1, members by seniority."""
+def enumerate_states(n, m, first):
+    """Every assignment of workers w1..wn to m ring positions (none empty)
+    that puts w1 in position ``first``, canonical: ids g1..gm in ring
+    order, current g1, members by seniority.  Over first = 0..m-1 in
+    turn, this is every such assignment in ``itertools.product`` order."""
     ring = tuple(f"g{k + 1}" for k in range(m))
     used = frozenset(ring)
-    for assignment in itertools.product(range(m), repeat=n):
+    for rest in itertools.product(range(m), repeat=n - 1):
+        assignment = (first, *rest)
         if len(set(assignment)) != m:
             continue
         groups = [[] for _ in range(m)]
@@ -218,8 +224,16 @@ def outcomes_agree(got, want):
     return got[0] != "ok" or got[1] == want[1]
 
 
-def test_criterion_6_oracle_equivalence():
-    t0 = time.time()
+# the census, in the order the cases are counted: n, then m, then the ring
+# position of w1
+CENSUS_SHARDS = [(n, m, first) for n in range(2, 9) for m in range(2, min(4, n) + 1)
+                 for first in range(m)]
+
+
+def census_shard(shard):
+    """Criterion 6 over the states of ``enumerate_states(*shard)``: returns
+    (cases, agreed stalls, mismatches, first mismatch or None)."""
+    n, m, first = shard
     policies = {d: OperatorPolicy(d=d, max_multiplier=2) for d in (1, 2)}
     insert_strats = {kind: StrategySet(choose=kind, find_order="pred-first")
                      for kind in ("farthest", "concentrated", "balanced", "hybrid")}
@@ -227,39 +241,51 @@ def test_criterion_6_oracle_equivalence():
 
     cases = mismatches = stalls = 0
     first_mismatch = None
-    for n in range(2, 9):
-        for m in range(2, min(4, n) + 1):
-            for state in enumerate_states(n, m):
-                snap = to_plain(state)
-                plain_members = snap["members"]
-                ws = Workspace(state)  # choose_group reads it, never changes it
-                for d in (1, 2):
-                    for i in range(1, n + 1):
-                        event = ("depart", f"w{i}")
-                        got = impl_single_event(state, policies[d],
-                                                remove_strat, event)
-                        want = oracle_next(snap, event, d, "balanced",
-                                           "pred-first")
-                        cases += 1
-                        stalls += got[0] == "stall" == want[0]
-                        if not outcomes_agree(got, want):
-                            mismatches += 1
-                            if first_mismatch is None:
-                                first_mismatch = (snap, event, d, got, want)
-                    for kind, strat in insert_strats.items():
-                        if choose_group(ws, policies[d], kind) != \
-                                oracle_choose(list(state.ring), plain_members,
-                                              state.current, kind, d):
-                            mismatches += 1
-                        event = ("arrive", "a1")
-                        got = impl_single_event(state, policies[d], strat, event)
-                        want = oracle_next(snap, event, d, kind, "pred-first")
-                        cases += 1
-                        stalls += got[0] == "stall" == want[0]
-                        if not outcomes_agree(got, want):
-                            mismatches += 1
-                            if first_mismatch is None:
-                                first_mismatch = (snap, event, d, got, want)
+    for state in enumerate_states(n, m, first):
+        snap = to_plain(state)
+        plain_members = snap["members"]
+        ws = Workspace(state)  # choose_group reads it, never changes it
+        for d in (1, 2):
+            for i in range(1, n + 1):
+                event = ("depart", f"w{i}")
+                got = impl_single_event(state, policies[d], remove_strat, event)
+                want = oracle_next(snap, event, d, "balanced", "pred-first")
+                cases += 1
+                stalls += got[0] == "stall" == want[0]
+                if not outcomes_agree(got, want):
+                    mismatches += 1
+                    if first_mismatch is None:
+                        first_mismatch = (snap, event, d, got, want)
+            for kind, strat in insert_strats.items():
+                if choose_group(ws, policies[d], kind) != \
+                        oracle_choose(list(state.ring), plain_members,
+                                      state.current, kind, d):
+                    mismatches += 1
+                event = ("arrive", "a1")
+                got = impl_single_event(state, policies[d], strat, event)
+                want = oracle_next(snap, event, d, kind, "pred-first")
+                cases += 1
+                stalls += got[0] == "stall" == want[0]
+                if not outcomes_agree(got, want):
+                    mismatches += 1
+                    if first_mismatch is None:
+                        first_mismatch = (snap, event, d, got, want)
+    return cases, stalls, mismatches, first_mismatch
+
+
+def test_criterion_6_oracle_equivalence():
+    """The census runs in shards over a process pool.  ``map`` returns the
+    shards' counts in census order, so the first mismatch reported is the
+    one a single sequential loop would meet first.  Workers are spawned,
+    not forked, and import this module afresh."""
+    t0 = time.time()
+    with ProcessPoolExecutor(max_workers=os.cpu_count(),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        results = list(pool.map(census_shard, CENSUS_SHARDS))
+    cases = sum(r[0] for r in results)
+    stalls = sum(r[1] for r in results)
+    mismatches = sum(r[2] for r in results)
+    first_mismatch = next((r[3] for r in results if r[3] is not None), None)
     detail = (f"{cases} single-event cases (n<=8, m<=4, d<=2) compared against "
               f"the brute-force reference, {mismatches} mismatches, "
               f"{stalls} agreed stalls, {time.time() - t0:.0f}s")

@@ -177,7 +177,7 @@ class TestNextState:
         ws = Workspace(fig1)
         for args in moves:
             move(ws, *args)
-        published = advance_current(ws.freeze())
+        published = ws.publish()
         assert _publishable(ws, policy) == (text is None)
         if text is None:
             _stall_reason(fig1, published, policy)

@@ -33,7 +33,7 @@ from grtc.state import (
 )
 from grtc.strategies import CHOOSE_KINDS, FIND_ORDERS, choose_group, find_donor
 
-from conftest import afresh, on_workspace, run_inputs
+from conftest import afresh, on_workspace, run_inputs, snapshot
 from oracle import _scan_donor, oracle_choose, oracle_next, to_plain
 
 
@@ -286,7 +286,7 @@ def test_trace_roundtrips(seed):
 
 def assert_indexes_rebuilt(ws, roster):
     """The workspace's indexes equal a from-scratch rebuild of its lists,
-    it holds exactly ``roster``, and its frozen state is a valid ring
+    it holds exactly ``roster``, and its snapshot is a valid ring
     (an emptied group is the one thing a batch may leave to its end)."""
     assert len(ws.members) == len(ws.ring)
     assert ws.pos == {g: k for k, g in enumerate(ws.ring)}
@@ -296,14 +296,14 @@ def assert_indexes_rebuilt(ws, roster):
         by_size.setdefault(len(ms), []).append(k)
     assert ws.by_size == by_size
     assert set(ws.group) == roster
-    assert check_state(ws.freeze()).codes() <= {Code.EMPTY_GROUP}
+    assert check_state(snapshot(ws)).codes() <= {Code.EMPTY_GROUP}
 
 
 def drive_workspace(state, policy, strat, steps):
     """Apply ``steps`` to workspaces the way ``next_state`` batches do,
     checking the indexes after every operation.  A step is ("arrive", _),
     ("depart", pick), which removes the present worker ``pick`` (mod the
-    pool), or ("publish", _), which reconciles, freezes and advances, and
+    pool), or ("publish", _), which reconciles and publishes, and
     starts the next batch from the result when it is publishable, else
     from the last published state (dropping the batch, as a stall does).
     Returns every change-log entry made and the number of donations that
@@ -333,7 +333,7 @@ def drive_workspace(state, policy, strat, steps):
                            and len(ws.members_of(e.from_group)) < policy.d for e in log)
         entries.extend(log)
         if op == "publish":
-            candidate = advance_current(ws.freeze())
+            candidate = ws.publish()
             valid = (check_state(candidate).ok
                      and (candidate.n < 2 * policy.d
                           or min(map(len, candidate.members)) >= policy.d)

@@ -1,10 +1,15 @@
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+
+from grtc import next_state
 from grtc.errors import InvalidState, UnknownGroup, UnknownWorker
 from grtc.state import (
     Code,
     ValidationReport,
     WorkerId,
+    Workspace,
     advance_current,
     build_state,
     counter_of_group,
@@ -12,7 +17,7 @@ from grtc.state import (
     validate_pair,
 )
 
-from conftest import make_state
+from conftest import make_state, runs, snapshot
 
 
 def worker(state, token):
@@ -160,3 +165,69 @@ class TestValidatePair:
              ("g3", ["w6", "w7", "w8", "w9"])], "g2")
         report = validate_pair(fig1, merged)
         assert Code.FOLLOWS_CURRENT_GONE in report.codes()
+
+
+class TestValueTypes:
+    """The contracts the value types keep however they are built."""
+
+    def test_worker_id_reprs_hashes_and_sorts_by_token_then_seq(self):
+        w = WorkerId("w1", 3)
+        assert repr(w) == "WorkerId(token='w1', seq=3)"
+        assert (w.token, w.seq) == ("w1", 3)
+        assert w == WorkerId(token="w1", seq=3)
+        assert hash(w) == hash(("w1", 3))  # as the frozen dataclass hashed its fields
+        ids = [WorkerId("b", 1), WorkerId("a", 2), WorkerId("a", 1), WorkerId("ab", 0)]
+        assert sorted(ids) == [WorkerId("a", 1), WorkerId("a", 2), WorkerId("ab", 0),
+                               WorkerId("b", 1)]
+        assert max(ids, key=lambda x: x.seq) == WorkerId("a", 2)
+
+    @pytest.mark.parametrize("name", ["ring", "members", "current", "step_index",
+                                      "used_group_ids", "next_seq", "indexes"])
+    def test_state_fields_cannot_be_assigned(self, fig1, policy, strategies, name):
+        published, _ = next_state(fig1, policy, strategies, [])
+        for state in (fig1, published):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, name, None)
+
+    def test_equality_and_hash_ignore_the_bookkeeping(self, fig1):
+        other = type(fig1)(fig1.ring, fig1.members, fig1.current, fig1.step_index,
+                           frozenset({"g1", "g2", "g3", "g7"}), fig1.next_seq + 5)
+        carrying, bare = Workspace(fig1).publish(), advance_current(fig1)
+        assert carrying.indexes is not None and bare.indexes is None
+        for a, b in ((other, fig1), (carrying, bare)):
+            assert a == b and hash(a) == hash(b)
+        assert bare != fig1  # the current group and the step do count
+
+    def test_replace_drops_the_indexes(self, fig1):
+        published = Workspace(fig1).publish()
+        derived = dataclasses.replace(published, step_index=7)
+        assert derived.indexes is None
+        assert (derived.ring, derived.members, derived.current, derived.step_index,
+                derived.used_group_ids, derived.next_seq) == \
+            (published.ring, published.members, published.current, 7,
+             published.used_group_ids, published.next_seq)
+
+    def test_publish_advances_the_snapshot_and_carries_the_maps(self, fig1):
+        ws = Workspace(fig1)
+        published = ws.publish()
+        want = advance_current(snapshot(ws))
+        assert published == want
+        assert (published.used_group_ids, published.next_seq) == \
+            (want.used_group_ids, want.next_seq)
+        pos, group, by_size = published.indexes
+        assert pos is ws.pos and group is ws.group and by_size is ws.by_size
+        # an untouched workspace shares every member tuple with its input
+        assert all(a is b for a, b in zip(published.members, fig1.members, strict=True))
+
+    def test_without_indexes_is_an_equal_state_that_carries_none(self, fig1):
+        published = Workspace(fig1).publish()
+        bare = published.without_indexes()
+        assert bare == published and bare.indexes is None
+        assert (bare.used_group_ids, bare.next_seq) == \
+            (published.used_group_ids, published.next_seq)
+        assert bare.without_indexes() is bare
+
+    @given(runs())
+    @settings(max_examples=100, deadline=None)
+    def test_a_run_record_keeps_no_indexes(self, record):
+        assert [s.indexes for s in record.states] == [None] * len(record.states)

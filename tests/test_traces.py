@@ -80,6 +80,20 @@ class TestGenerate:
         assert all(0 < e.t <= 10 for e in events)
 
 
+class TestWorkerEvent:
+    def test_fields_repr_and_dict(self):
+        ev = WorkerEvent(1.5, "arrive", "w7")
+        assert ev == WorkerEvent(t=1.5, op="arrive", worker="w7")
+        assert (ev.t, ev.op, ev.worker) == (1.5, "arrive", "w7")
+        assert repr(ev) == "WorkerEvent(t=1.5, op='arrive', worker='w7')"
+        assert ev.to_dict() == {"t": 1.5, "op": "arrive", "worker": "w7"}
+
+    def test_equal_events_hash_alike(self):
+        a, b = WorkerEvent(2.0, "depart", "w1"), WorkerEvent(2.0, "depart", "w1")
+        assert a is not b and hash(a) == hash(b)
+        assert len({a, b, WorkerEvent(2.0, "arrive", "w1")}) == 2
+
+
 class TestIO:
     def test_roundtrip_exact(self):
         config = TraceConfig(seed=77, duration=500, arrival_rate=2.0,
