@@ -18,15 +18,7 @@ from math import inf, isfinite
 from operator import attrgetter
 
 from .errors import ConfigError, InconsistentEvent, InvalidState, OrderError, StallError
-from .operators import (
-    ChangeLog,
-    OperatorPolicy,
-    Stalled,
-    _note_degraded,
-    _repair_deficiency,
-    insert_worker,
-    remove_worker,
-)
+from .operators import ChangeLog, OperatorPolicy, Stalled, insert_worker, reconcile, remove_worker
 from .state import (
     RotationState,
     WorkerId,
@@ -121,57 +113,6 @@ def build_initial_state(workers: list[WorkerId | str],
     return build_state([(f"g{k + 1}", ms) for k, ms in enumerate(groups)], current="g1")
 
 
-def _settled(smallest: int, n: int, d: int) -> bool:
-    """Nothing for ``_reconcile`` to repair: no group is below the floor,
-    or the pool is degraded (n < 2d) and no group is empty."""
-    return smallest >= d or (smallest > 0 and n < 2 * d)
-
-
-def _reconcile(ws: Workspace, policy: OperatorPolicy,
-               strategies: StrategySet) -> None:
-    """Batch-end repair pass.
-
-    Fixes what per-event repairs could not: transiently emptied groups,
-    deficiencies whose repair was blocked mid-batch, and groups left
-    below the floor although the pool has grown back to n >= 2d
-    (leaving degraded mode).  Donations and joins here follow the same
-    rules as the per-event repairs; what cannot be repaired is left for
-    the publish-time checks to turn into a stall.
-    """
-    if _settled(min(ws.by_size), ws.n, policy.d):
-        return  # the overwhelmingly common case
-
-    hopeless: set[str] = set()
-
-    def target() -> str | None:
-        """The first group to repair in ring order from the current group,
-        skipping hopeless ones: an empty group if any group is empty, else
-        one below the floor while n >= 2d.  Read off ``by_size``, so it
-        costs the number of such groups, not a ring walk."""
-        by_size, d = ws.by_size, policy.d
-        if 0 in by_size:
-            sizes = [0]
-        elif ws.n >= 2 * d:
-            sizes = [size for size in by_size if size < d]
-        else:
-            return None
-        ring, cur = ws.ring, ws.pos[ws.current]
-        m = len(ring)
-        ahead = min(((k - cur) % m for size in sizes for k in by_size[size]
-                     if ring[k] not in hopeless), default=None)
-        return None if ahead is None else ring[(cur + ahead) % m]
-
-    while (g := target()) is not None:
-        outcome = _repair_deficiency(ws, policy, strategies, g)
-        if outcome == "blocked":
-            hopeless.add(g)
-        elif outcome == "degraded" and ws.members_of(g):
-            if ws.n < 2 * policy.d:
-                _note_degraded(ws, g)
-            else:
-                hopeless.add(g)
-
-
 def _publishable(ws: Workspace, policy: OperatorPolicy) -> bool:
     """The publish test, read off the workspace: every condition of
     ``check_state``, the floor and ``validate_pair`` for the state that
@@ -180,13 +121,13 @@ def _publishable(ws: Workspace, policy: OperatorPolicy) -> bool:
     passes is valid and follows the batch's input state."""
     m, by_size = len(ws.ring), ws.by_size
     if not (m >= 2 and len(ws.members) == len(ws.pos) == m  # one ring, ids distinct
-            and ws.current in ws.pos and 0 not in by_size):
+            and ws.current in ws.pos):
         return False
     n = len(ws.group)
     if n != sum(size * len(at) for size, at in by_size.items()):
         return False  # a worker is in two groups
-    if n >= 2 * policy.d and min(by_size) < policy.d:
-        return False
+    if min(by_size) < policy.floor(n):
+        return False  # an empty group, or one below the floor
     performs_next = ws.members[(ws.pos[ws.current] + 1) % m]
     return ws.tainted.isdisjoint([w.token for w in performs_next])
 
@@ -199,13 +140,13 @@ def _stall_reason(state: RotationState, published: RotationState,
     report = check_state(published)
     if not report.ok:
         raise StallError(f"no valid state constructible: {report}")
-    if published.n >= 2 * policy.d:
-        floor_breakers = [g for g, ms in zip(published.ring, published.members)
-                          if len(ms) < policy.d]
-        if floor_breakers:
-            raise StallError(
-                f"groups {floor_breakers} cannot reach the floor d={policy.d} "
-                "without breaking the rotation constraints")
+    floor = policy.floor(published.n)
+    floor_breakers = [g for g, ms in zip(published.ring, published.members)
+                      if len(ms) < floor]
+    if floor_breakers:
+        raise StallError(
+            f"groups {floor_breakers} cannot reach the floor d={floor} "
+            "without breaking the rotation constraints")
     pair = validate_pair(state, published)
     if not pair.ok:
         raise StallError(f"candidate state does not follow its predecessor: {pair}")
@@ -236,21 +177,21 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     carried = state.indexes
     if not batch and carried is not None:
         _pos, group, by_size = carried
-        if _settled(min(by_size), len(group), policy.d):
+        if min(by_size) >= policy.floor(len(group)):
             return advance_current(state), ()
     ws = Workspace(state)
     for ev in batch:
         if ev.op == "arrive":
             if ev.worker in ws.group:
                 raise InconsistentEvent(f"arrival of present worker {ev.worker}")
-            insert_worker(ws, policy, strategies, WorkerId(ev.worker, ws.next_seq))
+            insert_worker(ws, policy, strategies, ev.worker)
         elif ev.op == "depart":
             if ev.worker not in ws.group:
                 raise InconsistentEvent(f"departure of absent worker {ev.worker}")
             remove_worker(ws, policy, strategies, ev.worker)
         else:
             raise InconsistentEvent(f"unknown event op {ev.op!r}")
-    _reconcile(ws, policy, strategies)
+    reconcile(ws, policy, strategies)
     published = ws.publish()
     if not _publishable(ws, policy):
         _stall_reason(state, published, policy)

@@ -17,14 +17,12 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import is_not
 from typing import NamedTuple
 
 from .errors import ConfigError, InvalidPair
 from .generator import RunRecord
 from .operators import ChangeLog, Donated, Inserted, Joined, Removed, Split
-from .state import RotationState, validate_pair
+from .state import RotationState, changed_positions, validate_pair
 
 
 @dataclass(frozen=True)
@@ -143,16 +141,13 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None) -> di
     for prev, nxt, log in zip(record.states, record.states[1:], record.change_logs):
         entry_counts.update(map(type, log))
         before, after = prev.members, nxt.members
-        if nxt.ring is prev.ring or nxt.ring == prev.ring:
+        positions = changed_positions(prev, nxt)
+        if positions is not None:
             # The same ring: ``current`` moved one position, so every
             # counter in a group whose member tuple is unchanged fell by
             # one, as promised, and its rows are zero.
-            positions = [k for k in compress(count(), map(is_not, before, after))
-                         if before[k] != after[k]]
             before = [before[k] for k in positions]
             after = [after[k] for k in positions]
-        else:
-            positions = None
         gone = {w.token for ms in before for w in ms}
         came = [w.token for ms in after for w in ms]
         pool.difference_update(gone)

@@ -46,6 +46,12 @@ class OperatorPolicy:
     def max_size(self) -> int:
         return self.max_multiplier * self.d
 
+    def floor(self, n: int) -> int:
+        """The least size a group may have in a pool of ``n`` workers: d,
+        or 1 while the pool is too small for two groups of d (degraded
+        mode, n < 2d)."""
+        return self.d if n >= 2 * self.d else 1
+
 
 # -- change log entries -------------------------------------------------
 
@@ -228,12 +234,13 @@ def _repair_deficiency(ws: Workspace, policy: OperatorPolicy,
     """One repair attempt for a group that fell below the floor.
 
     Preference order: donation from the nearest group on the ring that
-    can spare a worker, then a join, then (for emptied groups with only
-    two groups left) an emergency donation that may push the donor below
-    the floor.
-    Returns the outcome: "repaired", "degraded" (left below floor, legal
-    because n < 2d) or "blocked" (nothing legal; caller stalls or
-    defers).  Only a repair changes ``ws``.
+    can spare a worker, then a join, then (for an emptied group that
+    neither could fill) an emergency donation that may push the donor
+    below the floor.
+    Returns the outcome: "repaired", "degraded" (left non-empty but below
+    d, which ``policy.floor`` allows only while the pool is degraded) or
+    "blocked" (nothing legal; caller stalls or defers).  Only a repair
+    changes ``ws``.
     """
     donor = find_donor(ws, g, strategies.find_order, policy.d + 1)
     if donor is not None:
@@ -256,9 +263,7 @@ def _repair_deficiency(ws: Workspace, policy: OperatorPolicy,
             return "repaired" if len(ws.members_of(g)) >= policy.d else "degraded"
         return "blocked"
 
-    if ws.n < 2 * policy.d:
-        return "degraded"
-    return "blocked"
+    return "degraded" if len(ws.members_of(g)) >= policy.floor(ws.n) else "blocked"
 
 
 def _note_degraded(ws: Workspace, g: GroupId) -> None:
@@ -267,21 +272,60 @@ def _note_degraded(ws: Workspace, g: GroupId) -> None:
         ws.log.append(DegradedEntered(g))
 
 
+def reconcile(ws: Workspace, policy: OperatorPolicy, strategies: StrategySet) -> None:
+    """The batch-end repair pass: every group is brought up to the floor
+    if it can be.
+
+    Fixes what per-event repairs could not: transiently emptied groups,
+    deficiencies whose repair was blocked mid-batch, and groups left
+    below d although the pool has grown back to n >= 2d (leaving
+    degraded mode).  Donations and joins here follow the same rules as
+    the per-event repairs; what cannot be repaired is left for the
+    publish test to turn into a stall.
+    """
+    if min(ws.by_size) >= policy.floor(ws.n):
+        return  # the overwhelmingly common case
+
+    hopeless: set[str] = set()
+
+    def target() -> str | None:
+        """The first group to repair in ring order from the current group,
+        skipping hopeless ones: an empty group if any group is empty, else
+        one below the floor.  Read off ``by_size``, so it costs the number
+        of such groups, not a ring walk."""
+        by_size, floor = ws.by_size, policy.floor(ws.n)
+        sizes = [0] if 0 in by_size else [size for size in by_size if size < floor]
+        ring, cur = ws.ring, ws.pos[ws.current]
+        m = len(ring)
+        ahead = min(((k - cur) % m for size in sizes for k in by_size[size]
+                     if ring[k] not in hopeless), default=None)
+        return None if ahead is None else ring[(cur + ahead) % m]
+
+    while (g := target()) is not None:
+        outcome = _repair_deficiency(ws, policy, strategies, g)
+        if outcome == "degraded" and len(ws.members_of(g)) >= policy.floor(ws.n):
+            _note_degraded(ws, g)
+        elif outcome != "repaired":
+            hopeless.add(g)
+
+
 # -- the two operators -----------------------------------------------------
 # Both are steps of a ``generator.next_state`` batch, which checks each
 # event first and stalls on whatever they leave broken.
 
 def insert_worker(ws: Workspace, policy: OperatorPolicy,
-                  strategies: StrategySet, w: WorkerId) -> None:
+                  strategies: StrategySet, token: str) -> None:
     """Place an arriving worker, splitting the target group if it overflows.
 
-    ``w`` must not be in the pool yet.
+    ``token`` must not be in the pool yet.  The worker takes the run's
+    next sequence number, ``ws.next_seq``, which then advances.
     """
     g = choose_group(ws, policy, strategies.choose, strategies.rng)
+    w = WorkerId(token, ws.next_seq)
+    ws.next_seq += 1
     i = ws.pos[g]
     ws.set_members(i, ws.members[i] + (w,))
-    ws.group[w.token] = g
-    ws.next_seq = max(ws.next_seq, w.seq + 1)
+    ws.group[token] = g
     ws.log.append(Inserted(w, g))
     if len(ws.members[i]) > policy.max_size:
         split_group(ws, policy, g)

@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii as _str
 from .errors import CorruptRecord
 from .generator import RunRecord
 from .operators import DegradedEntered, Donated, Inserted, Joined, Removed, Split, Stalled
-from .state import RotationState
+from .state import RotationState, changed_positions
 
 SCHEMA_VERSION = 1
 STALL_KEYS = ("time", "duration")
@@ -96,22 +96,21 @@ def _write_array(f, key: str, items) -> None:
 def _snapshots(states):
     """Each state's snapshot as indented in a record.
 
-    While the ring stays the same, a group whose member tuple is the
-    previous state's object keeps that state's encoded row; only the
-    changed rows are encoded again.  Only one snapshot's rows are held
-    at a time.
+    While the ring stays the same, a group whose member tuple equals the
+    previous state's keeps that state's encoded row; only the changed
+    rows are encoded again (``changed_positions``).  Only one snapshot's
+    rows are held at a time.
     """
-    ring = members = None
+    prev = None
     for s in states:
-        if s.ring is ring or s.ring == ring:
-            for k, ms in enumerate(s.members):
-                if ms is not members[k]:
-                    rows[k] = _group_row(ring[k], ms)
+        changed = None if prev is None else changed_positions(prev, s)
+        if changed is None:
+            rows = [_group_row(g, ms) for g, ms in zip(s.ring, s.members)]
+            head = '   "ring": [\n    ' + ",\n    ".join(map(_str, s.ring)) + "\n   ]"
         else:
-            ring = s.ring
-            rows = [_group_row(g, ms) for g, ms in zip(ring, s.members)]
-            head = '   "ring": [\n    ' + ",\n    ".join(map(_str, ring)) + "\n   ]"
-        members = s.members
+            for k in changed:
+                rows[k] = _group_row(s.ring[k], s.members[k])
+        prev = s
         body = "{\n" + ",\n".join(rows) + "\n   }"
         yield (f'{{\n   "step": {s.step_index},\n   "current": {_str(s.current)},\n'
                f'{head},\n   "members": {body}\n  }}')

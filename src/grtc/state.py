@@ -22,6 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count
+from operator import is_not
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidState, UnknownGroup, UnknownWorker
@@ -237,10 +239,13 @@ class Workspace:
     def reindex(self) -> None:
         """Rebuild ``pos`` and ``by_size`` after the ring changed."""
         self.pos = dict(zip(self.ring, range(len(self.ring))))
-        by_size: dict[int, list[int]] = {}
+        self.by_size = by_size = {}
         for k, ms in enumerate(self.members):
-            by_size.setdefault(len(ms), []).append(k)
-        self.by_size = by_size
+            size = len(ms)
+            if size in by_size:
+                by_size[size].append(k)
+            else:
+                by_size[size] = [k]
 
     def set_members(self, k: int, ms: tuple[WorkerId, ...]) -> None:
         """Replace the member tuple at ring position ``k``.  The caller
@@ -407,6 +412,17 @@ def validate_pair(prev: RotationState, nxt: RotationState) -> ValidationReport:
             f"{nxt.successor(prev.current)} of {prev.current}"))
 
     return ValidationReport(tuple(violations))
+
+
+def changed_positions(prev: RotationState, nxt: RotationState) -> list[int] | None:
+    """The ring positions whose member tuples differ from ``prev`` to
+    ``nxt``, or None when the ring changed (a split or a join).  A
+    published state shares every member tuple its batch left untouched,
+    so an identity scan in C skips those, and only the rest are compared."""
+    if not (nxt.ring is prev.ring or nxt.ring == prev.ring):
+        return None
+    before, after = prev.members, nxt.members
+    return [k for k in compress(count(), map(is_not, before, after)) if before[k] != after[k]]
 
 
 def counter_of_group(state: RotationState, g: GroupId) -> int:

@@ -121,12 +121,11 @@ def run_combo(config: dict) -> dict:
     setup = RunSetup({k: v for k, v in config.items() if k != "trace"})
     roster, events = generate_trace(TraceConfig.from_spec(config["trace"], setup.seed))
     initial = setup.initial_state(roster)
-    record = run_rotation(initial, setup.policy, setup.strategies,
-                          setup.schedule, events, config=setup.echo())
+    record = run_rotation(initial, setup.policy, setup.strategies, setup.schedule, events)
     return summarize_run(record, setup.weights)
 
 
-def _run_indexed(args: tuple[int, dict]) -> tuple[int, dict, str | None]:
+def _run_indexed(args: tuple[int, dict]) -> tuple[dict, str | None]:
     """One combination's CSV row and, if it completed, its ``report.json``
     text, encoded here so that a pool's workers encode in parallel."""
     index, config = args
@@ -136,8 +135,8 @@ def _run_indexed(args: tuple[int, dict]) -> tuple[int, dict, str | None]:
     except GrtcError as e:  # a bad combination is a row; a bug aborts the sweep
         row = dict.fromkeys(CSV_COLUMNS, "")
         row.update(config_columns(run_id, config), error=str(e))
-        return index, row, None
-    return index, csv_row(run_id, config, report), report_text(report)
+        return row, None
+    return csv_row(run_id, config, report), report_text(report)
 
 
 def execute(spec: dict, out_dir, jobs: int = 1) -> Path:
@@ -151,18 +150,17 @@ def execute(spec: dict, out_dir, jobs: int = 1) -> Path:
     reports_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = list(enumerate(combos))
-    if jobs > 1:
+    if jobs > 1:  # map returns the results in input order
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_indexed, tasks, chunksize=1))
     else:
         results = [_run_indexed(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for index, row, text in results:
+        for index, (row, text) in enumerate(results):
             writer.writerow(row)
             if text is not None:
                 with open(reports_dir / f"run-{index:04d}.json", "w",

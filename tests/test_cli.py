@@ -386,6 +386,20 @@ class TestValidate:
         assert main(["validate", str(out / "record.json")]) == 0
         assert "clean" in capsys.readouterr().out
 
+    def test_degraded_record_is_clean_with_warnings(self, tmp_path, capsys):
+        # three workers, d=2: the pool is below 2d, so the group of one is legal
+        config = write_json(tmp_path / "config.json",
+                            dict(RUN_CONFIG, schedule={"interval": 1.0, "count": 2},
+                                 initial={"workers": 3}))
+        out = tmp_path / "out"
+        assert main(["run", config, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(out / "record.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            *(f"(warning) step {k}: BelowFloorDegraded: group g2 has 1 < d=2 members"
+              for k in range(3)),
+            f"{out / 'record.json'}: clean (3 states, 3 warnings)"]
+
     def test_corrupted_record_reports_step(self, tmp_path, capsys):
         config = write_json(tmp_path / "config.json", RUN_CONFIG)
         out = tmp_path / "out"

@@ -126,6 +126,14 @@ class TestNextState:
         assert validate_pair(fig1, out).ok
         assert all(len(out.members_of(g)) >= policy.d for g in out.ring)
 
+    def test_arrivals_take_the_next_sequence_numbers(self, fig1, policy, strategies):
+        # two arrivals in one batch: neither may reuse the other's number
+        out, log = next_state(fig1, policy, strategies,
+                              [ev(1.0, "arrive", "a1"), ev(1.0, "arrive", "a2")])
+        seq = {w.token: w.seq for ms in out.members for w in ms}
+        assert (seq["a1"], seq["a2"]) == (fig1.next_seq, fig1.next_seq + 1)
+        assert out.next_seq == fig1.next_seq + 2
+
     def test_arrival_of_present_worker(self, fig1, policy, strategies):
         with pytest.raises(InconsistentEvent):
             next_state(fig1, policy, strategies, [ev(1.0, "arrive", "w1")])

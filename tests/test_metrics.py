@@ -21,7 +21,8 @@ from grtc import (
 )
 from grtc.errors import InvalidPair
 from grtc.generator import RunRecord
-from grtc.metrics import transition_stress
+from grtc.metrics import _stress_rows, transition_stress
+from grtc.operators import Donated
 from grtc.state import WorkerId, advance_current, counter_of_worker
 
 from conftest import make_state, on_workspace, runs
@@ -98,6 +99,23 @@ class TestTransitionStress:
                               [WorkerEvent(0.5, "depart", "w8")])
         for s in transition_stress(state, nxt, W, log).values():
             assert s.drop == 0 or s.rise == 0
+
+    def test_donated_away_and_back_is_not_moved(self, policy):
+        # w6 (the newest worker) is donated from g2 to g1, then back to g2,
+        # in one batch: it ends in the group it started in
+        w = {s: WorkerId(f"w{s}", s) for s in range(1, 8)}
+        state = make_state([("g1", [w[3], w[7]]), ("g2", [w[6], w[5], w[4]]),
+                            ("g3", [w[2], w[1]])], "g1")
+        nxt, log = next_state(state, policy, StrategySet(choose="balanced"),
+                              [WorkerEvent(1.0, "depart", t) for t in ("w7", "w2", "w5")])
+        assert [(e.worker.token, e.from_group, e.to_group)
+                for e in log if isinstance(e, Donated)] == [("w6", "g2", "g1"),
+                                                            ("w6", "g1", "g2")]
+        only_moves = StressWeights(alpha=0.0, beta=0.0, gamma=1.0)
+        assert _stress_rows(state, nxt, only_moves, log)["w6"].moved is False
+        report = summarize_run(RunRecord(states=[state, nxt], change_logs=[log]), only_moves)
+        assert report["per_worker"]["w6"]["moves"] == 0
+        assert report["per_worker"]["w6"]["stress"] == 0.0
 
 
 class TestSummarize:

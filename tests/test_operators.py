@@ -65,7 +65,7 @@ def assert_published_follows(before, published, log):
 class TestInsert:
     def test_insert_below_threshold_no_split(self, fig1, policy):
         strat = StrategySet(choose="balanced")
-        out, log = on_workspace(insert_worker, fig1, policy, strat, WorkerId("w10", 10))
+        out, log = on_workspace(insert_worker, fig1, policy, strat, "w10")
         assert [type(e) for e in log] == [Inserted]
         assert out.ring == fig1.ring
         assert out.group_of("w10") == "g2"  # smallest group
@@ -74,7 +74,7 @@ class TestInsert:
 
     def test_insert_keeps_existing_counters(self, fig1, policy):
         strat = StrategySet(choose="balanced")
-        out, _ = on_workspace(insert_worker, fig1, policy, strat, WorkerId("w10", 10))
+        out, _ = on_workspace(insert_worker, fig1, policy, strat, "w10")
         for token in ("w1", "w4", "w6"):
             assert counter_of_worker(out, token) == counter_of_worker(fig1, token)
 
@@ -83,7 +83,7 @@ class TestInsert:
         state = make_state([("A", ["w1", "w2", "w3", "w4"]),
                             ("B", ["w5", "w6"]), ("C", ["w7", "w8"])], "A")
         strat = StrategySet(choose="concentrated")
-        out, log = on_workspace(insert_worker, state, policy, strat, WorkerId("w9", 9))
+        out, log = on_workspace(insert_worker, state, policy, strat, "w9")
         assert [type(e) for e in log] == [Inserted, Split]
         # size bookkeeping by hand: 4 + 1 = 5 > 4, halves 3 and 2
         assert len(out.members_of("A")) == 3

@@ -18,8 +18,8 @@ from grtc import (
     run_rotation,
     write_trace,
 )
-from grtc.generator import _publishable, _reconcile, partition_events
-from grtc.operators import Donated, insert_worker, remove_worker
+from grtc.generator import _publishable, partition_events
+from grtc.operators import Donated, insert_worker, reconcile, remove_worker
 from grtc.recordcheck import replay_entries
 from grtc.records import state_snapshot
 from grtc.state import (
@@ -33,7 +33,7 @@ from grtc.state import (
 )
 from grtc.strategies import CHOOSE_KINDS, FIND_ORDERS, choose_group, find_donor
 
-from conftest import afresh, on_workspace, run_inputs, snapshot
+from conftest import afresh, on_workspace, run_inputs, runs, snapshot
 from oracle import _scan_donor, oracle_choose, oracle_next, to_plain
 
 
@@ -188,12 +188,18 @@ def test_next_state_matches_oracle_at_any_horizon(data, choose, order, d, horizo
     assert got == (want if verdict == "ok" else "stall")
 
 
+@given(runs())
+def test_published_workers_have_distinct_sequence_numbers(record):
+    for state in record.states:
+        seqs = [w.seq for ms in state.members for w in ms]
+        assert len(set(seqs)) == len(seqs)
+
+
 @given(states(), choose_kinds, ds)
 def test_insert_preserves_validity(state, choose, d):
     policy = OperatorPolicy(d=d)
     strat = StrategySet(choose=choose)
-    out, log = on_workspace(insert_worker, state, policy, strat,
-                            WorkerId("a1", state.next_seq))
+    out, log = on_workspace(insert_worker, state, policy, strat, "a1")
     assert check_state(out).ok
     assert out.n == state.n + 1
     assert_transition_contract(state, advance_current(out), log)
@@ -317,14 +323,14 @@ def drive_workspace(state, policy, strat, steps):
         if op == "arrive":
             fresh += 1
             token = f"a{fresh}"
-            insert_worker(ws, policy, strat, WorkerId(token, ws.next_seq))
+            insert_worker(ws, policy, strat, token)
             roster.add(token)
         elif op == "depart" and roster:
             token = sorted(roster)[pick % len(roster)]
             remove_worker(ws, policy, strat, token)
             roster.discard(token)
         elif op == "publish":
-            _reconcile(ws, policy, strat)
+            reconcile(ws, policy, strat)
         else:
             continue
         log = ws.log[done:]

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+from functools import partial
 from itertools import count
 from pathlib import Path
 
@@ -55,8 +56,46 @@ def record_doc(record):
     doc = record_to_dict(record)
     # make sure the fixture actually exercises restructuring
     ops = {e["op"] for log in doc["change_logs"] for e in log}
-    assert {"inserted", "removed"} <= ops
+    assert {"inserted", "removed", "donated", "split", "joined"} <= ops
     return doc
+
+
+def _duplicate_ring_id(doc):
+    ring = doc["states"][2]["ring"]
+    ring.append(ring[0])
+    return "step 2: NotSingleCycle: duplicate group ids in ring"
+
+
+def _one_group_left(doc):
+    snap = doc["states"][2]
+    g = snap["ring"][0]
+    snap["ring"] = [g]
+    snap["current"] = g
+    snap["members"] = {g: [t for ms in snap["members"].values() for t in ms]}
+    return "step 2: TooFewGroups: |G| = 1"
+
+
+def _emptied_group(doc):
+    g = doc["states"][2]["ring"][1]
+    doc["states"][2]["members"][g] = []
+    return f"step 2: EmptyGroup: group {g} is empty"
+
+
+def _entry_naming(op, key, value, text, doc):
+    """Set ``key`` of the record's first ``op`` entry to ``value`` (None:
+    the entry's own "group") and return the replay finding expected,
+    ``text`` formatted with the entry as it was."""
+    step, entry = next((i + 1, e) for i, log in enumerate(doc["change_logs"])
+                       for e in log if e["op"] == op)
+    detail = text.format(**entry)
+    entry[key] = entry["group"] if value is None else value
+    return f"step {step}: ReplayMismatch: {detail}"
+
+
+def _no_states(doc):
+    doc["states"] = []
+    doc["change_logs"] = []
+    return "CorruptRecord: record has no states"
 
 
 class TestValidateRecord:
@@ -191,6 +230,34 @@ class TestValidateRecord:
                 "members": {"g1": ["w1"], "g2": ["w2"]}}
         with pytest.raises(ReplayFailure, match="does not list each group"):
             replay_entries(snap, [])
+
+    @pytest.mark.parametrize("edit", [
+        _duplicate_ring_id,
+        _one_group_left,
+        _emptied_group,
+        partial(_entry_naming, "donated", "to", "g99", "donation into unknown group g99"),
+        partial(_entry_naming, "split", "group", "g99", "split of unknown group g99"),
+        partial(_entry_naming, "split", "new_group", None,
+                "split creates existing group {group}"),
+        partial(_entry_naming, "joined", "absorbed", "g99", "join of unknown group"),
+        partial(_entry_naming, "joined", "moved", ["w0"],
+                "join moved list ['w0'] does not match members of {absorbed}: {moved}"),
+        _no_states,
+    ], ids=["ring-id-twice", "one-group", "empty-group", "donation-into-unknown",
+            "split-of-unknown", "split-creates-existing", "join-of-unknown",
+            "join-moved-disagrees", "no-states"])
+    def test_each_fault_is_named(self, record_doc, tmp_path, edit):
+        """One edit of the clean record, loaded and validated as ``grtc
+        validate`` does: the finding (or the load error) it must give."""
+        doc = copy.deepcopy(record_doc)
+        expected = edit(doc)
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(doc))
+        try:
+            found = [str(f) for f in validate_record(load_record(path)).violations]
+        except CorruptRecord as e:
+            found = [f"CorruptRecord: {e}"]
+        assert expected in found
 
     def test_replay_rejects_bogus_entry(self, record_doc):
         snap = record_doc["states"][0]
