@@ -7,7 +7,7 @@ Run: python3 demos/01_ring_basics.py
 """
 
 from grtc.errors import InvalidState
-from grtc.operators import OperatorPolicy, donate_worker, join_groups, split_group
+from grtc.operators import donate_worker, join_groups, split_group
 from grtc.state import (
     Workspace,
     advance_current,
@@ -52,16 +52,16 @@ print(f"  w6's countdown ticked down to {counter_of_worker(nxt, 'w6')}")
 # (ws.log).  A workspace answers the same questions as a state, so
 # ``show`` reads it directly; a transition applies its whole batch of
 # arrivals and departures to one workspace and publishes the next state
-# from it with ws.publish().
-policy = OperatorPolicy(d=2, max_multiplier=2)
-
+# from it with ws.publish().  Called directly, as here, an operator
+# trusts its caller: next_state splits only a group grown past the cap
+# max(d) = 2d, and donates only from a donor that find_donor picked.
 big = build_state(
-    [("g1", ["w1", "w2", "w3", "w4", "w5"]),  # five members: above max(d)=4
+    [("g1", ["w1", "w2", "w3", "w4", "w5"]),  # five members: above max(d)=4 for d=2
      ("g2", ["w6", "w7"]),
      ("g3", ["w8", "w9"])],
     current="g1")
 ws = Workspace(big)
-split_group(ws, policy, "g1")
+split_group(ws, "g1")
 show(ws, "\nafter splitting the oversized current group")
 print(f"  change log: {[e.to_dict() for e in ws.log]}")
 print("  the senior half stays; the newest members moved into a fresh group")
@@ -80,9 +80,9 @@ show(ws, "\nafter joining the one-member group with its successor")
 print(f"  change log: {[e.to_dict() for e in ws.log]}")
 
 # ... or receive the newest worker of a group that can spare one
-# (the donor must keep at least d members).
+# (g4 keeps d=2 members).
 ws = Workspace(small)
-donate_worker(ws, policy, "g4", "g2")
+donate_worker(ws, "g4", "g2")
 show(ws, "\nafter a donation instead of a join")
 print(f"  change log: {[e.to_dict() for e in ws.log]}")
 

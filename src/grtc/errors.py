@@ -13,18 +13,6 @@ class UnknownGroup(GrtcError):
     pass
 
 
-class BelowThreshold(GrtcError):
-    """Split requested on a group that does not exceed the size threshold."""
-
-
-class TooFewGroups(GrtcError):
-    """Join requested when only two groups remain."""
-
-
-class DonorTooSmall(GrtcError):
-    pass
-
-
 class ForbiddenMove(GrtcError):
     """Move that would place a just-performed worker into the next current group."""
 

@@ -133,23 +133,22 @@ def _publishable(ws: Workspace, policy: OperatorPolicy) -> bool:
 
 
 def _stall_reason(state: RotationState, published: RotationState,
-                  policy: OperatorPolicy) -> None:
-    """Raise the StallError that says why ``published`` cannot follow
-    ``state``, or return if it can.  These are the full O(n+m) checks, so
-    ``next_state`` runs them only when ``_publishable`` failed."""
+                  policy: OperatorPolicy) -> str:
+    """The message of the StallError ``next_state`` raises when the publish
+    test refused ``published``: the first fault the full O(n+m) checks
+    name, else the follows report (which reads "ok" only if the publish
+    test refused a state these checks accept)."""
     report = check_state(published)
     if not report.ok:
-        raise StallError(f"no valid state constructible: {report}")
+        return f"no valid state constructible: {report}"
     floor = policy.floor(published.n)
     floor_breakers = [g for g, ms in zip(published.ring, published.members)
                       if len(ms) < floor]
     if floor_breakers:
-        raise StallError(
-            f"groups {floor_breakers} cannot reach the floor d={floor} "
-            "without breaking the rotation constraints")
-    pair = validate_pair(state, published)
-    if not pair.ok:
-        raise StallError(f"candidate state does not follow its predecessor: {pair}")
+        return (f"groups {floor_breakers} cannot reach the floor d={floor} "
+                "without breaking the rotation constraints")
+    return (f"candidate state does not follow its predecessor: "
+            f"{validate_pair(state, published)}")
 
 
 def next_state(state: RotationState, policy: OperatorPolicy,
@@ -169,10 +168,10 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     ring and members.  So a transition costs what its batch changes,
     plus C-speed copies of the indexes.
 
-    Raises StallError when the batch cannot end in a valid state that
-    follows the input state, e.g. when too few workers remain or the
-    only repair would rotate a just-performed worker straight back in.
-    ``state`` and its indexes are left as they were.
+    Raises StallError whenever the publish test fails, e.g. when too few
+    workers remain or the only repair would rotate a just-performed
+    worker straight back in: no other check can let a refused state
+    through.  ``state`` and its indexes are left as they were.
     """
     carried = state.indexes
     if not batch and carried is not None:
@@ -194,7 +193,7 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     reconcile(ws, policy, strategies)
     published = ws.publish()
     if not _publishable(ws, policy):
-        _stall_reason(state, published, policy)
+        raise StallError(_stall_reason(state, published, policy))
     return published, tuple(ws.log)
 
 

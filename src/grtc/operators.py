@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BelowThreshold, ConfigError, DonorTooSmall, ForbiddenMove, TooFewGroups
+from .errors import ConfigError, ForbiddenMove
 from .state import GroupId, WorkerId, Workspace
 from .strategies import StrategySet, choose_group, find_donor
 
@@ -133,8 +133,9 @@ def _fresh_group_id(ws: Workspace) -> GroupId:
 
 # -- structural primitives ----------------------------------------------
 
-def split_group(ws: Workspace, policy: OperatorPolicy, g: GroupId) -> None:
-    """Split an oversized group in two.
+def split_group(ws: Workspace, g: GroupId) -> None:
+    """Split a group in two; ``insert_worker`` calls it only on a group
+    grown past ``policy.max_size``, so both halves keep the floor.
 
     The group keeps its most senior half (smallest sequence numbers, and
     the extra worker on odd sizes); a fresh group takes the newest half.
@@ -145,9 +146,6 @@ def split_group(ws: Workspace, policy: OperatorPolicy, g: GroupId) -> None:
     """
     i = ws.index_of(g)
     ms = ws.members[i]
-    if len(ms) <= policy.max_size:
-        raise BelowThreshold(
-            f"group {g} has {len(ms)} members, split needs > {policy.max_size}")
     moved = tuple(sorted(ms, key=lambda w: w.seq)[(len(ms) + 1) // 2:])  # by seniority
     moving = frozenset(w.token for w in moved)
 
@@ -164,16 +162,19 @@ def split_group(ws: Workspace, policy: OperatorPolicy, g: GroupId) -> None:
 
 
 def join_groups(ws: Workspace, g_deficient: GroupId) -> None:
-    """Merge a shrunken group with a neighbour.
+    """Merge a shrunken group with a neighbour.  ``_repair_deficiency``
+    joins only while at least three groups are left, so two remain.
 
     Survivor selection keeps the current group alive in every case:
     a deficient current group absorbs its predecessor; a deficient
     predecessor of the current group is absorbed by the current group;
     any other deficient group absorbs its own successor.  The survivor
     keeps its id and ring position; the absorbed id is retired.
+
+    Raises ForbiddenMove, before it changes anything, when the survivor
+    performs next and the absorbed group holds a worker who just
+    performed.
     """
-    if ws.m <= 2:
-        raise TooFewGroups("cannot join with only two groups left")
     if g_deficient == ws.current:
         survivor, absorbed = ws.current, ws.predecessor(ws.current)
     elif ws.successor(g_deficient) == ws.current:
@@ -198,28 +199,21 @@ def join_groups(ws: Workspace, g_deficient: GroupId) -> None:
     ws.log.append(Joined(survivor, absorbed, moved))
 
 
-def donate_worker(ws: Workspace, policy: OperatorPolicy,
-                  from_group: GroupId, to_group: GroupId,
-                  min_size: int | None = None) -> None:
+def donate_worker(ws: Workspace, from_group: GroupId, to_group: GroupId) -> None:
     """Move the newest member of ``from_group`` into ``to_group``.
 
-    The donor must keep at least d members afterwards.  Moving a worker
-    out of the current group into its successor is forbidden: that
-    worker just performed and would perform again immediately.  (The
-    check is per worker, so a batch may donate a worker who arrived
-    after the last published state even out of the current group.)
+    The caller picks the donor with ``find_donor``, which makes both of
+    the move's guarantees.  The least donor size it is given bounds how
+    small the donor may become: d+1 keeps it at the floor, and the
+    emergency donation's 2 leaves it one worker.  Its guarded walk skips
+    a donor whose newest worker just performed when ``to_group``
+    performs next, so no worker performs twice in a row.  (The guard is
+    per worker, so a worker who arrived in this batch may be donated
+    even out of the current group.)
     """
     i = ws.index_of(from_group)
     src = ws.members[i]
-    floor = policy.d + 1 if min_size is None else min_size
-    if len(src) < floor:
-        raise DonorTooSmall(
-            f"group {from_group} has {len(src)} members, needs >= {floor} to donate")
     w = max(src, key=lambda x: x.seq)
-    if to_group == ws.protected and w.token in ws.tainted:
-        raise ForbiddenMove(
-            f"worker {w.token} just performed; cannot move into {to_group}, "
-            "the group performing next")
     ws.set_members(i, tuple(x for x in src if x is not w))
     j = ws.index_of(to_group)
     ws.set_members(j, ws.members[j] + (w,))
@@ -244,7 +238,7 @@ def _repair_deficiency(ws: Workspace, policy: OperatorPolicy,
     """
     donor = find_donor(ws, g, strategies.find_order, policy.d + 1)
     if donor is not None:
-        donate_worker(ws, policy, donor, g)
+        donate_worker(ws, donor, g)
         return "repaired"
 
     if ws.m >= 3:
@@ -259,7 +253,7 @@ def _repair_deficiency(ws: Workspace, policy: OperatorPolicy,
         # the floor as long as it keeps one worker
         donor = find_donor(ws, g, strategies.find_order, 2)
         if donor is not None:
-            donate_worker(ws, policy, donor, g, min_size=2)
+            donate_worker(ws, donor, g)
             return "repaired" if len(ws.members_of(g)) >= policy.d else "degraded"
         return "blocked"
 
@@ -328,7 +322,7 @@ def insert_worker(ws: Workspace, policy: OperatorPolicy,
     ws.group[token] = g
     ws.log.append(Inserted(w, g))
     if len(ws.members[i]) > policy.max_size:
-        split_group(ws, policy, g)
+        split_group(ws, g)
 
 
 def remove_worker(ws: Workspace, policy: OperatorPolicy,
@@ -336,9 +330,9 @@ def remove_worker(ws: Workspace, policy: OperatorPolicy,
     """Remove a departing worker and repair the floor if its group broke it.
 
     A group that cannot be repaired is left as it is for the batch-end
-    reconciliation.
+    reconciliation.  ``token`` must be in the pool.
     """
-    g = ws.group_of(token)  # raises UnknownWorker
+    g = ws.group[token]
     i = ws.pos[g]
     ms = ws.members[i]
     worker = next(x for x in ms if x.token == token)

@@ -144,13 +144,6 @@ class RotationState:
     def tokens(self) -> set[str]:
         return {w.token for ms in self.members for w in ms}
 
-    def group_of(self, token: str) -> GroupId:
-        for g, ms in zip(self.ring, self.members):
-            for w in ms:
-                if w.token == token:
-                    return g
-        raise UnknownWorker(token)
-
     def without_indexes(self) -> RotationState:
         """An equal state that carries no indexes (what a run record keeps)."""
         if self.indexes is None:
@@ -293,12 +286,6 @@ class Workspace:
     def predecessor(self, g: GroupId) -> GroupId:
         return self.ring[self.index_of(g) - 1]
 
-    def group_of(self, token: str) -> GroupId:
-        try:
-            return self.group[token]
-        except KeyError:
-            raise UnknownWorker(token) from None
-
 
 def build_state(groups: Sequence[tuple[GroupId, Sequence]],
                 current: GroupId,
@@ -431,8 +418,12 @@ def counter_of_group(state: RotationState, g: GroupId) -> int:
 
 
 def counter_of_worker(state: RotationState, w: WorkerId | str) -> int:
+    """The counter of the group that holds worker ``w`` (a handle or a token)."""
     token = w.token if isinstance(w, WorkerId) else w
-    return counter_of_group(state, state.group_of(token))
+    for k, ms in enumerate(state.members):
+        if any(x.token == token for x in ms):
+            return (k - state.index_of(state.current)) % state.m
+    raise UnknownWorker(token)
 
 
 def advance_current(state: RotationState) -> RotationState:

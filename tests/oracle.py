@@ -1,4 +1,5 @@
-"""Independent reference implementation of a single-event transition.
+"""Independent reference implementations of a single-event transition
+and of a run's report.
 
 Everything here works on plain dict/list values and re-derives the
 documented decision rules from scratch: choose variants, half-by-
@@ -12,10 +13,16 @@ Every published oracle output is additionally run through a local
 legality check (partition, non-emptiness, ring shape, follow
 conditions, worker conservation), so the oracle only ever reports
 states that are legal follow-ups of the input.
+
+``oracle_report`` recomputes ``report.json`` from a record's plain
+dicts (``record_to_dict``), sharing no code with ``grtc.metrics``.
 """
 
 from __future__ import annotations
 
+import math
+import statistics
+from collections import Counter
 
 
 def to_plain(state) -> dict:
@@ -267,3 +274,79 @@ def _check_legal(before: dict, after: dict, event):
     old_members = {tok for tok, _ in before["members"][old_current]}
     new_members = {tok for tok, _ in after["members"][after["current"]]}
     assert not old_members & new_members, "worker performs twice in a row"
+
+
+def oracle_report(doc: dict, weights) -> dict:
+    """The ``report.json`` document of the record ``doc`` (the plain dicts
+    of ``record_to_dict``) under the stress ``weights``.
+
+    A worker on both sides of a transition expects its counter to fall
+    by one, or, if its group just performed, to be a full lap of the new
+    ring (m - 1).  It scores ``alpha`` per unit its actual counter falls
+    short of that, ``beta`` per unit it exceeds it, and ``gamma`` when a
+    split, join or donation moved it to another group.  Each non-zero
+    row is added in the next state's ring and member order, ``burden``
+    is summed with ``math.fsum`` and the quartiles use the inclusive
+    method, so every float matches bit for bit.
+    """
+    states, logs = doc["states"], doc["change_logs"]
+    per_worker: dict[str, dict] = {}
+
+    def slot(token):
+        return per_worker.setdefault(
+            token, {"stress": 0.0, "moves": 0, "drops": 0, "rises": 0, "tasks": 0})
+
+    for s in states:
+        for token in s["members"][s["current"]]:
+            slot(token)["tasks"] += 1
+    totals = {"drop": 0, "rise": 0, "moves": 0, "stress": 0.0}
+    for prev, nxt, log in zip(states, states[1:], logs):
+        moved_tokens = {e["worker"] for e in log if e["op"] == "donated"}
+        moved_tokens.update(t for e in log if e["op"] in ("split", "joined")
+                            for t in e["moved"])
+        before = {token: (g, _counter(prev["ring"], prev["current"], g))
+                  for g in prev["ring"] for token in prev["members"][g]}
+        m = len(nxt["ring"])
+        for g in nxt["ring"]:
+            actual = _counter(nxt["ring"], nxt["current"], g)
+            for token in nxt["members"][g]:
+                if token not in before:
+                    continue  # arrived in this transition
+                row = slot(token)
+                prev_g, counter = before[token]
+                expected = m - 1 if counter == 0 else counter - 1
+                drop, rise = max(expected - actual, 0), max(actual - expected, 0)
+                moved = prev_g != g and token in moved_tokens
+                if not (drop or rise or moved):
+                    continue
+                score = weights.alpha * drop + weights.beta * rise + weights.gamma * moved
+                row["stress"] += score
+                row["moves"] += moved
+                row["drops"] += drop
+                row["rises"] += rise
+                totals["drop"] += drop
+                totals["rise"] += rise
+                totals["moves"] += moved
+                totals["stress"] += score
+
+    series = sorted(row["stress"] for row in per_worker.values()) or [0.0]
+    q1, q2, q3 = (statistics.quantiles(series, n=4, method="inclusive")
+                  if len(series) >= 2 else series * 3)
+    ops = Counter(e["op"] for log in logs for e in log)
+    group_counts = [len(s["ring"]) for s in states]
+    return {
+        "group_counts": group_counts,
+        "mean_m": sum(group_counts) / len(group_counts),
+        "min_m": min(group_counts),
+        "max_m": max(group_counts),
+        "burden": math.fsum(1.0 / m for m in group_counts) / len(group_counts),
+        "per_worker": dict(sorted(per_worker.items())),
+        "totals": totals,
+        "stress_quantiles": {"min": series[0], "p25": q1, "p50": q2, "p75": q3,
+                             "max": series[-1]},
+        "counts": {"splits": ops["split"], "joins": ops["joined"],
+                   "donations": ops["donated"], "inserted": ops["inserted"],
+                   "removed": ops["removed"]},
+        "stall_time": sum(stall["duration"] for stall in doc["stalls"]),
+        "transitions": len(logs),
+    }

@@ -1,6 +1,4 @@
 import json
-import statistics
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +14,7 @@ from grtc import (
     build_initial_state,
     generate_trace,
     next_state,
+    record_to_dict,
     run_rotation,
     summarize_run,
 )
@@ -26,8 +25,21 @@ from grtc.operators import Donated
 from grtc.state import WorkerId, advance_current, counter_of_worker
 
 from conftest import make_state, on_workspace, runs
+from oracle import oracle_report
 
 W = StressWeights()  # alpha 1.0, beta 0.25, gamma 0.5
+
+
+def donated_away_and_back():
+    """A transition in which w6 (the newest worker) is donated from g2 to
+    g1, then back to g2, in one batch: it ends in the group it started
+    in.  Returns (state, next state, change log)."""
+    w = {s: WorkerId(f"w{s}", s) for s in range(1, 8)}
+    state = make_state([("g1", [w[3], w[7]]), ("g2", [w[6], w[5], w[4]]),
+                        ("g3", [w[2], w[1]])], "g1")
+    nxt, log = next_state(state, OperatorPolicy(d=2), StrategySet(choose="balanced"),
+                          [WorkerEvent(1.0, "depart", t) for t in ("w7", "w2", "w5")])
+    return state, nxt, log
 
 
 class TestTransitionStress:
@@ -58,14 +70,14 @@ class TestTransitionStress:
         assert stresses["w7"].drop == 1 and stresses["w7"].rise == 0
         assert stresses["w7"].score == W.alpha
 
-    def test_split_of_current_group(self, policy):
+    def test_split_of_current_group(self):
         # current group of 5 splits: the moved pair expected counter 3,
         # lands at 2, and moved groups: alpha + gamma.  Stayers score 0.
         state = make_state(
             [("A", ["w1", "w2", "w3", "w4", "w5"]),
              ("B", ["w6", "w7"]), ("C", ["w8", "w9"])], "A")
         from grtc.operators import split_group
-        mid, log = on_workspace(split_group, state, policy, "A")
+        mid, log = on_workspace(split_group, state, "A")
         nxt = advance_current(mid)
         stresses = transition_stress(state, nxt, W, log)
         moved = [w.token for w in log[0].moved]
@@ -100,14 +112,8 @@ class TestTransitionStress:
         for s in transition_stress(state, nxt, W, log).values():
             assert s.drop == 0 or s.rise == 0
 
-    def test_donated_away_and_back_is_not_moved(self, policy):
-        # w6 (the newest worker) is donated from g2 to g1, then back to g2,
-        # in one batch: it ends in the group it started in
-        w = {s: WorkerId(f"w{s}", s) for s in range(1, 8)}
-        state = make_state([("g1", [w[3], w[7]]), ("g2", [w[6], w[5], w[4]]),
-                            ("g3", [w[2], w[1]])], "g1")
-        nxt, log = next_state(state, policy, StrategySet(choose="balanced"),
-                              [WorkerEvent(1.0, "depart", t) for t in ("w7", "w2", "w5")])
+    def test_donated_away_and_back_is_not_moved(self):
+        state, nxt, log = donated_away_and_back()
         assert [(e.worker.token, e.from_group, e.to_group)
                 for e in log if isinstance(e, Donated)] == [("w6", "g2", "g1"),
                                                             ("w6", "g1", "g2")]
@@ -209,53 +215,6 @@ def fresh_copy(record: RunRecord) -> RunRecord:
     return RunRecord(record.config, states, record.change_logs, record.stalls)
 
 
-def reference_report(record: RunRecord, weights: StressWeights) -> dict:
-    """``summarize_run(record, weights)`` with no shortcut:
-    ``transition_stress`` on every transition, every row added."""
-    per_worker: dict[str, dict] = {}
-
-    def slot(token):
-        return per_worker.setdefault(
-            token, {"stress": 0.0, "moves": 0, "drops": 0, "rises": 0, "tasks": 0})
-
-    for state in record.states:
-        for w in state.members_of(state.current):
-            slot(w.token)["tasks"] += 1
-    totals = {"drop": 0, "rise": 0, "moves": 0, "stress": 0.0}
-    for prev, nxt, log in zip(record.states, record.states[1:], record.change_logs):
-        for token, ws in transition_stress(prev, nxt, weights, log).items():
-            s = slot(token)
-            s["stress"] += ws.score
-            s["moves"] += int(ws.moved)
-            s["drops"] += ws.drop
-            s["rises"] += ws.rise
-            totals["drop"] += ws.drop
-            totals["rise"] += ws.rise
-            totals["moves"] += int(ws.moved)
-            totals["stress"] += ws.score
-    series = sorted(s["stress"] for s in per_worker.values())
-    q1, q2, q3 = (statistics.quantiles(series, n=4, method="inclusive")
-                  if len(series) >= 2 else series * 3)
-    ops = Counter(e.to_dict()["op"] for log in record.change_logs for e in log)
-    group_counts = [s.m for s in record.states]
-    return {
-        "group_counts": group_counts,
-        "mean_m": statistics.fmean(group_counts),
-        "min_m": min(group_counts),
-        "max_m": max(group_counts),
-        "burden": statistics.fmean(1.0 / m for m in group_counts),
-        "per_worker": dict(sorted(per_worker.items())),
-        "totals": totals,
-        "stress_quantiles": {"min": series[0], "p25": q1, "p50": q2, "p75": q3,
-                             "max": series[-1]},
-        "counts": {"splits": ops["split"], "joins": ops["joined"],
-                   "donations": ops["donated"], "inserted": ops["inserted"],
-                   "removed": ops["removed"]},
-        "stall_time": sum(d for _, d in record.stalls),
-        "transitions": len(record.change_logs),
-    }
-
-
 weight_sets = st.sampled_from([W, StressWeights(2.0, 0.0, 1.0), StressWeights(0.0, 0.0, 0.0),
                                StressWeights(0.1, 0.3, 0.7)])
 
@@ -290,8 +249,7 @@ def five_groups():
 def fold_spy(monkeypatch):
     """Installs, when called, a spy that counts the fold's full reads
     (``_stress_rows`` with no positions) and records the positions of the
-    others; ``transition_stress`` must never be called.  The reference
-    report calls ``_stress_rows`` too, so compute it first."""
+    others; ``transition_stress`` must never be called."""
     import grtc.metrics as metrics
 
     def install() -> dict:
@@ -317,25 +275,26 @@ def fold_spy(monkeypatch):
 class TestFoldMatchesReference:
     """On a transition that keeps the ring, summarize_run reads only the
     groups whose member tuples changed, on a split or a join it reads
-    every group, and it adds only non-zero rows; the reports must not
-    move."""
+    every group, and it adds only non-zero rows; its reports must match
+    ``oracle_report``'s, read off the record's plain dicts."""
 
     @given(runs(), weight_sets)
     @settings(max_examples=200, deadline=None)
     def test_in_memory_runs(self, record, weights):
-        assert same_json(summarize_run(record, weights), reference_report(record, weights))
+        assert same_json(summarize_run(record, weights),
+                         oracle_report(record_to_dict(record), weights))
 
     @given(runs(), weight_sets)
     @settings(max_examples=100, deadline=None)
     def test_loaded_records(self, record, weights):
         # every state is rebuilt with fresh tuples, as a record read back would be
         assert same_json(summarize_run(fresh_copy(record), weights),
-                         reference_report(record, weights))
+                         oracle_report(record_to_dict(record), weights))
 
     def test_idle_stretch_of_a_long_run(self):
         record = TestSummarize().run_fixture(count=120)
         assert sum(log == () for log in record.change_logs) > 20
-        assert same_json(summarize_run(record, W), reference_report(record, W))
+        assert same_json(summarize_run(record, W), oracle_report(record_to_dict(record), W))
 
     def test_empty_log_transition_that_moves_workers_is_not_skipped(self):
         # w4 and w5 trade groups with no change log: the ring is unchanged,
@@ -349,8 +308,13 @@ class TestFoldMatchesReference:
         assert (report["totals"]["drop"], report["totals"]["rise"]) == (1, 1)
         assert report["per_worker"]["w5"]["drops"] == 1
         assert report["per_worker"]["w4"]["rises"] == 1
-        assert same_json(report, reference_report(record, W))
+        assert same_json(report, oracle_report(record_to_dict(record), W))
         assert same_json(summarize_run(fresh_copy(record), W), report)
+
+    def test_worker_donated_away_and_back(self):
+        state, nxt, log = donated_away_and_back()
+        record = RunRecord(states=[state, nxt], change_logs=[log])
+        assert same_json(summarize_run(record, W), oracle_report(record_to_dict(record), W))
 
     def test_every_pool_token_gets_a_row(self, fig1, policy, strategies):
         # one idle transition: w4..w9 never perform, yet each has a row
@@ -363,13 +327,13 @@ class TestFoldMatchesReference:
         record = chain(five_groups(), {4: ["w9", "w10", "x1"]}, {2: ["w5"]}, {})
         report = summarize_run(record, W)
         assert "x1" in report["per_worker"]
-        assert same_json(report, reference_report(record, W))
+        assert same_json(report, oracle_report(record_to_dict(record), W))
 
     def test_arrival_that_departs_next_transition_gets_no_row(self):
         record = chain(five_groups(), {4: ["w9", "w10", "x1"]}, {4: ["w9", "w10"]}, {})
         report = summarize_run(record, W)
         assert "x1" not in report["per_worker"]
-        assert same_json(report, reference_report(record, W))
+        assert same_json(report, oracle_report(record_to_dict(record), W))
 
     def test_equal_ring_that_is_another_object(self, fold_spy):
         first = five_groups()
@@ -380,7 +344,7 @@ class TestFoldMatchesReference:
                                           (tuple(list(last.members[0])),) + last.members[1:],
                                           last.current, last.step_index)
         assert record.states[-1].ring is not first.ring
-        expected = reference_report(record, W)
+        expected = oracle_report(record_to_dict(record), W)
         seen = fold_spy()
         assert same_json(summarize_run(record, W), expected)
         assert seen == {"full": 0, "positions": [[3], [3]]}
@@ -388,7 +352,7 @@ class TestFoldMatchesReference:
     def test_loaded_record_compares_member_tuples_by_equality(self, fold_spy):
         record = TestSummarize().run_fixture(count=60)
         rings_changed = sum(a.ring != b.ring for a, b in zip(record.states, record.states[1:]))
-        expected = reference_report(record, W)
+        expected = oracle_report(record_to_dict(record), W)
         seen = fold_spy()
         assert same_json(summarize_run(fresh_copy(record), W), expected)
         # fresh tuples everywhere: only a ring change reads every position,

@@ -1,13 +1,7 @@
 import pytest
 
 from grtc import OperatorPolicy, StallError, StrategySet, WorkerEvent, next_state
-from grtc.errors import (
-    BelowThreshold,
-    DonorTooSmall,
-    ForbiddenMove,
-    TooFewGroups,
-    UnknownWorker,
-)
+from grtc.errors import ForbiddenMove
 from grtc.operators import (
     DegradedEntered,
     Donated,
@@ -19,7 +13,6 @@ from grtc.operators import (
     donate_worker,
     insert_worker,
     join_groups,
-    remove_worker,
     split_group,
 )
 from grtc.recordcheck import replay_entries
@@ -68,7 +61,7 @@ class TestInsert:
         out, log = on_workspace(insert_worker, fig1, policy, strat, "w10")
         assert [type(e) for e in log] == [Inserted]
         assert out.ring == fig1.ring
-        assert out.group_of("w10") == "g2"  # smallest group
+        assert "w10" in {w.token for w in out.members_of("g2")}  # smallest group
         assert_valid_and_follows(fig1, out)
         assert_replay_matches(fig1, log, out)
 
@@ -130,10 +123,6 @@ class TestRemove:
         with pytest.raises(StallError):
             one_event(state, policy, strategies, "depart", "w1")
 
-    def test_unknown_worker(self, fig1, policy, strategies):
-        with pytest.raises(UnknownWorker):
-            remove_worker(Workspace(fig1), policy, strategies, "nobody")
-
     def test_no_restructure_roundtrip(self, fig1, policy):
         strat = StrategySet(choose="balanced")
         mid, log1 = one_event(fig1, policy, strat, "arrive", "w10")
@@ -153,6 +142,21 @@ class TestRemove:
         assert out.m == 2
         assert_published_follows(state, out, log)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "remove_worker notes a 'degraded' repair outcome without the floor test "
+        "that reconcile applies: see the FOUND line on DegradedEntered in CHANGES.md"))
+    def test_no_degraded_entry_while_the_pool_holds_2d(self):
+        # d=3 and n=9 after the departures of w4 and w1: the emergency
+        # donation to the emptied g1 leaves it one worker, yet the floor is d
+        state = make_state([("g1", ["w1"]), ("g2", ["w2", "w3", "w4"]),
+                            ("g3", ["w5", "w6", "w7"]),
+                            ("g4", ["w8", "w9", "w10", "w11"])], "g4")
+        batch = [WorkerEvent(1.0, "depart", "w4"), WorkerEvent(1.0, "depart", "w1"),
+                 WorkerEvent(1.0, "depart", "w11"), WorkerEvent(1.0, "arrive", "a3")]
+        _, log = next_state(state, OperatorPolicy(d=3),
+                            StrategySet(choose="balanced", find_order="pred-first"), batch)
+        assert not any(isinstance(e, DegradedEntered) for e in log)
+
     def test_blocked_repair_stalls(self, policy):
         # two groups, plenty of workers, but the deficient group performs
         # next and every possible donor worker just performed: no legal
@@ -166,12 +170,12 @@ class TestRemove:
 
 
 class TestSplitGroup:
-    def test_split_non_current(self, policy):
+    def test_split_non_current(self):
         state = make_state(
             [("A", ["w1", "w2"]),
              ("B", ["w3", "w4", "w5", "w6", "w7"]),
              ("C", ["w8", "w9"])], "A")
-        out, log = on_workspace(split_group, state, policy, "B")
+        out, log = on_workspace(split_group, state, "B")
         entry = log[0]
         # seq-order oracle: recompute halves from scratch
         by_seq = sorted(state.members_of("B"), key=lambda w: w.seq)
@@ -181,22 +185,16 @@ class TestSplitGroup:
         assert_valid_and_follows(state, out)
         assert_replay_matches(state, log, out)
 
-    def test_split_current_lands_before_it(self, policy):
+    def test_split_current_lands_before_it(self):
         state = make_state(
             [("A", ["w1", "w2", "w3", "w4", "w5"]),
              ("B", ["w6", "w7"]), ("C", ["w8", "w9"])], "A")
-        out, log = on_workspace(split_group, state, policy, "A")
+        out, log = on_workspace(split_group, state, "A")
         fresh = log[0].new_group
         assert out.ring[out.index_of("A") - 1] == fresh
         assert out.successor("A") == "B"  # moved workers not in the next group
         assert_valid_and_follows(state, out)
         assert_replay_matches(state, log, out)
-
-    def test_at_threshold_rejected(self, policy):
-        state = make_state(
-            [("A", ["w1", "w2", "w3", "w4"]), ("B", ["w5", "w6"])], "A")
-        with pytest.raises(BelowThreshold):
-            on_workspace(split_group, state, policy, "A")
 
     def test_halves_meet_floor(self):
         # every splittable size up to 11: the senior half stays, with the
@@ -206,21 +204,21 @@ class TestSplitGroup:
             for size in range(policy.max_size + 1, 12):
                 tokens = [f"w{i}" for i in range(1, size + 3)]
                 state = make_state([("A", tokens[:size]), ("B", tokens[size:])], "B")
-                out, log = on_workspace(split_group, state, policy, "A")
+                out, log = on_workspace(split_group, state, "A")
                 stay, moved = out.members_of("A"), log[0].moved
                 assert list(stay) + list(moved) == list(state.members_of("A"))
                 assert len(stay) - len(moved) in (0, 1)
                 assert len(moved) >= d
                 assert out.members_of(log[0].new_group) == moved
 
-    def test_fresh_group_id_never_reused(self, policy):
+    def test_fresh_group_id_never_reused(self):
         state = make_state([("g1", ["w1", "w2"]), ("g2", ["w3", "w4"]),
                             ("g3", ["w5", "w6", "w7", "w8", "w9"])], "g1")
         # retire g3 via join, then split: the new id must not be g3
         joined, _ = on_workspace(join_groups, state, "g2")
         merged = joined.members_of("g2")
         assert len(merged) == 7
-        out, log = on_workspace(split_group, joined, policy, "g2")
+        out, log = on_workspace(split_group, joined, "g2")
         assert log[0].new_group == "g4"
 
 
@@ -255,18 +253,13 @@ class TestJoinGroups:
         assert_valid_and_follows(state, out)
         assert_replay_matches(state, log, out)
 
-    def test_two_groups_rejected(self):
-        state = make_state([("A", ["w1", "w2"]), ("B", ["w3"])], "A")
-        with pytest.raises(TooFewGroups):
-            on_workspace(join_groups, state, "B")
-
-    def test_refused_join_leaves_the_workspace_as_it_was(self, policy):
+    def test_refused_join_leaves_the_workspace_as_it_was(self):
         # earlier in the batch w3, who just performed in A, went to C; B
         # performs next, so B absorbing C is refused
         state = make_state([("A", ["w1", "w2", "w3"]), ("B", ["w4"]),
                             ("C", ["w5", "w6"])], "A")
         ws = Workspace(state)
-        donate_worker(ws, policy, "A", "C")
+        donate_worker(ws, "A", "C")
         ring, members, log = ws.ring, list(ws.members), list(ws.log)
         with pytest.raises(ForbiddenMove):
             join_groups(ws, "B")
@@ -274,25 +267,14 @@ class TestJoinGroups:
 
 
 class TestDonate:
-    def test_newest_moves(self, policy):
+    def test_newest_moves(self):
         state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4", "w5"]),
                             ("C", ["w6", "w7"])], "A")
-        out, log = on_workspace(donate_worker, state, policy, "B", "C")
+        out, log = on_workspace(donate_worker, state, "B", "C")
         assert log[0].worker.token == "w5"
         assert [w.token for w in out.members_of("B")] == ["w3", "w4"]
         assert [w.token for w in out.members_of("C")] == ["w6", "w7", "w5"]
         assert_replay_matches(state, log, out)
-
-    def test_current_to_successor_forbidden(self, policy):
-        state = make_state([("A", ["w1", "w2", "w3"]), ("B", ["w4", "w5"])], "A")
-        with pytest.raises(ForbiddenMove):
-            on_workspace(donate_worker, state, policy, "A", "B")
-
-    def test_donor_at_floor_rejected(self, policy):
-        state = make_state([("A", ["w1", "w2"]), ("B", ["w3", "w4"]),
-                            ("C", ["w5", "w6"])], "A")
-        with pytest.raises(DonorTooSmall):
-            on_workspace(donate_worker, state, policy, "B", "C")
 
 
 class TestEntryCodec:
