@@ -73,9 +73,14 @@ class RunRecord:
     follows the one before it (``validate_pair``): ``run_rotation``
     checks the initial state, and ``next_state`` publishes only states
     that pass its publish test, which covers both.  ``summarize_run`` and
-    ``dump_record`` rely on it and check neither again.  The states carry
-    no indexes (only the run's live state does), so the index maps cost
-    O(n) per run, not per state."""
+    ``dump_record`` rely on it and check neither again.  A state shares
+    every member tuple its transition left untouched with the state
+    before it (an idle transition shares the whole ``members`` tuple), so
+    both read a transition group by group: ``summarize_run`` scores an
+    unchanged group as one block and reads workers one by one only in
+    the groups whose members changed.  The states carry no indexes (only
+    the run's live state does), so the index maps cost O(n) per run, not
+    per state."""
 
     config: dict = field(default_factory=dict)
     states: list[RotationState] = field(default_factory=list)

@@ -58,42 +58,23 @@ def transition_stress(prev: RotationState, nxt: RotationState,
                       weights: StressWeights, log: ChangeLog
                       ) -> dict[str, WorkerStress]:
     """Per-worker stress for one published transition: one row per
-    worker who stays."""
-    pair = validate_pair(prev, nxt)
-    if not pair.ok:
-        raise InvalidPair(str(pair))
-    return _stress_rows(prev, nxt, weights, log)
-
-
-def _stress_rows(prev: RotationState, nxt: RotationState, weights: StressWeights,
-                 log: ChangeLog, positions: list[int] | None = None
-                 ) -> dict[str, WorkerStress]:
-    """The stress rows of the staying workers, in ring and member order.
+    worker who stays, in ring and member order.
 
     A worker's expected counter is last state's counter minus one, except
     for the group that just performed, which expects to wait a full lap
     of the new ring.  The achieved counter comes from the new state.
-
-    ``positions`` limits both states to those ring positions.  That is
-    sound when both states have the same ring and every position left out
-    holds equal member tuples on both sides.  By default every position
-    of each state is read.
     """
-    moved_tokens: set[str] = set()
-    for e in log:
-        if isinstance(e, (Split, Joined)):
-            moved_tokens.update(w.token for w in e.moved)
-        elif isinstance(e, Donated):
-            moved_tokens.add(e.worker.token)
-
+    pair = validate_pair(prev, nxt)
+    if not pair.ok:
+        raise InvalidPair(str(pair))
+    moved_tokens = _moved_tokens(log)
     # token -> (group, counter) in prev, in one pass over its positions
     prev_cur, prev_m = prev.index_of(prev.current), prev.m
     before_of = {w.token: (prev.ring[k], (k - prev_cur) % prev_m)
-                 for k in (range(prev_m) if positions is None else positions)
-                 for w in prev.members[k]}
+                 for k in range(prev_m) for w in prev.members[k]}
     cur, m = nxt.index_of(nxt.current), nxt.m
     out: dict[str, WorkerStress] = {}
-    for k in range(m) if positions is None else positions:
+    for k in range(m):
         g, actual = nxt.ring[k], (k - cur) % m
         for w in nxt.members[k]:
             was = before_of.get(w.token)
@@ -110,17 +91,68 @@ def _stress_rows(prev: RotationState, nxt: RotationState, weights: StressWeights
     return out
 
 
+def _moved_tokens(log: ChangeLog) -> set[str]:
+    """The tokens that a split, a join or a donation moved."""
+    moved: set[str] = set()
+    for e in log:
+        if isinstance(e, (Split, Joined)):
+            moved.update(w.token for w in e.moved)
+        elif isinstance(e, Donated):
+            moved.add(e.worker.token)
+    return moved
+
+
+def _ring_change(prev: RotationState, nxt: RotationState, prev_cur: int, cur: int
+                 ) -> tuple[list[int], list[int], dict[int, int]]:
+    """What the fold reads of a transition that changes the ring.
+
+    A *block* is a group with the same id and the same member tuple (by
+    identity, else by equality) on both sides: its members share one
+    expected and one actual counter, and none of them moved.  Returns
+    the positions of ``nxt`` to read, in ring order (every group except
+    the blocks whose counter moved as promised), the positions of
+    ``prev`` that are not blocks (they hold every staying worker of a
+    group that is not one), and each block read's expected counter, by
+    position.  O(m).
+    """
+    m, prev_m = nxt.m, prev.m
+    at = dict(zip(prev.ring, range(prev_m)))
+    reads: list[int] = []
+    blocks: dict[int, int] = {}
+    kept: set[int] = set()
+    for k, (g, ms) in enumerate(zip(nxt.ring, nxt.members)):
+        j = at.get(g)
+        if j is not None and (ms is prev.members[j] or ms == prev.members[j]):
+            kept.add(j)
+            counter = (j - prev_cur) % prev_m
+            expected = m - 1 if counter == 0 else counter - 1
+            if expected == (k - cur) % m:
+                continue  # every row of the block is zero
+            blocks[k] = expected
+        reads.append(k)
+    return reads, [j for j in range(prev_m) if j not in kept], blocks
+
+
 def summarize_run(record: RunRecord, weights: StressWeights | None = None) -> dict:
     """The ``report.json`` document of a run record: group counts,
     burden, per-worker and total stress, entry counts and stall time.
 
     The record is trusted as ``RunRecord`` states it: every state passes
     ``check_state`` and follows the one before it, so no pair is checked
-    again here.  A transition that keeps the ring reads only the
-    positions whose member tuples changed, in O(m) plus their sizes; a
-    split or a join reads every position, in O(n+m).
+    again here.  The fold reads a transition group by group.  A group
+    with the same id and members on both sides is one block: if its
+    counter moved as promised (always so while the ring stays the same)
+    it is skipped, and otherwise each member gets the block's one row.
+    Workers are read one by one only in the groups whose members
+    changed.  Only non-zero rows are added, in the next state's ring and
+    member order, so every float sum keeps the order of
+    ``transition_stress``'s rows.  A transition that keeps the ring costs
+    O(m) in C plus the sizes of the changed groups (nothing for an idle
+    one); a split or a join costs O(m) plus the sizes of the changed and
+    the shifted groups.
     """
     weights = weights or StressWeights()
+    alpha, beta, gamma = weights.alpha, weights.beta, weights.gamma
 
     group_counts = [s.m for s in record.states]
     per_worker: dict[str, dict] = {}
@@ -140,36 +172,65 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None) -> di
     fresh = set(pool)                 # the tokens of that state that may lack a slot
     for prev, nxt, log in zip(record.states, record.states[1:], record.change_logs):
         entry_counts.update(map(type, log))
-        before, after = prev.members, nxt.members
-        positions = changed_positions(prev, nxt)
-        if positions is not None:
-            # The same ring: ``current`` moved one position, so every
-            # counter in a group whose member tuple is unchanged fell by
-            # one, as promised, and its rows are zero.
-            before = [before[k] for k in positions]
-            after = [after[k] for k in positions]
-        gone = {w.token for ms in before for w in ms}
-        came = [w.token for ms in after for w in ms]
-        pool.difference_update(gone)
+        prev_cur, cur, m = prev.index_of(prev.current), nxt.index_of(nxt.current), nxt.m
+        reads = changed_positions(prev, nxt)
+        if reads is None:
+            reads, before, blocks = _ring_change(prev, nxt, prev_cur, cur)
+        else:
+            # the same ring: ``current`` moved one position, so every
+            # unchanged group's counter fell by one, as promised
+            before, blocks = reads, {}
+        # token -> (group, counter) in prev, for the groups that are not blocks
+        prev_m = prev.m
+        before_of = {w.token: (prev.ring[j], (j - prev_cur) % prev_m)
+                     for j in before for w in prev.members[j]}
+        came = [w.token for k in reads if k not in blocks for w in nxt.members[k]]
+        pool.difference_update(before_of)
         pool.update(came)
-        rows = _stress_rows(prev, nxt, weights, log, positions)
         # a token on both sides of a transition gets its slot, stress or not
         for token in fresh:
             if token in pool:
                 slot(token)
-        fresh = [t for t in came if t not in gone]
-        for ws in rows.values():
-            if not (ws.drop or ws.rise or ws.moved):
-                continue  # a zero row adds 0 and 0.0: nothing changes
-            s = slot(ws.token)
-            s["stress"] += ws.score
-            s["moves"] += int(ws.moved)
-            s["drops"] += ws.drop
-            s["rises"] += ws.rise
-            total_drop += ws.drop
-            total_rise += ws.rise
-            total_moves += int(ws.moved)
-            stress_total += ws.score
+        fresh = [t for t in came if t not in before_of]
+        moved_tokens = _moved_tokens(log) if reads else ()
+        for k in reads:
+            ms, actual = nxt.members[k], (k - cur) % m
+            expected = blocks.get(k)
+            if expected is not None:  # a block: one row for every member
+                drop = expected - actual if expected > actual else 0
+                rise = actual - expected if actual > expected else 0
+                score = alpha * drop + beta * rise  # no member moved
+                for w in ms:
+                    s = slot(w.token)
+                    s["stress"] += score
+                    s["drops"] += drop
+                    s["rises"] += rise
+                    stress_total += score
+                total_drop += drop * len(ms)
+                total_rise += rise * len(ms)
+                continue
+            g = nxt.ring[k]
+            for w in ms:
+                was = before_of.get(w.token)
+                if was is None:
+                    continue  # arrived this transition
+                prev_g, counter = was
+                expected = m - 1 if counter == 0 else counter - 1
+                moved = prev_g != g and w.token in moved_tokens
+                if expected == actual and not moved:
+                    continue  # a zero row adds 0 and 0.0: nothing changes
+                drop = expected - actual if expected > actual else 0
+                rise = actual - expected if actual > expected else 0
+                score = alpha * drop + beta * rise + gamma * moved
+                s = slot(w.token)
+                s["stress"] += score
+                s["moves"] += moved
+                s["drops"] += drop
+                s["rises"] += rise
+                total_drop += drop
+                total_rise += rise
+                total_moves += moved
+                stress_total += score
 
     series = sorted(s["stress"] for s in per_worker.values()) or [0.0]
     if len(series) >= 2:

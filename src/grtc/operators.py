@@ -276,6 +276,14 @@ def reconcile(ws: Workspace, policy: OperatorPolicy, strategies: StrategySet) ->
     degraded mode).  Donations and joins here follow the same rules as
     the per-event repairs; what cannot be repaired is left for the
     publish test to turn into a stall.
+
+    The loop is bounded.  ``n``, and so the floor, is fixed here.  Each
+    "repaired" outcome lowers the total deficit below the floor (at most
+    m·d at entry) by at least one, and an emergency donation and a
+    hopeless mark each happen at most once per group.  So m·(d+2)
+    attempts, m taken at entry, always suffice.  Going past them means a
+    broken guarantee (say, ``find_donor``'s donor size), a bug that is
+    raised as a ``RuntimeError`` naming the group, not a stall.
     """
     if min(ws.by_size) >= policy.floor(ws.n):
         return  # the overwhelmingly common case
@@ -295,7 +303,13 @@ def reconcile(ws: Workspace, policy: OperatorPolicy, strategies: StrategySet) ->
                      if ring[k] not in hopeless), default=None)
         return None if ahead is None else ring[(cur + ahead) % m]
 
+    bound = ws.m * (policy.d + 2)
+    attempts = 0
     while (g := target()) is not None:
+        if attempts == bound:
+            raise RuntimeError(f"reconcile: group {g} is still below the floor after "
+                               f"{bound} repair attempts")
+        attempts += 1
         outcome = _repair_deficiency(ws, policy, strategies, g)
         if outcome == "degraded" and len(ws.members_of(g)) >= policy.floor(ws.n):
             _note_degraded(ws, g)

@@ -405,10 +405,14 @@ def changed_positions(prev: RotationState, nxt: RotationState) -> list[int] | No
     """The ring positions whose member tuples differ from ``prev`` to
     ``nxt``, or None when the ring changed (a split or a join).  A
     published state shares every member tuple its batch left untouched,
-    so an identity scan in C skips those, and only the rest are compared."""
+    so an identity scan in C skips those, and only the rest are compared.
+    An idle transition shares the whole ``members`` tuple and costs no
+    scan at all."""
     if not (nxt.ring is prev.ring or nxt.ring == prev.ring):
         return None
     before, after = prev.members, nxt.members
+    if before is after:
+        return []
     return [k for k in compress(count(), map(is_not, before, after)) if before[k] != after[k]]
 
 

@@ -1,5 +1,6 @@
-"""Design-space sweeps: the cartesian product of strategy axes, one
-simulated run per combination, one CSV row per run.
+"""Design-space sweeps: the cartesian product of strategy axes, one CSV
+row and one report per combination.  Combinations that differ only in
+what cannot change a result (the find horizon) share one simulated run.
 
 Rows are emitted in deterministic axis order no matter how many worker
 processes execute the runs, so a sweep's CSV is byte-stable across
@@ -14,12 +15,15 @@ import csv
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import RunSetup, known_keys, number, parse_horizon
 from .errors import ConfigError, GrtcError
-from .generator import run_rotation
-from .metrics import summarize_run
+from .generator import TaskSchedule, build_initial_state, run_rotation
+from .metrics import StressWeights, summarize_run
+from .operators import OperatorPolicy
 from .records import report_text
+from .strategies import StrategySet
 from .traces import TRACE_KEYS, TraceConfig, generate_trace
 
 AXIS_ORDER = ("choose", "find_order", "horizon", "d", "max_multiplier", "seeds")
@@ -56,12 +60,11 @@ def config_columns(run_id: str, config: dict) -> dict:
     }
 
 
-def csv_row(run_id: str, config: dict, report: dict) -> dict:
-    """The CSV row of a run that completed: its config columns and the
-    headline figures of its report."""
+def report_columns(report: dict) -> dict:
+    """The CSV columns of a run that completed: the headline figures of
+    its report."""
     totals, counts = report["totals"], report["counts"]
     return {
-        **config_columns(run_id, config),
         "mean_m": repr(report["mean_m"]),
         "burden": repr(report["burden"]),
         "total_drop": totals["drop"],
@@ -116,57 +119,92 @@ def expand(spec: dict) -> list[dict]:
     return combos
 
 
-def run_combo(config: dict) -> dict:
-    """Execute one combination; returns its report document."""
-    setup = RunSetup({k: v for k, v in config.items() if k != "trace"})
-    roster, events = generate_trace(TraceConfig.from_spec(config["trace"], setup.seed))
-    initial = setup.initial_state(roster)
-    record = run_rotation(initial, setup.policy, setup.strategies, setup.schedule, events)
-    return summarize_run(record, setup.weights)
+class RunKey(NamedTuple):
+    """Everything one simulation reads, parsed: equal keys make equal
+    reports.  A combination's horizon is not part of it, since it cannot
+    change a result, so a sweep's horizon values share one simulation."""
+
+    policy: OperatorPolicy
+    choose: str
+    find_order: str
+    seed: int
+    weights: StressWeights
+    schedule: TaskSchedule
+    trace: TraceConfig
 
 
-def _run_indexed(args: tuple[int, dict]) -> tuple[dict, str | None]:
-    """One combination's CSV row and, if it completed, its ``report.json``
-    text, encoded here so that a pool's workers encode in parallel."""
-    index, config = args
-    run_id = f"run-{index:04d}"
+def _parse(config: dict, canonical: dict) -> RunKey | str:
+    """A combination's key, or the message of the ``GrtcError`` that
+    rejects it.  Equal keys, and equal parts of keys, come out of
+    ``canonical`` as one object, so a sweep holds each distinct value
+    (a 200-task schedule, say) once however many combinations share it."""
     try:
-        report = run_combo(config)
+        setup = RunSetup({k: v for k, v in config.items() if k != "trace"})
+        trace = TraceConfig.from_spec(config["trace"], setup.seed)
     except GrtcError as e:  # a bad combination is a row; a bug aborts the sweep
-        row = dict.fromkeys(CSV_COLUMNS, "")
-        row.update(config_columns(run_id, config), error=str(e))
-        return row, None
-    return csv_row(run_id, config, report), report_text(report)
+        return str(e)
+    parts = (setup.policy, setup.strategies.choose, setup.strategies.find_order,
+             setup.seed, setup.weights, setup.schedule, trace)
+    key = RunKey(*[canonical.setdefault(part, part) for part in parts])
+    return canonical.setdefault(key, key)
+
+
+def run_combo(key: RunKey) -> dict:
+    """Execute one distinct simulation; returns its report document."""
+    roster, events = generate_trace(key.trace)
+    strategies = StrategySet.seeded(key.choose, key.find_order, key.seed)
+    record = run_rotation(build_initial_state(roster, key.policy), key.policy,
+                          strategies, key.schedule, events)
+    return summarize_run(record, key.weights)
+
+
+def _simulate(key: RunKey) -> tuple[dict, str | None]:
+    """One simulation's CSV columns and, if it completed, its
+    ``report.json`` text, encoded here so that a pool's workers encode in
+    parallel."""
+    try:
+        report = run_combo(key)
+    except GrtcError as e:  # a row for each combination that shares the run
+        return {"error": str(e)}, None
+    return report_columns(report), report_text(report)
 
 
 def execute(spec: dict, out_dir, jobs: int = 1) -> Path:
     """Run the whole sweep; write sweep.csv plus one report JSON per run.
 
-    Returns the CSV path.
+    Every combination is parsed here, and each distinct simulation runs
+    once, in order of first occurrence; the combinations that share it
+    share its report.  Returns the CSV path.
     """
     combos = expand(spec)
+    canonical: dict = {}
+    keys = [_parse(config, canonical) for config in combos]
+    distinct = [key for key in dict.fromkeys(keys) if isinstance(key, RunKey)]
     out_dir = Path(out_dir)
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = list(enumerate(combos))
     if jobs > 1:  # map returns the results in input order
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_indexed, tasks, chunksize=1))
+            outcomes = dict(zip(distinct, pool.map(_simulate, distinct, chunksize=1)))
     else:
-        results = [_run_indexed(t) for t in tasks]
+        outcomes = {key: _simulate(key) for key in distinct}
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for index, (row, text) in enumerate(results):
+        for index, (config, key) in enumerate(zip(combos, keys)):
+            run_id = f"run-{index:04d}"
+            columns, text = outcomes[key] if isinstance(key, RunKey) else ({"error": key}, None)
+            row = dict.fromkeys(CSV_COLUMNS, "")
+            row.update(config_columns(run_id, config))
+            row.update(columns)
             writer.writerow(row)
             if text is not None:
-                with open(reports_dir / f"run-{index:04d}.json", "w",
-                          encoding="utf-8") as rf:
+                with open(reports_dir / f"{run_id}.json", "w", encoding="utf-8") as rf:
                     rf.write(text)
     return csv_path
 
 
-__all__ = ["CSV_COLUMNS", "csv_row", "expand", "run_combo", "execute"]
+__all__ = ["CSV_COLUMNS", "RunKey", "expand", "run_combo", "execute"]

@@ -276,6 +276,13 @@ def _check_legal(before: dict, after: dict, event):
     assert not old_members & new_members, "worker performs twice in a row"
 
 
+def _counters(snapshot: dict) -> dict:
+    """Each group's counter in a plain snapshot, by group id in ring order."""
+    ring = snapshot["ring"]
+    start = ring.index(snapshot["current"])
+    return {g: (k - start) % len(ring) for k, g in enumerate(ring)}
+
+
 def oracle_report(doc: dict, weights) -> dict:
     """The ``report.json`` document of the record ``doc`` (the plain dicts
     of ``record_to_dict``) under the stress ``weights``.
@@ -304,11 +311,10 @@ def oracle_report(doc: dict, weights) -> dict:
         moved_tokens = {e["worker"] for e in log if e["op"] == "donated"}
         moved_tokens.update(t for e in log if e["op"] in ("split", "joined")
                             for t in e["moved"])
-        before = {token: (g, _counter(prev["ring"], prev["current"], g))
-                  for g in prev["ring"] for token in prev["members"][g]}
+        before = {token: (g, counter) for g, counter in _counters(prev).items()
+                  for token in prev["members"][g]}
         m = len(nxt["ring"])
-        for g in nxt["ring"]:
-            actual = _counter(nxt["ring"], nxt["current"], g)
+        for g, actual in _counters(nxt).items():  # in ring order
             for token in nxt["members"][g]:
                 if token not in before:
                     continue  # arrived in this transition

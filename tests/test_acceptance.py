@@ -32,6 +32,7 @@ from grtc import (
     next_state,
     record_to_dict,
     run_rotation,
+    summarize_run,
     validate_record,
 )
 from grtc.metrics import transition_stress
@@ -45,7 +46,7 @@ from grtc.state import (
 )
 from grtc.strategies import choose_group
 sys.path.insert(0, str(Path(__file__).parent))
-from oracle import oracle_choose, oracle_next, to_plain  # noqa: E402
+from oracle import oracle_choose, oracle_next, oracle_report, to_plain  # noqa: E402
 
 
 def report(num, ok, detail):
@@ -81,7 +82,7 @@ def corpus():
         "validator_violations": 0, "floor_exceptions": 0,
         "follows_overlap_exceptions": 0, "follows_gone_exceptions": 0,
         "empty_log_transitions": 0, "purity_violations": 0,
-        "degraded_states": 0,
+        "degraded_states": 0, "report_mismatches": 0,
     }
     weights = StressWeights()
     for seed in range(1, 1001):
@@ -106,6 +107,9 @@ def corpus():
 
         # criterion 1: the independent validator sees no violations
         stats["validator_violations"] += len(validate_record(doc).violations)
+        # and the report fold agrees with the oracle's, float text included
+        if json.dumps(summarize_run(record, weights)) != json.dumps(oracle_report(doc, weights)):
+            stats["report_mismatches"] += 1
 
         # criterion 3: direct floor census on the serialized snapshots
         for snap in doc["states"]:
@@ -139,10 +143,12 @@ def corpus():
 
 
 def test_criterion_1_rotation_validity(corpus):
-    ok = (corpus["runs"] == 1000 and corpus["validator_violations"] == 0)
+    ok = (corpus["runs"] == 1000 and corpus["validator_violations"] == 0
+          and corpus["report_mismatches"] == 0)
     report(1, ok,
            f"{corpus['runs']} runs / {corpus['states']} states validated, "
            f"{corpus['validator_violations']} violations, "
+           f"{corpus['report_mismatches']} reports unlike the oracle's, "
            f"{corpus['stall_intervals']} stall intervals, "
            f"{corpus['elapsed']:.1f}s elapsed")
 

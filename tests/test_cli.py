@@ -4,7 +4,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grtc import GrtcError, TraceConfig
+from grtc import (GrtcError, StallError, TraceConfig, generate_trace, run_rotation,
+                  summarize_run)
 from grtc.cli import main
 from grtc.config import RunSetup
 
@@ -555,9 +556,9 @@ class TestSweep:
                    for line in lines[1:])
 
     def test_seed_axis_is_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
-        def never(args):
+        def never(key):
             raise AssertionError("a run started")
-        monkeypatch.setattr("grtc.sweep._run_indexed", never)
+        monkeypatch.setattr("grtc.sweep._simulate", never)
         path = write_json(tmp_path / "spec.json", dict(SWEEP_SPEC, seeds=[1, "2"]))
         out = tmp_path / "out"
         assert main(["sweep", path, "--out", str(out)]) == 1
@@ -577,9 +578,9 @@ class TestSweep:
     ], ids=["axis", "trace-key", "trace-seed", "trace-not-object"])
     def test_unknown_spec_key_is_rejected_before_any_run(self, tmp_path, capsys,
                                                          monkeypatch, change, text):
-        def never(args):
+        def never(key):
             raise AssertionError("a run started")
-        monkeypatch.setattr("grtc.sweep._run_indexed", never)
+        monkeypatch.setattr("grtc.sweep._simulate", never)
         path = write_json(tmp_path / "spec.json", dict(SWEEP_SPEC, **change))
         out = tmp_path / "out"
         assert main(["sweep", path, "--out", str(out)]) == 1
@@ -588,7 +589,7 @@ class TestSweep:
 
     def test_row_metrics_are_the_report_figures(self, tmp_path):
         import csv
-        from grtc.sweep import csv_row, expand
+        from grtc.sweep import config_columns, expand, report_columns
         out = tmp_path / "out"
         assert main(["sweep", write_json(tmp_path / "spec.json", SWEEP_SPEC),
                      "--out", str(out)]) == 0
@@ -597,9 +598,77 @@ class TestSweep:
         assert len(rows) == 6
         for row, config in zip(rows, expand(SWEEP_SPEC)):
             report = json.loads((out / "reports" / f"{row['run_id']}.json").read_text())
-            expected = csv_row(row["run_id"], config, report)
+            expected = {**config_columns(row["run_id"], config), **report_columns(report)}
             assert row == {k: str(v) for k, v in expected.items()}
             assert row["total_drop"] == str(report["totals"]["drop"])
+
+    # two horizons and a repeated seed: 8 combinations, 2 distinct simulations
+    SHARED = dict(SWEEP_SPEC, horizon=[1, "unlimited"], seeds=[1, 1])
+
+    def count_runs(self, monkeypatch, fail=None):
+        """Count ``run_combo``'s calls by key; a key whose choose is
+        ``fail`` raises a ``StallError``."""
+        import grtc.sweep
+        calls = []
+        real = grtc.sweep.run_combo
+
+        def counted(key):
+            calls.append(key)
+            if key.choose == fail:
+                raise StallError("no legal follow-up state")
+            return real(key)
+        monkeypatch.setattr(grtc.sweep, "run_combo", counted)
+        return calls
+
+    def test_each_distinct_simulation_runs_once(self, tmp_path, monkeypatch):
+        from grtc.sweep import execute
+        calls = self.count_runs(monkeypatch)
+        execute(self.SHARED, tmp_path / "out", jobs=1)
+        assert [key.choose for key in calls] == SWEEP_SPEC["choose"]
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 8
+        assert len(list((tmp_path / "out" / "reports").iterdir())) == 8
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_runs_match_one_run_per_combination(self, tmp_path, jobs):
+        import csv
+        from grtc.records import report_text
+        from grtc.sweep import CSV_COLUMNS, config_columns, execute, expand, report_columns
+        out = tmp_path / "out"
+        execute(self.SHARED, out, jobs=jobs)
+        # what a sweep wrote when every combination ran its own simulation
+        rows = []
+        for index, config in enumerate(expand(self.SHARED)):
+            setup = RunSetup({k: v for k, v in config.items() if k != "trace"})
+            roster, events = generate_trace(TraceConfig.from_spec(config["trace"], setup.seed))
+            record = run_rotation(setup.initial_state(roster), setup.policy, setup.strategies,
+                                  setup.schedule, events)
+            report = summarize_run(record, setup.weights)
+            run_id = f"run-{index:04d}"
+            rows.append({**config_columns(run_id, config), **report_columns(report)})
+            assert (out / "reports" / f"{run_id}.json").read_text() == report_text(report)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert (out / "sweep.csv").read_bytes() == expected.read_bytes()
+
+    def test_failing_shared_run_is_an_error_row_per_combination(self, tmp_path, monkeypatch):
+        from grtc.sweep import execute
+        calls = self.count_runs(monkeypatch, fail="concentrated")
+        out = tmp_path / "out"
+        execute(self.SHARED, out, jobs=1)
+        assert len(calls) == 2
+        lines = (out / "sweep.csv").read_text().splitlines()[1:]
+        failed = [f"run-{k:04d},concentrated,pred-first,{horizon},2,2,1,,,,,,,,,,,"
+                  "no legal follow-up state"
+                  for k, horizon in zip(range(4, 8), [1, 1, "unlimited", "unlimited"])]
+        assert lines[4:] == failed
+        assert all(line.startswith(f"run-{k:04d},balanced,") and line.endswith(",")
+                   for k, line in enumerate(lines[:4]))
+        assert sorted(p.name for p in (out / "reports").iterdir()) == \
+            [f"run-{k:04d}.json" for k in range(4)]
 
     def test_bug_fails_the_sweep(self, tmp_path, monkeypatch):
         from grtc.sweep import execute

@@ -20,8 +20,8 @@ from grtc import (
 )
 from grtc.errors import InvalidPair
 from grtc.generator import RunRecord
-from grtc.metrics import _stress_rows, transition_stress
-from grtc.operators import Donated
+from grtc.metrics import transition_stress
+from grtc.operators import Donated, Split
 from grtc.state import WorkerId, advance_current, counter_of_worker
 
 from conftest import make_state, on_workspace, runs
@@ -118,7 +118,7 @@ class TestTransitionStress:
                 for e in log if isinstance(e, Donated)] == [("w6", "g2", "g1"),
                                                             ("w6", "g1", "g2")]
         only_moves = StressWeights(alpha=0.0, beta=0.0, gamma=1.0)
-        assert _stress_rows(state, nxt, only_moves, log)["w6"].moved is False
+        assert transition_stress(state, nxt, only_moves, log)["w6"].moved is False
         report = summarize_run(RunRecord(states=[state, nxt], change_logs=[log]), only_moves)
         assert report["per_worker"]["w6"]["moves"] == 0
         assert report["per_worker"]["w6"]["stress"] == 0.0
@@ -245,31 +245,36 @@ def five_groups():
                        ("D", ["w7", "w8"]), ("E", ["w9", "w10"])], "A")
 
 
-@pytest.fixture
-def fold_spy(monkeypatch):
-    """Installs, when called, a spy that counts the fold's full reads
-    (``_stress_rows`` with no positions) and records the positions of the
-    others; ``transition_stress`` must never be called."""
-    import grtc.metrics as metrics
+class Watched(tuple):
+    """A member tuple that counts how often it is iterated: a fold that
+    reads a group's workers one by one iterates its tuple."""
 
-    def install() -> dict:
-        seen = {"full": 0, "positions": []}
-        real_rows = metrics._stress_rows
+    def __new__(cls, tokens):
+        self = super().__new__(cls, (WorkerId(t, 0) for t in tokens))
+        self.reads = 0
+        return self
 
-        def full(*args):
-            raise AssertionError("summarize_run called transition_stress")
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
 
-        def rows(prev, nxt, weights, log, positions):
-            if positions is None:
-                seen["full"] += 1
-            else:
-                seen["positions"].append(list(positions))
-            return real_rows(prev, nxt, weights, log, positions)
 
-        monkeypatch.setattr(metrics, "transition_stress", full)
-        monkeypatch.setattr(metrics, "_stress_rows", rows)
-        return seen
-    return install
+def ids(*tokens):
+    return tuple(WorkerId(t, 0) for t in tokens)
+
+
+def split_of_d(c_before, c_after):
+    """Ring A..E (current A) to A B C D F E (current B): D splits off F,
+    C keeps its place ahead of the split and E is shifted one position
+    back.  C's member tuples are given; E keeps one tuple object, which
+    is returned with the record."""
+    e = Watched(["w9", "w10"])
+    first = RotationState(("A", "B", "C", "D", "E"),
+                          (ids("w1", "w2"), ids("w3", "w4"), c_before, ids("w7", "w8"), e), "A")
+    nxt = RotationState(("A", "B", "C", "D", "F", "E"),
+                        (ids("w1", "w2"), ids("w3", "w4"), c_after, ids("w7"), ids("w8"), e),
+                        "B", 1)
+    return RunRecord(states=[first, nxt], change_logs=[(Split("D", "F", ids("w8")),)]), e
 
 
 class TestFoldMatchesReference:
@@ -335,7 +340,36 @@ class TestFoldMatchesReference:
         assert "x1" not in report["per_worker"]
         assert same_json(report, oracle_report(record_to_dict(record), W))
 
-    def test_equal_ring_that_is_another_object(self, fold_spy):
+    @pytest.mark.parametrize("equal", [False, True], ids=["same-tuple", "equal-tuple"])
+    def test_block_whose_counter_moved_as_promised_reads_no_worker(self, equal):
+        c = Watched(["w5", "w6"])
+        c_after = Watched(["w5", "w6"]) if equal else c
+        record, _ = split_of_d(c, c_after)
+        expected = oracle_report(record_to_dict(record), W)
+        c.reads = c_after.reads = 0
+        assert same_json(summarize_run(record, W), expected)
+        # the first state's token set reads C once; the fold reads neither tuple
+        assert c.reads == 1
+        if equal:
+            assert c_after.reads == 0
+        assert expected["per_worker"]["w5"] == {"stress": 0.0, "moves": 0, "drops": 0,
+                                                "rises": 0, "tasks": 0}
+
+    def test_block_shifted_by_a_split_is_one_row_per_member(self):
+        c = Watched(["w5", "w6"])
+        record, e = split_of_d(c, c)
+        expected = oracle_report(record_to_dict(record), W)
+        e.reads = 0
+        report = summarize_run(record, W)
+        assert same_json(report, expected)
+        # E waits one task longer than promised: one rise for each member,
+        # read in one pass over its tuple after the first state's token set
+        for token in ("w9", "w10"):
+            assert report["per_worker"][token] == {"stress": W.beta, "moves": 0, "drops": 0,
+                                                   "rises": 1, "tasks": 0}
+        assert e.reads == 2
+
+    def test_equal_ring_that_is_another_object(self):
         first = five_groups()
         record = chain(first, {3: ["w7"]}, {3: ["w7", "w8"]})
         # the same ids in a new tuple, and a new but equal tuple for A
@@ -344,21 +378,4 @@ class TestFoldMatchesReference:
                                           (tuple(list(last.members[0])),) + last.members[1:],
                                           last.current, last.step_index)
         assert record.states[-1].ring is not first.ring
-        expected = oracle_report(record_to_dict(record), W)
-        seen = fold_spy()
-        assert same_json(summarize_run(record, W), expected)
-        assert seen == {"full": 0, "positions": [[3], [3]]}
-
-    def test_loaded_record_compares_member_tuples_by_equality(self, fold_spy):
-        record = TestSummarize().run_fixture(count=60)
-        rings_changed = sum(a.ring != b.ring for a, b in zip(record.states, record.states[1:]))
-        expected = oracle_report(record_to_dict(record), W)
-        seen = fold_spy()
-        assert same_json(summarize_run(fresh_copy(record), W), expected)
-        # fresh tuples everywhere: only a ring change reads every position,
-        # and the other transitions read only the groups whose members differ
-        assert 0 < rings_changed == seen["full"]
-        changed = [[k for k, (a, b) in enumerate(zip(prev.members, nxt.members)) if a != b]
-                   for prev, nxt in zip(record.states, record.states[1:]) if prev.ring == nxt.ring]
-        assert seen["positions"] == changed
-        assert sum(map(len, changed)) < sum(s.m for s in record.states[1:]) / 2
+        assert same_json(summarize_run(record, W), oracle_report(record_to_dict(record), W))

@@ -168,6 +168,22 @@ class TestRemove:
         with pytest.raises(StallError):
             one_event(state, policy, strat, "depart", "w5")
 
+    def test_broken_donor_size_is_a_bug_not_a_hang(self, monkeypatch):
+        # find_donor accepting a donor one size too small leaves the donor
+        # below the floor after every donation; reconcile's bounded loop
+        # raises instead of repairing forever
+        import grtc.operators
+        real = grtc.operators.find_donor
+        monkeypatch.setattr(grtc.operators, "find_donor",
+                            lambda ws, g, order, min_size: real(ws, g, order, min_size - 1))
+        w = {s: WorkerId(f"w{s}", s) for s in range(1, 8)}
+        state = make_state([("g1", [w[3], w[7]]), ("g2", [w[6], w[5], w[4]]),
+                            ("g3", [w[2], w[1]])], "g1")
+        batch = [WorkerEvent(1.0, "depart", t) for t in ("w7", "w2", "w5")]
+        with pytest.raises(RuntimeError, match=r"reconcile: group g\d is still below the floor "
+                                               r"after 12 repair attempts"):
+            next_state(state, OperatorPolicy(d=2), StrategySet(choose="balanced"), batch)
+
 
 class TestSplitGroup:
     def test_split_non_current(self):
