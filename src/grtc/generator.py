@@ -76,9 +76,8 @@ class RunRecord:
     ``dump_record`` rely on it and check neither again.  A state shares
     every member tuple its transition left untouched with the state
     before it (an idle transition shares the whole ``members`` tuple), so
-    both read a transition group by group: ``summarize_run`` scores an
-    unchanged group as one block and reads workers one by one only in
-    the groups whose members changed.  The states carry no indexes (only
+    while the ring stays the same, both read workers only in the groups
+    whose members changed.  The states carry no indexes (only
     the run's live state does), so the index maps cost O(n) per run, not
     per state."""
 

@@ -17,7 +17,6 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ConfigError, InvalidPair
 from .generator import RunRecord
@@ -42,55 +41,6 @@ class StressWeights:
             raise ConfigError("stress weights must be finite and >= 0")
 
 
-class WorkerStress(NamedTuple):
-    """One worker's experience of one transition."""
-
-    token: str
-    expected_counter: int
-    actual_counter: int
-    drop: int
-    rise: int
-    moved: bool
-    score: float
-
-
-def transition_stress(prev: RotationState, nxt: RotationState,
-                      weights: StressWeights, log: ChangeLog
-                      ) -> dict[str, WorkerStress]:
-    """Per-worker stress for one published transition: one row per
-    worker who stays, in ring and member order.
-
-    A worker's expected counter is last state's counter minus one, except
-    for the group that just performed, which expects to wait a full lap
-    of the new ring.  The achieved counter comes from the new state.
-    """
-    pair = validate_pair(prev, nxt)
-    if not pair.ok:
-        raise InvalidPair(str(pair))
-    moved_tokens = _moved_tokens(log)
-    # token -> (group, counter) in prev, in one pass over its positions
-    prev_cur, prev_m = prev.index_of(prev.current), prev.m
-    before_of = {w.token: (prev.ring[k], (k - prev_cur) % prev_m)
-                 for k in range(prev_m) for w in prev.members[k]}
-    cur, m = nxt.index_of(nxt.current), nxt.m
-    out: dict[str, WorkerStress] = {}
-    for k in range(m):
-        g, actual = nxt.ring[k], (k - cur) % m
-        for w in nxt.members[k]:
-            was = before_of.get(w.token)
-            if was is None:
-                continue  # arrived this transition
-            prev_g, before = was
-            expected = m - 1 if before == 0 else before - 1
-            drop = expected - actual if expected > actual else 0
-            rise = actual - expected if actual > expected else 0
-            moved = prev_g != g and w.token in moved_tokens
-            score = weights.alpha * drop + weights.beta * rise + weights.gamma * moved
-            out[w.token] = WorkerStress(w.token, expected, actual,
-                                        drop, rise, moved, score)
-    return out
-
-
 def _moved_tokens(log: ChangeLog) -> set[str]:
     """The tokens that a split, a join or a donation moved."""
     moved: set[str] = set()
@@ -102,54 +52,21 @@ def _moved_tokens(log: ChangeLog) -> set[str]:
     return moved
 
 
-def _ring_change(prev: RotationState, nxt: RotationState, prev_cur: int, cur: int
-                 ) -> tuple[list[int], list[int], dict[int, int]]:
-    """What the fold reads of a transition that changes the ring.
-
-    A *block* is a group with the same id and the same member tuple (by
-    identity, else by equality) on both sides: its members share one
-    expected and one actual counter, and none of them moved.  Returns
-    the positions of ``nxt`` to read, in ring order (every group except
-    the blocks whose counter moved as promised), the positions of
-    ``prev`` that are not blocks (they hold every staying worker of a
-    group that is not one), and each block read's expected counter, by
-    position.  O(m).
-    """
-    m, prev_m = nxt.m, prev.m
-    at = dict(zip(prev.ring, range(prev_m)))
-    reads: list[int] = []
-    blocks: dict[int, int] = {}
-    kept: set[int] = set()
-    for k, (g, ms) in enumerate(zip(nxt.ring, nxt.members)):
-        j = at.get(g)
-        if j is not None and (ms is prev.members[j] or ms == prev.members[j]):
-            kept.add(j)
-            counter = (j - prev_cur) % prev_m
-            expected = m - 1 if counter == 0 else counter - 1
-            if expected == (k - cur) % m:
-                continue  # every row of the block is zero
-            blocks[k] = expected
-        reads.append(k)
-    return reads, [j for j in range(prev_m) if j not in kept], blocks
-
-
 def summarize_run(record: RunRecord, weights: StressWeights | None = None) -> dict:
     """The ``report.json`` document of a run record: group counts,
     burden, per-worker and total stress, entry counts and stall time.
 
     The record is trusted as ``RunRecord`` states it: every state passes
     ``check_state`` and follows the one before it, so no pair is checked
-    again here.  The fold reads a transition group by group.  A group
-    with the same id and members on both sides is one block: if its
-    counter moved as promised (always so while the ring stays the same)
-    it is skipped, and otherwise each member gets the block's one row.
-    Workers are read one by one only in the groups whose members
-    changed.  Only non-zero rows are added, in the next state's ring and
-    member order, so every float sum keeps the order of
-    ``transition_stress``'s rows.  A transition that keeps the ring costs
-    O(m) in C plus the sizes of the changed groups (nothing for an idle
-    one); a split or a join costs O(m) plus the sizes of the changed and
-    the shifted groups.
+    again here.  A worker on both sides of a transition expects its
+    counter to fall by one, or, if its group just performed, to be a
+    full lap of the new ring (m - 1); the achieved counter comes from
+    the next state.  While the ring stays the same, every unchanged
+    group lands on its promised counter, so the fold reads workers only
+    in the groups whose members changed (``changed_positions``): O(m) in
+    C plus their sizes, nothing for an idle transition.  On a split or a
+    join it reads every group of both states, worker by worker.  Only
+    non-zero rows are added, in the next state's ring and member order.
     """
     weights = weights or StressWeights()
     alpha, beta, gamma = weights.alpha, weights.beta, weights.gamma
@@ -174,17 +91,17 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None) -> di
         entry_counts.update(map(type, log))
         prev_cur, cur, m = prev.index_of(prev.current), nxt.index_of(nxt.current), nxt.m
         reads = changed_positions(prev, nxt)
-        if reads is None:
-            reads, before, blocks = _ring_change(prev, nxt, prev_cur, cur)
+        if reads is None:  # a split or a join: every counter may have moved
+            reads, before = range(m), range(prev.m)
         else:
             # the same ring: ``current`` moved one position, so every
             # unchanged group's counter fell by one, as promised
-            before, blocks = reads, {}
-        # token -> (group, counter) in prev, for the groups that are not blocks
+            before = reads
+        # token -> (group, counter) in prev, for the groups read
         prev_m = prev.m
         before_of = {w.token: (prev.ring[j], (j - prev_cur) % prev_m)
                      for j in before for w in prev.members[j]}
-        came = [w.token for k in reads if k not in blocks for w in nxt.members[k]]
+        came = [w.token for k in reads for w in nxt.members[k]]
         pool.difference_update(before_of)
         pool.update(came)
         # a token on both sides of a transition gets its slot, stress or not
@@ -194,23 +111,8 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None) -> di
         fresh = [t for t in came if t not in before_of]
         moved_tokens = _moved_tokens(log) if reads else ()
         for k in reads:
-            ms, actual = nxt.members[k], (k - cur) % m
-            expected = blocks.get(k)
-            if expected is not None:  # a block: one row for every member
-                drop = expected - actual if expected > actual else 0
-                rise = actual - expected if actual > expected else 0
-                score = alpha * drop + beta * rise  # no member moved
-                for w in ms:
-                    s = slot(w.token)
-                    s["stress"] += score
-                    s["drops"] += drop
-                    s["rises"] += rise
-                    stress_total += score
-                total_drop += drop * len(ms)
-                total_rise += rise * len(ms)
-                continue
-            g = nxt.ring[k]
-            for w in ms:
+            g, actual = nxt.ring[k], (k - cur) % m
+            for w in nxt.members[k]:
                 was = before_of.get(w.token)
                 if was is None:
                     continue  # arrived this transition
@@ -257,4 +159,21 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None) -> di
     }
 
 
-__all__ = ["StressWeights", "WorkerStress", "transition_stress", "summarize_run"]
+def transition_stress(prev: RotationState, nxt: RotationState,
+                      weights: StressWeights, log: ChangeLog) -> dict[str, dict]:
+    """The ``per_worker`` rows of ``summarize_run`` for one transition,
+    after checking that ``nxt`` follows ``prev``.
+
+    Every worker on both sides has a row (``stress``, ``moves``,
+    ``drops``, ``rises``), by token.  ``tasks`` counts turns in the two
+    current groups, so an arrival that performs next has a zero row with
+    ``tasks`` 1, and a departure from the group that just performed has
+    one too.
+    """
+    pair = validate_pair(prev, nxt)
+    if not pair.ok:
+        raise InvalidPair(str(pair))
+    return summarize_run(RunRecord(states=[prev, nxt], change_logs=[log]), weights)["per_worker"]
+
+
+__all__ = ["StressWeights", "transition_stress", "summarize_run"]

@@ -300,8 +300,11 @@ def oracle_report(doc: dict, weights) -> dict:
     per_worker: dict[str, dict] = {}
 
     def slot(token):
-        return per_worker.setdefault(
-            token, {"stress": 0.0, "moves": 0, "drops": 0, "rises": 0, "tasks": 0})
+        row = per_worker.get(token)
+        if row is None:
+            row = per_worker[token] = {"stress": 0.0, "moves": 0, "drops": 0, "rises": 0,
+                                       "tasks": 0}
+        return row
 
     for s in states:
         for token in s["members"][s["current"]]:
@@ -321,7 +324,8 @@ def oracle_report(doc: dict, weights) -> dict:
                 row = slot(token)
                 prev_g, counter = before[token]
                 expected = m - 1 if counter == 0 else counter - 1
-                drop, rise = max(expected - actual, 0), max(actual - expected, 0)
+                drop = expected - actual if expected > actual else 0
+                rise = actual - expected if actual > expected else 0
                 moved = prev_g != g and token in moved_tokens
                 if not (drop or rise or moved):
                     continue

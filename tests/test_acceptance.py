@@ -136,7 +136,7 @@ def corpus():
                 stats["empty_log_transitions"] += 1
                 stresses = transition_stress(record.states[i],
                                              record.states[i + 1], weights, log)
-                if any(s.score != 0 for s in stresses.values()):
+                if any(s["stress"] != 0 for s in stresses.values()):
                     stats["purity_violations"] += 1
     stats["elapsed"] = time.time() - t0
     return stats

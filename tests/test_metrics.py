@@ -21,7 +21,7 @@ from grtc import (
 from grtc.errors import InvalidPair
 from grtc.generator import RunRecord
 from grtc.metrics import transition_stress
-from grtc.operators import Donated, Split
+from grtc.operators import Donated, Joined, Split
 from grtc.state import WorkerId, advance_current, counter_of_worker
 
 from conftest import make_state, on_workspace, runs
@@ -42,15 +42,18 @@ def donated_away_and_back():
     return state, nxt, log
 
 
+ZERO_ROW = {"stress": 0.0, "moves": 0, "drops": 0, "rises": 0, "tasks": 0}
+
+
 class TestTransitionStress:
     def test_pure_rotation_is_stress_free(self, fig1, policy, strategies):
         nxt, log = next_state(fig1, policy, strategies, [])
         stresses = transition_stress(fig1, nxt, W, log)
         assert set(stresses) == fig1.tokens()
-        assert all(s.score == 0 for s in stresses.values())
+        assert all(dict(s, tasks=0) == ZERO_ROW for s in stresses.values())
         # the worker at counter 2 lands exactly where promised
-        assert stresses["w6"].expected_counter == 1
-        assert stresses["w6"].actual_counter == 1
+        assert counter_of_worker(fig1, "w6") == 2
+        assert counter_of_worker(nxt, "w6") == 1
 
     def test_join_drops_counters_downstream(self, policy):
         # ring A(p) B C D, all at the floor; a departure from B forces a
@@ -64,11 +67,9 @@ class TestTransitionStress:
                               [WorkerEvent(0.5, "depart", "w3")])
         assert any(e.to_dict()["op"] == "joined" for e in log)
         stresses = transition_stress(state, nxt, W, log)
-        assert stresses["w7"].expected_counter == 2
         assert counter_of_worker(nxt, "w7") == 1  # oracle on the new state
-        assert stresses["w7"].actual_counter == 1
-        assert stresses["w7"].drop == 1 and stresses["w7"].rise == 0
-        assert stresses["w7"].score == W.alpha
+        assert stresses["w7"]["drops"] == 1 and stresses["w7"]["rises"] == 0
+        assert stresses["w7"]["stress"] == W.alpha
 
     def test_split_of_current_group(self):
         # current group of 5 splits: the moved pair expected counter 3,
@@ -82,13 +83,14 @@ class TestTransitionStress:
         stresses = transition_stress(state, nxt, W, log)
         moved = [w.token for w in log[0].moved]
         assert moved == ["w4", "w5"]
+        assert nxt.m == 4  # A performed: its workers expect a full lap, 3
         for token in moved:
-            assert stresses[token].expected_counter == 3
-            assert stresses[token].actual_counter == 2
-            assert stresses[token].moved
-            assert stresses[token].score == pytest.approx(W.alpha + W.gamma)
+            assert counter_of_worker(nxt, token) == 2
+            assert stresses[token]["drops"] == 1 and stresses[token]["rises"] == 0
+            assert stresses[token]["moves"] == 1
+            assert stresses[token]["stress"] == pytest.approx(W.alpha + W.gamma)
         for token in ("w1", "w2", "w3", "w6", "w7", "w8", "w9"):
-            assert stresses[token].score == 0
+            assert stresses[token]["stress"] == 0
 
     def test_arrivals_and_departures_excluded(self, fig1, policy):
         strat = StrategySet(choose="balanced")
@@ -96,7 +98,9 @@ class TestTransitionStress:
                  WorkerEvent(0.2, "depart", "w9")]
         nxt, log = next_state(fig1, policy, strat, batch)
         stresses = transition_stress(fig1, nxt, W, log)
-        assert "x1" not in stresses
+        # x1 joins g2, which performs next: its only row is that turn
+        assert "x1" in {w.token for w in nxt.members_of(nxt.current)}
+        assert stresses["x1"] == dict(ZERO_ROW, tasks=1)
         assert "w9" not in stresses
 
     def test_rejects_non_following_pair(self, fig1):
@@ -110,7 +114,7 @@ class TestTransitionStress:
         nxt, log = next_state(state, policy, strat,
                               [WorkerEvent(0.5, "depart", "w8")])
         for s in transition_stress(state, nxt, W, log).values():
-            assert s.drop == 0 or s.rise == 0
+            assert s["drops"] == 0 or s["rises"] == 0
 
     def test_donated_away_and_back_is_not_moved(self):
         state, nxt, log = donated_away_and_back()
@@ -118,10 +122,8 @@ class TestTransitionStress:
                 for e in log if isinstance(e, Donated)] == [("w6", "g2", "g1"),
                                                             ("w6", "g1", "g2")]
         only_moves = StressWeights(alpha=0.0, beta=0.0, gamma=1.0)
-        assert transition_stress(state, nxt, only_moves, log)["w6"].moved is False
-        report = summarize_run(RunRecord(states=[state, nxt], change_logs=[log]), only_moves)
-        assert report["per_worker"]["w6"]["moves"] == 0
-        assert report["per_worker"]["w6"]["stress"] == 0.0
+        row = transition_stress(state, nxt, only_moves, log)["w6"]
+        assert row["moves"] == 0 and row["stress"] == 0.0
 
 
 class TestSummarize:
@@ -245,20 +247,6 @@ def five_groups():
                        ("D", ["w7", "w8"]), ("E", ["w9", "w10"])], "A")
 
 
-class Watched(tuple):
-    """A member tuple that counts how often it is iterated: a fold that
-    reads a group's workers one by one iterates its tuple."""
-
-    def __new__(cls, tokens):
-        self = super().__new__(cls, (WorkerId(t, 0) for t in tokens))
-        self.reads = 0
-        return self
-
-    def __iter__(self):
-        self.reads += 1
-        return super().__iter__()
-
-
 def ids(*tokens):
     return tuple(WorkerId(t, 0) for t in tokens)
 
@@ -266,15 +254,14 @@ def ids(*tokens):
 def split_of_d(c_before, c_after):
     """Ring A..E (current A) to A B C D F E (current B): D splits off F,
     C keeps its place ahead of the split and E is shifted one position
-    back.  C's member tuples are given; E keeps one tuple object, which
-    is returned with the record."""
-    e = Watched(["w9", "w10"])
+    back.  C's member tuples are given; E keeps one tuple object."""
+    e = ids("w9", "w10")
     first = RotationState(("A", "B", "C", "D", "E"),
                           (ids("w1", "w2"), ids("w3", "w4"), c_before, ids("w7", "w8"), e), "A")
     nxt = RotationState(("A", "B", "C", "D", "F", "E"),
                         (ids("w1", "w2"), ids("w3", "w4"), c_after, ids("w7"), ids("w8"), e),
                         "B", 1)
-    return RunRecord(states=[first, nxt], change_logs=[(Split("D", "F", ids("w8")),)]), e
+    return RunRecord(states=[first, nxt], change_logs=[(Split("D", "F", ids("w8")),)])
 
 
 class TestFoldMatchesReference:
@@ -341,33 +328,37 @@ class TestFoldMatchesReference:
         assert same_json(report, oracle_report(record_to_dict(record), W))
 
     @pytest.mark.parametrize("equal", [False, True], ids=["same-tuple", "equal-tuple"])
-    def test_block_whose_counter_moved_as_promised_reads_no_worker(self, equal):
-        c = Watched(["w5", "w6"])
-        c_after = Watched(["w5", "w6"]) if equal else c
-        record, _ = split_of_d(c, c_after)
-        expected = oracle_report(record_to_dict(record), W)
-        c.reads = c_after.reads = 0
-        assert same_json(summarize_run(record, W), expected)
-        # the first state's token set reads C once; the fold reads neither tuple
-        assert c.reads == 1
-        if equal:
-            assert c_after.reads == 0
-        assert expected["per_worker"]["w5"] == {"stress": 0.0, "moves": 0, "drops": 0,
-                                                "rises": 0, "tasks": 0}
-
-    def test_block_shifted_by_a_split_is_one_row_per_member(self):
-        c = Watched(["w5", "w6"])
-        record, e = split_of_d(c, c)
-        expected = oracle_report(record_to_dict(record), W)
-        e.reads = 0
+    def test_unshifted_group_stays_at_zero(self, equal):
+        c = ids("w5", "w6")
+        record = split_of_d(c, ids("w5", "w6") if equal else c)
         report = summarize_run(record, W)
-        assert same_json(report, expected)
-        # E waits one task longer than promised: one rise for each member,
-        # read in one pass over its tuple after the first state's token set
+        assert same_json(report, oracle_report(record_to_dict(record), W))
+        assert report["per_worker"]["w5"] == ZERO_ROW
+
+    def test_split_gives_a_shifted_group_one_rise_each(self):
+        c = ids("w5", "w6")
+        record = split_of_d(c, c)
+        report = summarize_run(record, W)
+        assert same_json(report, oracle_report(record_to_dict(record), W))
+        # E waits one task longer than promised: one rise for each member
         for token in ("w9", "w10"):
             assert report["per_worker"][token] == {"stress": W.beta, "moves": 0, "drops": 0,
                                                    "rises": 1, "tasks": 0}
-        assert e.reads == 2
+
+    def test_join_shifts_the_groups_behind_it(self):
+        # ring A..E (current A) to A B D E (current B): B absorbs C, so D
+        # and E each move one position forward and drop one counter
+        first = five_groups()
+        nxt = RotationState(("A", "B", "D", "E"),
+                            (first.members[0], ids("w3", "w4", "w5", "w6"), first.members[3],
+                             first.members[4]), "B", 1)
+        record = RunRecord(states=[first, nxt],
+                           change_logs=[(Joined("B", "C", ids("w5", "w6")),)])
+        report = summarize_run(record, W)
+        assert same_json(report, oracle_report(record_to_dict(record), W))
+        for token in ("w7", "w8", "w9", "w10"):
+            assert report["per_worker"][token] == {"stress": W.alpha, "moves": 0, "drops": 1,
+                                                   "rises": 0, "tasks": 0}
 
     def test_equal_ring_that_is_another_object(self):
         first = five_groups()
