@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import RunSetup, load_json, number
-from .errors import GrtcError
+from .errors import ConfigError, GrtcError
 from .generator import run_rotation
 from .metrics import summarize_run
 from .records import dump_record, load_record, report_text
@@ -58,6 +58,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     spec = load_json(args.spec)
     csv_path = execute_sweep(spec, args.out, jobs=args.jobs)
     print(f"wrote {csv_path}")

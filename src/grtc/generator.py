@@ -149,8 +149,7 @@ def _stall_reason(state: RotationState, published: RotationState,
     floor_breakers = [g for g, ms in zip(published.ring, published.members)
                       if len(ms) < floor]
     if floor_breakers:
-        return (f"groups {floor_breakers} cannot reach the floor d={floor} "
-                "without breaking the rotation constraints")
+        return f"groups {floor_breakers} are below the floor d={floor}"
     return (f"candidate state does not follow its predecessor: "
             f"{validate_pair(state, published)}")
 

@@ -224,27 +224,28 @@ def donate_worker(ws: Workspace, from_group: GroupId, to_group: GroupId) -> None
 # -- deficiency repair ----------------------------------------------------
 
 def _repair_deficiency(ws: Workspace, policy: OperatorPolicy,
-                       strategies: StrategySet, g: GroupId) -> str:
-    """One repair attempt for a group that fell below the floor.
+                       strategies: StrategySet, g: GroupId) -> bool:
+    """One repair attempt for a group that fell below the floor; returns
+    whether a donation or a join repaired it.
 
     Preference order: donation from the nearest group on the ring that
     can spare a worker, then a join, then (for an emptied group that
     neither could fill) an emergency donation that may push the donor
-    below the floor.
-    Returns the outcome: "repaired", "degraded" (left non-empty but below
-    d, which ``policy.floor`` allows only while the pool is degraded) or
-    "blocked" (nothing legal; caller stalls or defers).  Only a repair
-    changes ``ws``.
+    below the floor.  That donation leaves the group one worker, below d
+    (for d = 1 it repeats the first search and finds no donor).  The group
+    it fills, or a non-empty group left unrepaired that meets
+    ``policy.floor``, is noted degraded.  Only donations and joins move
+    workers.
     """
     donor = find_donor(ws, g, strategies.find_order, policy.d + 1)
     if donor is not None:
         donate_worker(ws, donor, g)
-        return "repaired"
+        return True
 
     if ws.m >= 3:
         try:
             join_groups(ws, g)
-            return "repaired"
+            return True
         except ForbiddenMove:
             pass
 
@@ -252,69 +253,67 @@ def _repair_deficiency(ws: Workspace, policy: OperatorPolicy,
         # an empty group cannot be published; allow a donor to dip below
         # the floor as long as it keeps one worker
         donor = find_donor(ws, g, strategies.find_order, 2)
-        if donor is not None:
-            donate_worker(ws, donor, g)
-            return "repaired" if len(ws.members_of(g)) >= policy.d else "degraded"
-        return "blocked"
-
-    return "degraded" if len(ws.members_of(g)) >= policy.floor(ws.n) else "blocked"
-
-
-def _note_degraded(ws: Workspace, g: GroupId) -> None:
+        if donor is None:
+            return False
+        donate_worker(ws, donor, g)
+    elif len(ws.members_of(g)) < policy.floor(ws.n):
+        return False
     if g not in ws.degraded:
         ws.degraded.add(g)
         ws.log.append(DegradedEntered(g))
+    return False
 
 
 def reconcile(ws: Workspace, policy: OperatorPolicy, strategies: StrategySet) -> None:
-    """The batch-end repair pass: every group is brought up to the floor
-    if it can be.
+    """The batch-end repair pass, one rule: repair the group below the
+    floor that is nearest the current group in ring order, an empty group
+    first, until none is left.  An attempt that leaves its group below
+    the floor unrepaired ends the pass, and the publish test stalls the
+    batch.
 
-    Fixes what per-event repairs could not: transiently emptied groups,
-    deficiencies whose repair was blocked mid-batch, and groups left
-    below d although the pool has grown back to n >= 2d (leaving
-    degraded mode).  Donations and joins here follow the same rules as
-    the per-event repairs; what cannot be repaired is left for the
-    publish test to turn into a stall.
+    It fixes emptied groups, blocked repairs and groups below d once the
+    pool is back to n >= 2d.  It only moves workers, so the floor is
+    fixed.  Stopping gives the verdict that skipping the group and going
+    on would: a donation grows only the group repaired, and a join only
+    that group or the current group.  An unrepaired group had its join
+    refused, so it performs next, or two groups are left and no join
+    happens; no join absorbs the group performing next.  So it would
+    stay below the floor.
 
-    The loop is bounded.  ``n``, and so the floor, is fixed here.  Each
-    "repaired" outcome lowers the total deficit below the floor (at most
-    m·d at entry) by at least one, and an emergency donation and a
-    hopeless mark each happen at most once per group.  So m·(d+2)
-    attempts, m taken at entry, always suffice.  Going past them means a
-    broken guarantee (say, ``find_donor``'s donor size), a bug that is
-    raised as a ``RuntimeError`` naming the group, not a stall.
+    Empty groups first, and the stop after an emergency donation that
+    leaves its group below the floor, each change outcomes, and
+    ``TestReconcile`` pins both.  The stall discards that donation's
+    ``DegradedEntered``; going on, a later repair could publish it at
+    n >= 2d.  In ``remove_worker`` no stall follows: later events and this
+    pass may still repair the group, and the published log keeps the
+    note.  That is the ``DegradedEntered`` defect (ROADMAP, "Settled").
+
+    Bounded: the deficit below the floor, at most m·d at entry, never
+    grows.  A join or a donation from a donor above d lowers it by one or
+    more; an emergency donation lowers it by one for its group and raises
+    it by at most one for its donor, and fills one of at most m groups
+    empty at entry (no step empties one).  With the stop, m·(d+2)
+    attempts suffice.  Going past them is a bug (say, ``find_donor``'s
+    donor size), raised as a ``RuntimeError``, not a stall.
     """
-    if min(ws.by_size) >= policy.floor(ws.n):
+    floor = policy.floor(ws.n)
+    if min(ws.by_size) >= floor:
         return  # the overwhelmingly common case
-
-    hopeless: set[str] = set()
-
-    def target() -> str | None:
-        """The first group to repair in ring order from the current group,
-        skipping hopeless ones: an empty group if any group is empty, else
-        one below the floor.  Read off ``by_size``, so it costs the number
-        of such groups, not a ring walk."""
-        by_size, floor = ws.by_size, policy.floor(ws.n)
+    bound, attempts = ws.m * (policy.d + 2), 0
+    while True:
+        by_size, ring = ws.by_size, ws.ring  # read off by_size, not a ring walk
         sizes = [0] if 0 in by_size else [size for size in by_size if size < floor]
-        ring, cur = ws.ring, ws.pos[ws.current]
-        m = len(ring)
-        ahead = min(((k - cur) % m for size in sizes for k in by_size[size]
-                     if ring[k] not in hopeless), default=None)
-        return None if ahead is None else ring[(cur + ahead) % m]
-
-    bound = ws.m * (policy.d + 2)
-    attempts = 0
-    while (g := target()) is not None:
+        if not sizes:
+            return
+        cur, m = ws.pos[ws.current], len(ring)
+        ahead = min((k - cur) % m for size in sizes for k in by_size[size])
+        g = ring[(cur + ahead) % m]
         if attempts == bound:
             raise RuntimeError(f"reconcile: group {g} is still below the floor after "
                                f"{bound} repair attempts")
         attempts += 1
-        outcome = _repair_deficiency(ws, policy, strategies, g)
-        if outcome == "degraded" and len(ws.members_of(g)) >= policy.floor(ws.n):
-            _note_degraded(ws, g)
-        elif outcome != "repaired":
-            hopeless.add(g)
+        if not _repair_deficiency(ws, policy, strategies, g) and len(ws.members_of(g)) < floor:
+            return
 
 
 # -- the two operators -----------------------------------------------------
@@ -355,5 +354,4 @@ def remove_worker(ws: Workspace, policy: OperatorPolicy,
     ws.log.append(Removed(worker, g))
 
     if len(ws.members[i]) < policy.d:
-        if _repair_deficiency(ws, policy, strategies, g) == "degraded":
-            _note_degraded(ws, g)
+        _repair_deficiency(ws, policy, strategies, g)

@@ -525,6 +525,16 @@ class TestSweep:
         assert lines[0].startswith("run_id,choose,find_order,horizon,d,")
         assert len(list((out1 / "reports").glob("*.json"))) == 6
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_an_input_error(self, tmp_path, capsys, monkeypatch, jobs):
+        import grtc.sweep
+        monkeypatch.setattr(grtc.sweep, "run_combo", lambda key: pytest.fail("a run started"))
+        spec = write_json(tmp_path / "spec.json", SWEEP_SPEC)
+        out = tmp_path / "out"
+        assert main(["sweep", spec, "--out", str(out), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
     def test_parallel_output_identical(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", SWEEP_SPEC)
         out1, out2 = tmp_path / "j1", tmp_path / "j2"

@@ -173,8 +173,7 @@ class TestNextState:
         ([("w3", "g2")], "candidate state does not follow its predecessor: FollowsOverlap: "
                          "workers of old current group g1 are in new current group g2: "
                          "['w3']"),
-        ([("w4", "g3")], "groups ['g2'] cannot reach the floor d=2 without breaking "
-                         "the rotation constraints"),
+        ([("w4", "g3")], "groups ['g2'] are below the floor d=2"),
         ([("w4", "g3"), ("w5", "g3")],
          "no valid state constructible: EmptyGroup: group g2 is empty"),
         ([("w6", "g2", True)],

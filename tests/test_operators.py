@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from grtc import OperatorPolicy, StallError, StrategySet, WorkerEvent, next_state
@@ -10,9 +12,11 @@ from grtc.operators import (
     Removed,
     Split,
     Stalled,
+    _repair_deficiency,
     donate_worker,
     insert_worker,
     join_groups,
+    remove_worker,
     split_group,
 )
 from grtc.recordcheck import replay_entries
@@ -183,6 +187,66 @@ class TestRemove:
         with pytest.raises(RuntimeError, match=r"reconcile: group g\d is still below the floor "
                                                r"after 12 repair attempts"):
             next_state(state, OperatorPolicy(d=2), StrategySet(choose="balanced"), batch)
+
+
+class TestReconcile:
+    """The batch-end pass repairs the group below the floor nearest the
+    current group, an empty group first, and stops at the first attempt
+    that leaves its group below the floor."""
+
+    def test_stops_at_the_nearest_group_it_cannot_repair(self):
+        # d=2, ring A B D, current A.  D loses its one worker and gets A's
+        # newest (w4, who just performed), still below the floor; B loses
+        # w5 and cannot be repaired: A's newest just performed, and the
+        # join with D would bring w4 into B, which performs next
+        policy, strat = OperatorPolicy(d=2), StrategySet(choose="balanced")
+        state = make_state([("A", ["w1", "w2", "w3", "w4"]), ("B", ["w5", "w6"]),
+                            ("D", ["w7"])], "D")
+        carried, _ = next_state(state, OperatorPolicy(d=1), strat, [])  # current A
+        before = (copy.deepcopy(carried.indexes), carried.ring, carried.members,
+                  carried.current, carried.next_seq)
+        ws = Workspace(carried)
+        for token in ("w7", "w5"):
+            remove_worker(ws, policy, strat, token)
+        assert _repair_deficiency(ws, policy, strat, "D")  # the farther one can be
+        batch = [WorkerEvent(1.0, "depart", t) for t in ("w7", "w5")]
+        with pytest.raises(StallError, match=r"^groups \['B', 'D'\] are below the floor d=2$"):
+            next_state(carried, policy, strat, batch)
+        assert (carried.indexes, carried.ring, carried.members, carried.current,
+                carried.next_seq) == before
+
+    @pytest.mark.parametrize("order", ["pred-first", "succ-first"])
+    def test_an_empty_group_goes_first(self, order):
+        # at the batch end (n=4) the current g1 holds w2, g2 (performing
+        # next) is empty and g3 holds w3 a7 a8, w3 having just performed.
+        # g2 first: g3 gives it a8, g1 absorbs g3, g1 gives g2 a7.  g1
+        # first would take a8, and g2 could only get an emergency donation
+        state = make_state([("g1", ["w1", "w2", "w3"]), ("g2", ["w4"]), ("g3", ["w5"]),
+                            ("g4", ["w6"])], "g1")
+        batch = [WorkerEvent(1.0, "depart", t) for t in ("w5", "w1", "w4", "w6")]
+        batch += [WorkerEvent(1.0, "arrive", t) for t in ("a7", "a8")]
+        out, log = next_state(state, OperatorPolicy(d=2),
+                              StrategySet(choose="farthest", find_order=order), batch)
+        assert [e.to_dict() for e in log[-3:]] == [
+            {"op": "donated", "worker": "a8", "from": "g3", "to": "g2"},
+            {"op": "joined", "survivor": "g1", "absorbed": "g3", "moved": ["w3", "a7"]},
+            {"op": "donated", "worker": "a7", "from": "g1", "to": "g2"}]
+        assert [[w.token for w in ms] for ms in out.members] == [["w2", "w3"], ["a8", "a7"]]
+        assert_published_follows(state, out, log)
+
+    def test_an_emergency_donation_below_the_floor_stalls(self):
+        # at the batch end (n=4, floor 2) g2 (performing next) is empty,
+        # the current g1 holds w3 a8, and the split-off g3 holds w4 a7,
+        # w4 having just performed.  Only an emergency donation (a8) fills
+        # g2, and the pass stops there.  Going on, g1 would absorb g3 and
+        # give g2 a7, publishing g2's DegradedEntered in a pool of 2d
+        state = make_state([("g1", ["w1", "w2", "w3", "w4"]), ("g2", ["w5", "w6"])], "g1")
+        events = [("depart", "w5"), ("depart", "w6"), ("arrive", "a7"), ("depart", "w1"),
+                  ("arrive", "a8"), ("depart", "w2")]
+        with pytest.raises(StallError):
+            next_state(state, OperatorPolicy(d=2),
+                       StrategySet(choose="concentrated", find_order="pred-first"),
+                       [WorkerEvent(1.0, op, t) for op, t in events])
 
 
 class TestSplitGroup:
