@@ -68,6 +68,10 @@ MUTANTS = {
          ("strategies.py", "if len(ms) < min_size:", "if len(ms) < min_size - 1:")), FAST),
     "sequence number": (
         (("operators.py", "    ws.next_seq += 1\n", ""),), FAST),
+    "publish test: follows never fires": (
+        (("generator.py", "if ws.tainted.isdisjoint(tokens):", "if True:"),), FAST),
+    "publish test: floor one lower": (
+        (("generator.py", "if min(by_size) < floor:", "if min(by_size) < floor - 1:"),), FAST),
     "stall marker last": (
         (("generator.py", "log = (Stalled(),) + log", "log = log + (Stalled(),)"),), FAST),
     "moved rule": (

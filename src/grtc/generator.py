@@ -19,15 +19,7 @@ from operator import attrgetter
 
 from .errors import ConfigError, InconsistentEvent, InvalidState, OrderError, StallError
 from .operators import ChangeLog, OperatorPolicy, Stalled, insert_worker, reconcile, remove_worker
-from .state import (
-    RotationState,
-    WorkerId,
-    Workspace,
-    advance_current,
-    build_state,
-    check_state,
-    validate_pair,
-)
+from .state import RotationState, WorkerId, Workspace, advance_current, build_state, check_state
 from .strategies import StrategySet
 from .traces import WorkerEvent
 
@@ -117,41 +109,29 @@ def build_initial_state(workers: list[WorkerId | str],
     return build_state([(f"g{k + 1}", ms) for k, ms in enumerate(groups)], current="g1")
 
 
-def _publishable(ws: Workspace, policy: OperatorPolicy) -> bool:
-    """The publish test, read off the workspace: every condition of
-    ``check_state``, the floor and ``validate_pair`` for the state that
-    advancing ``ws.current`` publishes.  It costs O(1) per distinct group
-    size plus the size of the group that performs next.  A state that
-    passes is valid and follows the batch's input state."""
-    m, by_size = len(ws.ring), ws.by_size
+def _publish_fault(ws: Workspace, policy: OperatorPolicy) -> str | None:
+    """The publish test, read off the workspace: None when the state that
+    advancing ``ws.current`` publishes passes every condition of
+    ``check_state``, the floor and ``validate_pair`` (so it is valid and
+    follows the batch's input state), else the message of the first
+    condition that fails.  A pass costs O(1) per distinct group size plus
+    the size of the group that performs next; only a failure names groups
+    or workers."""
+    m, by_size, n = len(ws.ring), ws.by_size, len(ws.group)
     if not (m >= 2 and len(ws.members) == len(ws.pos) == m  # one ring, ids distinct
-            and ws.current in ws.pos):
-        return False
-    n = len(ws.group)
-    if n != sum(size * len(at) for size, at in by_size.items()):
-        return False  # a worker is in two groups
-    if min(by_size) < policy.floor(n):
-        return False  # an empty group, or one below the floor
-    performs_next = ws.members[(ws.pos[ws.current] + 1) % m]
-    return ws.tainted.isdisjoint([w.token for w in performs_next])
-
-
-def _stall_reason(state: RotationState, published: RotationState,
-                  policy: OperatorPolicy) -> str:
-    """The message of the StallError ``next_state`` raises when the publish
-    test refused ``published``: the first fault the full O(n+m) checks
-    name, else the follows report (which reads "ok" only if the publish
-    test refused a state these checks accept)."""
-    report = check_state(published)
-    if not report.ok:
-        return f"no valid state constructible: {report}"
-    floor = policy.floor(published.n)
-    floor_breakers = [g for g, ms in zip(published.ring, published.members)
-                      if len(ms) < floor]
-    if floor_breakers:
-        return f"groups {floor_breakers} are below the floor d={floor}"
-    return (f"candidate state does not follow its predecessor: "
-            f"{validate_pair(state, published)}")
+            and ws.current in ws.pos
+            and n == sum(size * len(at) for size, at in by_size.items())):  # none in two groups
+        return "the groups do not partition the pool into a ring of two or more"
+    floor = policy.floor(n)
+    if min(by_size) < floor:  # an empty group is below every floor
+        below = sorted(k for size, at in by_size.items() if size < floor for k in at)
+        return f"groups {[ws.ring[k] for k in below]} are below the floor d={floor}"
+    k = (ws.pos[ws.current] + 1) % m
+    tokens = [w.token for w in ws.members[k]]
+    if ws.tainted.isdisjoint(tokens):
+        return None
+    return (f"workers {sorted(ws.tainted.intersection(tokens))} of {ws.current} "
+            f"would perform again next, in {ws.ring[k]}")
 
 
 def next_state(state: RotationState, policy: OperatorPolicy,
@@ -164,17 +144,19 @@ def next_state(state: RotationState, policy: OperatorPolicy,
     ``Workspace.publish`` builds the published state, current group
     advanced, in one construction.  That state carries the workspace's
     indexes, so the next transition copies them instead of rebuilding
-    them, and the publish test reads them (``_publishable``).  An idle
+    them, and the publish test reads them (``_publish_fault``).  An idle
     transition (an empty batch on a state that carries indexes and needs
     no repair) builds no workspace: the state passed the publish test
     when it was published, and advancing the current group keeps its
     ring and members.  So a transition costs what its batch changes,
     plus C-speed copies of the indexes.
 
-    Raises StallError whenever the publish test fails, e.g. when too few
-    workers remain or the only repair would rotate a just-performed
-    worker straight back in: no other check can let a refused state
-    through.  ``state`` and its indexes are left as they were.
+    Raises StallError whenever the publish test fails, with the test's
+    own message: the groups below the floor (too few workers remain, or
+    a repair was blocked), the workers who would perform again next, or
+    a broken partition.  The test alone decides and words a stall, and
+    the state is published only once it passes.  ``state`` and its
+    indexes are left as they were.
     """
     carried = state.indexes
     if not batch and carried is not None:
@@ -194,10 +176,10 @@ def next_state(state: RotationState, policy: OperatorPolicy,
         else:
             raise InconsistentEvent(f"unknown event op {ev.op!r}")
     reconcile(ws, policy, strategies)
-    published = ws.publish()
-    if not _publishable(ws, policy):
-        raise StallError(_stall_reason(state, published, policy))
-    return published, tuple(ws.log)
+    fault = _publish_fault(ws, policy)
+    if fault is not None:
+        raise StallError(fault)
+    return ws.publish(), tuple(ws.log)
 
 
 def run_rotation(initial: RotationState, policy: OperatorPolicy,

@@ -2,24 +2,29 @@
 
 This module deliberately re-implements every check from the serialized
 schema alone: single-state structural conditions, the follows relation
-between consecutive states, and change-log replay equivalence.  It never
-calls into the state/operator code that produced the record, so it can
-serve as the acceptance oracle for records from any producer.
+between consecutive states, change-log replay equivalence and the stall
+intervals.  It never calls into the state/operator code that produced
+the record, so it can serve as the acceptance oracle for records from
+any producer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import countOf, itemgetter
 
 
 @dataclass(frozen=True)
 class Finding:
-    step: int  # index of the state (or of the transition's target state)
+    # index of the state (or of the transition's target state); None for
+    # a finding about the record's stall list as a whole
+    step: int | None
     code: str
     detail: str
 
     def __str__(self) -> str:
-        return f"step {self.step}: {self.code}: {self.detail}"
+        where = "stalls" if self.step is None else f"step {self.step}"
+        return f"{where}: {self.code}: {self.detail}"
 
 
 @dataclass
@@ -220,12 +225,54 @@ def check_replay(prev: dict, entries: list[dict], nxt: dict,
     return out
 
 
+# -- stalls ----------------------------------------------------------------
+
+
+def check_stalls(logs: list[list[dict]], stalls: list[dict]) -> RecordValidation:
+    """The stall rules, each with its own code:
+
+    ``StalledNotFirst``  a ``stalled`` entry comes first in its log
+    ``StallCount``       as many logs begin with one as the record lists
+                         stalls, or one fewer: a stall still open at the
+                         last task ends no log
+    ``StallDuration``    a stall lasts 0 or more
+    ``StallOrder``       a stall starts at or after the previous one ends
+
+    The order test compares ``time - previous time`` with the previous
+    duration, which a run records as ``end - previous time``: rounding is
+    monotone, so a stall that starts at or after ``end`` passes with no
+    tolerance."""
+    out = RecordValidation()
+    op = itemgetter("op")
+    resumed = 0
+    for i, log in enumerate(logs):
+        first = bool(log) and log[0]["op"] == "stalled"
+        resumed += first
+        if countOf(map(op, log), "stalled") > first:
+            out.violations.append(Finding(i + 1, "StalledNotFirst",
+                                          "a stalled entry after the first entry"))
+    if resumed not in (len(stalls), len(stalls) - 1):
+        out.violations.append(Finding(
+            None, "StallCount",
+            f"{resumed} change logs begin with a stalled entry, for {len(stalls)} stalls"))
+    for i, stall in enumerate(stalls):
+        t, duration = stall["time"], stall["duration"]
+        if not duration >= 0:
+            out.violations.append(Finding(None, "StallDuration",
+                                          f"stalls[{i}] lasts {duration}"))
+        if i and not t - stalls[i - 1]["time"] >= stalls[i - 1]["duration"]:
+            out.violations.append(Finding(
+                None, "StallOrder", f"stalls[{i}] starts at {t}, before stalls[{i - 1}] ends"))
+    return out
+
+
 # -- whole record --------------------------------------------------------
 
 
 def validate_record(doc: dict) -> RecordValidation:
-    """Re-check every state, every consecutive pair and every change log
-    of a serialized record, independently of how it was produced."""
+    """Re-check every state, every consecutive pair, every change log and
+    the stalls of a serialized record, independently of how it was
+    produced."""
     out = RecordValidation()
     d = doc.get("config", {}).get("d")
     states = doc["states"]
@@ -240,4 +287,5 @@ def validate_record(doc: dict) -> RecordValidation:
         if i < len(logs):
             part = check_replay(states[i], logs[i], states[i + 1], i + 1)
             out.violations.extend(part.violations)
+    out.violations.extend(check_stalls(logs, doc.get("stalls", [])).violations)
     return out

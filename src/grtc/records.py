@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
@@ -249,13 +250,16 @@ def require_shape(doc: dict) -> None:
     stalls = doc["stalls"]
     _require(stalls, list, "stalls")
     if not ({*map(type, stalls)} <= {dict}
-            and {type(s.get(k)) for s in stalls for k in STALL_KEYS} <= {int, float}):
+            and {type(s.get(k)) for s in stalls for k in STALL_KEYS} <= {float}):
         for i, stall in enumerate(stalls):  # locate the first malformed one
             _require(stall, dict, f"stalls[{i}]")
             for key in STALL_KEYS:
                 if key not in stall:
                     raise CorruptRecord(f"stalls[{i}]: missing key {key!r}")
                 _require(stall[key], (int, float), f"stalls[{i}].{key}")
+                value = stall[key]
+                if type(value) is int and abs(value) > sys.float_info.max:  # checks subtract
+                    raise CorruptRecord(f"stalls[{i}].{key}: an integer beyond the float range")
     events = doc.get("unconsumed", [])
     _require(events, list, "unconsumed")
     if not ({*map(type, events)} <= {dict}

@@ -18,7 +18,7 @@ from grtc import (
     run_rotation,
     write_trace,
 )
-from grtc.generator import _publishable, partition_events
+from grtc.generator import _publish_fault, partition_events
 from grtc.operators import Donated, insert_worker, reconcile, remove_worker
 from grtc.recordcheck import replay_entries
 from grtc.records import state_snapshot
@@ -340,11 +340,14 @@ def drive_workspace(state, policy, strat, steps):
         entries.extend(log)
         if op == "publish":
             candidate = ws.publish()
-            valid = (check_state(candidate).ok
-                     and (candidate.n < 2 * policy.d
-                          or min(map(len, candidate.members)) >= policy.d)
+            floor = policy.d if candidate.n >= 2 * policy.d else 1
+            below = [g for g, ms in zip(candidate.ring, candidate.members) if len(ms) < floor]
+            valid = (check_state(candidate).ok and not below
                      and validate_pair(published, candidate).ok)
-            assert _publishable(ws, policy) == valid  # the publish test reads indexes
+            fault = _publish_fault(ws, policy)  # the publish test reads indexes
+            assert (fault is None) == valid
+            if below:  # the floor fails first, and the message names every group below it
+                assert fault == f"groups {below} are below the floor d={floor}"
             if valid:
                 published = candidate
             ws = Workspace(published)

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 from functools import partial
 from itertools import count
@@ -35,7 +36,7 @@ from grtc.recordcheck import ReplayFailure, check_snapshot, replay_entries
 from grtc.records import report_text
 from grtc.state import WorkerId, check_state
 
-from conftest import json_values, runs, scripted_run, tokens
+from conftest import json_values, make_state, runs, scripted_run, tokens
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +289,78 @@ class TestFloorReporting:
             ("BelowFloorDegraded", "group g1 has 1 < d=2 members although n=4 >= 2d")]
 
 
+def stall_run(times, events):
+    """A run from the ring A: w1, B: w2 at d=2, with one worker per group:
+    a departure stalls it, two arrivals let it resume."""
+    return run_rotation(make_state([("A", ["w1"]), ("B", ["w2"])], "A"), OperatorPolicy(d=2),
+                        StrategySet(choose="balanced"), TaskSchedule.explicit(times),
+                        [WorkerEvent(*e) for e in events], config={"d": 2})
+
+
+@pytest.fixture(scope="module")
+def stall_doc():
+    """A record with a stall that a later log ends (2.0 for 2.0) and one
+    still open at the last task (5.0 for 1.0)."""
+    record = stall_run([1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                       [(1.5, "depart", "w2"), (3.5, "arrive", "w3"), (3.6, "arrive", "w4"),
+                        (4.5, "depart", "w3"), (4.6, "depart", "w4")])
+    assert record.stalls == [(2.0, 2.0), (5.0, 1.0)]
+    doc = record_to_dict(record)
+    assert [log[0]["op"] for log in doc["change_logs"] if log] == ["stalled"]
+    return doc
+
+
+def _stalled_entry_last(doc):
+    step, log = next((i + 1, log) for i, log in enumerate(doc["change_logs"]) if log)
+    log.append({"op": "stalled"})
+    return f"step {step}: StalledNotFirst: a stalled entry after the first entry"
+
+
+def _no_stalls(doc):
+    doc["stalls"] = []
+    return "stalls: StallCount: 1 change logs begin with a stalled entry, for 0 stalls"
+
+
+def _negative_duration(doc):
+    doc["stalls"][1]["duration"] = -1.0
+    return "stalls: StallDuration: stalls[1] lasts -1.0"
+
+
+def _overlapping_stalls(doc):
+    doc["stalls"][1]["time"] = 3.0
+    return "stalls: StallOrder: stalls[1] starts at 3.0, before stalls[0] ends"
+
+
+class TestStalls:
+    """The stall rules of ``recordcheck.check_stalls``, one edit of a clean
+    record each."""
+
+    def test_clean_record_with_an_open_stall(self, stall_doc):
+        result = validate_record(stall_doc)
+        assert result.ok, result.violations
+
+    @pytest.mark.parametrize("edit", [
+        _stalled_entry_last, _no_stalls, _negative_duration, _overlapping_stalls,
+    ], ids=["stalled-not-first", "count", "duration", "order"])
+    def test_each_stall_fault_is_named(self, stall_doc, tmp_path, edit):
+        doc = copy.deepcopy(stall_doc)
+        expected = edit(doc)
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(doc))
+        assert [str(f) for f in validate_record(load_record(path)).violations] == [expected]
+
+    def test_a_stall_at_the_next_float_after_the_last_is_in_order(self):
+        # the first stall ends at 1.8, and the second starts at the very
+        # next float, where the sum 0.6 + (1.8 - 0.6) lands too
+        after = math.nextafter(1.8, math.inf)
+        record = stall_run([0.6, 1.8, after, 3.0],
+                           [(0.5, "depart", "w2"), (1.0, "arrive", "w3"),
+                            (1.0, "arrive", "w4"), (after, "depart", "w3"),
+                            (after, "depart", "w4")])
+        assert record.stalls == [(0.6, 1.8 - 0.6), (after, 3.0 - after)]
+        assert validate_record(record_to_dict(record)).ok
+
+
 def _members_as_list(doc):
     snap = doc["states"][1]
     snap["members"] = list(snap["members"].values())
@@ -323,6 +396,10 @@ def _stall_duration_as_bool(doc):
 
 def _stall_as_number(doc):
     doc["stalls"] = [2.0]
+
+
+def _stall_time_past_float_range(doc):
+    doc["stalls"] = [{"time": 1.0, "duration": 1.0}, {"time": 10 ** 400, "duration": 1}]
 
 
 def _d_below_one(doc):
@@ -481,6 +558,7 @@ class TestRecordIO:
         (_stall_without_duration, "stalls[1]"),
         (_stall_duration_as_bool, "stalls[0].duration"),
         (_stall_as_number, "stalls[0]"),
+        (_stall_time_past_float_range, "stalls[1].time"),
         (_d_below_one, "config.d"),
         (_unconsumed_as_string, "unconsumed"),
         (_unconsumed_time_as_string, "unconsumed[0].t"),
