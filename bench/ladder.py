@@ -26,6 +26,15 @@ gets a state built for it alone, outside the timer, so nothing cached
 on one state object serves another.  Per n it stores the median over
 REPEATS passes of µs per call.
 
+A ``startup`` section measures what every grtc process pays before it
+runs: in each of STARTUP_RUNS fresh interpreters, the seconds, the
+growth of the resident set (read from /proc, so Linux only) and the
+number of modules of ``import grtc, grtc.cli``, then one
+``write_trace`` of churn-large's trace (400 workers, 8,000 events,
+trace seed 0) into memory.  It stores the median of each, the write as
+µs per event.  The interpreters inherit this one's environment, so a
+host that sets PYTHONDONTWRITEBYTECODE compiles grtc in every one.
+
 grtc is imported from ``--src`` (default: this checkout's ``src``), so
 the same script measures another tree, for example a parent commit.
 The results are stored under ``runs[LABEL]`` of ``--out``; the other
@@ -42,6 +51,7 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -57,6 +67,31 @@ LAYERS = ("run_s", "summarize_run_s", "dump_record_s", "write_report_s", "load_r
 SMALL_NS = range(2, 9)
 SMALL_STATES = 1000  # states per n at most; larger n take every k-th state
 SMALL_KINDS = ("farthest", "concentrated", "balanced", "hybrid")
+STARTUP_RUNS = 15  # fresh interpreters; each figure stores their median
+
+# one fresh interpreter's start-up: argv holds perfbench's directory and
+# the trace seed; prints one JSON object
+STARTUP_PROBE = """
+import io, json, resource, sys, time
+def rss():  # resident bytes; ru_maxrss would keep the forking process's peak
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * resource.getpagesize()
+rss0, modules = rss(), len(sys.modules)
+t0 = time.perf_counter()
+import grtc, grtc.cli
+import_s = time.perf_counter() - t0
+rss1, modules = rss(), len(sys.modules) - modules
+sys.path.insert(0, sys.argv[1])
+import workloads
+p = workloads.RUN_WORKLOADS["churn-large"]
+roster, events = workloads.churn_trace(int(sys.argv[2]), p["workers"], p["departure_rate"],
+                                       p["duration"])
+t0 = time.perf_counter()
+grtc.write_trace(io.StringIO(), roster, events)
+write_s = time.perf_counter() - t0
+print(json.dumps({"import_s": import_s, "import_rss_mb": (rss1 - rss0) / 1e6,
+                  "import_modules": modules, "events": len(events), "write_s": write_s}))
+"""
 
 
 def measure(workloads, n0: int, tmp: Path) -> dict:
@@ -187,6 +222,27 @@ def measure_small(n: int) -> dict:
             "us_per_call": round(statistics.median(passes) / calls * 1e6, 2)}
 
 
+def measure_startup(src: Path) -> dict:
+    """The medians of STARTUP_RUNS fresh interpreters' start-up figures."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(ROOT / "perfbench"), str(TRACE_SEED)],
+        env=env, check=True, capture_output=True, text=True).stdout)
+        for _ in range(STARTUP_RUNS)]
+
+    def median(key):
+        return statistics.median(run[key] for run in runs)
+    events = runs[0]["events"]
+    return {
+        "interpreters": STARTUP_RUNS,
+        "import_s": round(median("import_s"), 4),
+        "import_rss_mb": round(median("import_rss_mb"), 2),
+        "import_modules": median("import_modules"),
+        "trace_events": events,
+        "write_trace_us_per_event": round(median("write_s") / events * 1e6, 3),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
@@ -213,11 +269,14 @@ def main(argv: list[str] | None = None) -> int:
     for n in SMALL_NS:
         small[f"n{n}"] = row = measure_small(n)
         print(f"{args.label}: small n={n} {json.dumps(row)}", flush=True)
+    startup = measure_startup(Path(args.src).resolve())
+    print(f"{args.label}: startup {json.dumps(startup)}", flush=True)
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "pools": rows,
         "small": small,
+        "startup": startup,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -24,7 +24,6 @@ json's pure-Python indenting encoder.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
@@ -33,6 +32,7 @@ from .errors import CorruptRecord
 from .generator import RunRecord
 from .operators import DegradedEntered, Donated, Inserted, Joined, Removed, Split, Stalled
 from .state import RotationState, changed_positions
+from .traces import _number
 
 SCHEMA_VERSION = 1
 STALL_KEYS = ("time", "duration")
@@ -142,20 +142,6 @@ _ENTRY = {
     DegradedEntered: lambda e: f'{{\n    "op": "degraded",\n    "group": {_str(e.group)}\n   }}',
     Stalled: lambda e: '{\n    "op": "stalled"\n   }',
 }
-
-
-_INFINITIES = (math.inf, -math.inf)
-
-
-def _number(x: int | float) -> str:
-    """A number as ``json.dumps`` writes it: its ``repr``, except that
-    NaN and the infinities are written ``NaN``, ``Infinity`` and
-    ``-Infinity``."""
-    if x != x:
-        return "NaN"
-    if x in _INFINITIES:
-        return "Infinity" if x > 0 else "-Infinity"
-    return repr(x)
 
 
 def report_text(report: dict) -> str:

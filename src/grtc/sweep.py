@@ -7,13 +7,16 @@ processes execute the runs, so a sweep's CSV is byte-stable across
 repetitions and parallelism degrees.  A combination that grtc rejects
 (a ``GrtcError``) becomes an error row and the sweep continues; any other
 exception is a bug and aborts the sweep.
+
+Runs that share a trace run back to back, and each process keeps the
+last trace it generated, so a sweep generates each trace once per
+process.  The process pool is imported only by a sweep that uses one.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -149,9 +152,19 @@ def _parse(config: dict, canonical: dict) -> RunKey | str:
     return canonical.setdefault(key, key)
 
 
+# this process's last trace: {TraceConfig: (roster, events)}, at most one entry
+_trace: dict = {}
+
+
 def run_combo(key: RunKey) -> dict:
-    """Execute one distinct simulation; returns its report document."""
-    roster, events = generate_trace(key.trace)
+    """Execute one distinct simulation; returns its report document.
+    The trace of the previous call is reused when the configs are equal
+    (no run mutates its roster or events), so a process holds one trace."""
+    trace = _trace.get(key.trace)
+    if trace is None:
+        _trace.clear()
+        trace = _trace[key.trace] = generate_trace(key.trace)
+    roster, events = trace
     strategies = StrategySet.seeded(key.choose, key.find_order, key.seed)
     record = run_rotation(build_initial_state(roster, key.policy), key.policy,
                           strategies, key.schedule, events)
@@ -173,22 +186,33 @@ def execute(spec: dict, out_dir, jobs: int = 1) -> Path:
     """Run the whole sweep; write sweep.csv plus one report JSON per run.
 
     Every combination is parsed here, and each distinct simulation runs
-    once, in order of first occurrence; the combinations that share it
-    share its report.  Returns the CSV path.
+    once, grouped by trace: the runs that share a ``TraceConfig`` run back
+    to back, the groups and the runs within one in order of first
+    occurrence.  The combinations that share a simulation share its
+    report.  Rows and reports are written in combination order.  Returns
+    the CSV path.
     """
     combos = expand(spec)
     canonical: dict = {}
     keys = [_parse(config, canonical) for config in combos]
-    distinct = [key for key in dict.fromkeys(keys) if isinstance(key, RunKey)]
+    by_trace: dict = {}
+    for key in dict.fromkeys(keys):
+        if isinstance(key, RunKey):
+            by_trace.setdefault(key.trace, []).append(key)
+    runs = [key for group in by_trace.values() for key in group]
     out_dir = Path(out_dir)
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
 
-    if jobs > 1:  # map returns the results in input order
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = dict(zip(distinct, pool.map(_simulate, distinct, chunksize=1)))
-    else:
-        outcomes = {key: _simulate(key) for key in distinct}
+    try:
+        if jobs > 1:  # map returns the results in input order
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                outcomes = dict(zip(runs, pool.map(_simulate, runs, chunksize=1)))
+        else:
+            outcomes = {key: _simulate(key) for key in runs}
+    finally:
+        _trace.clear()  # a finished sweep holds no trace
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as f:

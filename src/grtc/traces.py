@@ -14,6 +14,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _str
 from typing import IO, Iterable, NamedTuple
 
 from .errors import ConfigError, ConsistencyError, OrderError, ParseError
@@ -116,12 +117,29 @@ def generate_trace(config: TraceConfig) -> tuple[list[str], list[WorkerEvent]]:
     return roster, [WorkerEvent(t, op, tok) for t, _, op, tok in raw]
 
 
+_INFINITIES = (math.inf, -math.inf)
+
+
+def _number(x: int | float) -> str:
+    """A number as ``json.dumps`` writes it: its ``repr``, except that
+    NaN and the infinities are written ``NaN``, ``Infinity`` and
+    ``-Infinity``."""
+    if x != x:
+        return "NaN"
+    if x in _INFINITIES:
+        return "Infinity" if x > 0 else "-Infinity"
+    return repr(x)
+
+
 def write_trace(stream: IO[str], initial: Iterable[str],
                 events: Iterable[WorkerEvent]) -> None:
+    """Write a trace as JSON Lines, byte for byte as ``json.dumps`` writes
+    the header and each event's ``to_dict()``.  Each event comes from one
+    fixed template, its strings escaped by the C encoder json uses."""
     header = {"format": FORMAT_NAME, "v": FORMAT_VERSION, "initial": list(initial)}
     stream.write(json.dumps(header) + "\n")
-    for e in events:
-        stream.write(json.dumps(e.to_dict()) + "\n")
+    stream.write("".join([f'{{"t": {_number(e.t)}, "op": {_str(e.op)}, '
+                          f'"worker": {_str(e.worker)}}}\n' for e in events]))
 
 
 def write_trace_file(path, initial, events) -> None:

@@ -639,6 +639,32 @@ class TestSweep:
         assert len(lines) == 1 + 8
         assert len(list((tmp_path / "out" / "reports").iterdir())) == 8
 
+    def count_traces(self, monkeypatch):
+        """Count ``generate_trace``'s calls through the sweep's binding."""
+        import grtc.sweep
+        calls = []
+        real = grtc.sweep.generate_trace
+
+        def counted(config):
+            calls.append(config)
+            return real(config)
+        monkeypatch.setattr(grtc.sweep, "generate_trace", counted)
+        return calls
+
+    def test_runs_sharing_a_trace_generate_it_once(self, tmp_path, monkeypatch):
+        import grtc.sweep
+        calls = self.count_traces(monkeypatch)
+        spec = dict(SWEEP_SPEC, seeds=[1, 2],
+                    choose=["balanced", "concentrated", "farthest", "hybrid", "random"])
+        grtc.sweep.execute(spec, tmp_path / "a", jobs=1)
+        assert [config.seed for config in calls] == [1, 2]
+        assert grtc.sweep._trace == {}
+        grtc.sweep.execute(spec, tmp_path / "b", jobs=1)
+        assert [config.seed for config in calls] == [1, 2, 1, 2]
+        assert grtc.sweep._trace == {}
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == \
+            (tmp_path / "b" / "sweep.csv").read_bytes()
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_shared_runs_match_one_run_per_combination(self, tmp_path, jobs):
         import csv
@@ -681,13 +707,14 @@ class TestSweep:
             [f"run-{k:04d}.json" for k in range(4)]
 
     def test_bug_fails_the_sweep(self, tmp_path, monkeypatch):
-        from grtc.sweep import execute
+        import grtc.sweep
 
         def broken(record, weights):
             raise KeyError("w1")
-        monkeypatch.setattr("grtc.sweep.summarize_run", broken)
+        monkeypatch.setattr(grtc.sweep, "summarize_run", broken)
         with pytest.raises(KeyError):
-            execute(SWEEP_SPEC, tmp_path / "out", jobs=1)
+            grtc.sweep.execute(SWEEP_SPEC, tmp_path / "out", jobs=1)
+        assert grtc.sweep._trace == {}  # the aborted sweep holds no trace
 
     @pytest.mark.parametrize("spec, kind", [([1, 2], "list"), ("spec", "str")],
                              ids=["array", "string"])

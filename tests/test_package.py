@@ -1,7 +1,12 @@
 """The package root: the names one run needs, nothing more.  Everything
-else is imported from its module (``grtc.state``, ``grtc.operators``, ...)."""
+else is imported from its module (``grtc.state``, ``grtc.operators``, ...).
+Importing the package and its command line loads no more than they run."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import grtc
 
@@ -24,3 +29,24 @@ def test_root_exports_the_names_a_run_needs():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == ROOT_NAMES
     assert isinstance(grtc.__version__, str)
+
+
+# the grtc modules perfbench's tracer wraps (``LAYERS`` in
+# perfbench/tracing.py); it reads each from sys.modules after importing
+# grtc and grtc.cli, so each must load with them
+TRACED_LAYERS = ("traces", "generator", "strategies", "operators", "state", "metrics",
+                 "records", "recordcheck", "sweep")
+
+
+def test_import_loads_no_process_pool():
+    """``import grtc, grtc.cli`` loads every traced layer and none of the
+    process-pool stack, which only a parallel sweep imports."""
+    src = Path(grtc.__file__).resolve().parent.parent
+    probe = ("import sys, grtc, grtc.cli; "
+             "print('\\n'.join(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert [name for name in loaded
+            if name.startswith(("concurrent.futures", "multiprocessing"))] == []
+    assert {f"grtc.{layer}" for layer in TRACED_LAYERS} <= set(loaded)

@@ -94,12 +94,39 @@ class TestWorkerEvent:
         assert len({a, b, WorkerEvent(2.0, "arrive", "w1")}) == 2
 
 
+# what json.dumps writes in its own way: signed zero, the smallest and
+# large floats, NaN and the infinities; quotes, backslashes, control,
+# non-ASCII and astral characters
+TIMES = st.integers() | st.floats() | st.sampled_from(
+    [0, -0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+TOKENS = st.text() | st.sampled_from(
+    ["arrive", "depart", '"', "\\", "\x00\x1f\x7f", "\n\t\r", "é", " ", "\U0001f600"])
+
+
 class TestIO:
     def test_roundtrip_exact(self):
         config = TraceConfig(seed=77, duration=500, arrival_rate=2.0,
                              departure_rate=0.1, initial_workers=8)
         roster, events = generate_trace(config)
         assert len(events) > 500
+        assert roundtrip(roster, events) == (roster, events)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(), max_size=3),
+           st.lists(st.builds(WorkerEvent, TIMES, TOKENS, TOKENS), max_size=6))
+    def test_writer_bytes_are_json_dumps(self, initial, events):
+        buf = io.StringIO()
+        write_trace(buf, initial, events)
+        header = {"format": "grtc-trace", "v": 1, "initial": initial}
+        assert buf.getvalue() == json.dumps(header) + "\n" + "".join(
+            json.dumps(e.to_dict()) + "\n" for e in events)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.builds(TraceConfig, seed=st.integers(0, 2**64),
+                     duration=st.floats(1, 60), arrival_rate=st.floats(0, 3),
+                     departure_rate=st.floats(0, 1), initial_workers=st.integers(2, 8)))
+    def test_generated_traces_roundtrip(self, config):
+        roster, events = generate_trace(config)
         assert roundtrip(roster, events) == (roster, events)
 
     def test_full_precision_timestamps(self):
