@@ -80,6 +80,13 @@ MUTANTS = {
     "lap rule": (
         (("metrics.py", "expected = m - 1 if counter == 0 else counter - 1",
           "expected = prev_m - 1 if counter == 0 else counter - 1"),), FAST),
+    "entries compare as plain tuples": (
+        (("operators.py",
+          "    cls.__eq__, cls.__ne__ = _same_kind(tuple.__eq__), _same_kind(tuple.__ne__)\n",
+          ""),), ("tests/test_operators.py::TestEntryCodec",)),
+    "quartile weight off by one": (
+        (("metrics.py", "series[j] * (n - delta)", "series[j] * (n - delta - 1)"),),
+        ("tests/test_metrics.py::TestQuartilesAndMeans",)),
 }
 
 FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)")

@@ -13,9 +13,9 @@ recorded as data, never treated as failures.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from math import inf, isfinite
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import ConfigError, InconsistentEvent, InvalidState, OrderError, StallError
 from .operators import ChangeLog, OperatorPolicy, Stalled, insert_worker, reconcile, remove_worker
@@ -24,13 +24,16 @@ from .strategies import StrategySet
 from .traces import WorkerEvent
 
 
-@dataclass(frozen=True)
-class TaskSchedule:
-    """Strictly increasing, finite task times, explicit or periodic."""
-
+class _Times(NamedTuple):
     times: tuple[float, ...]
 
-    def __post_init__(self):
+
+class TaskSchedule(_Times):
+    """Strictly increasing, finite task times, explicit or periodic."""
+
+    __slots__ = ()
+
+    def __init__(self, *_args, **_kwargs):  # ``_Times.__new__`` set the field
         if not self.times:
             raise ConfigError("schedule needs at least one task time")
         if not all(map(isfinite, self.times)):  # NaN would slip past every check below
@@ -55,7 +58,6 @@ class TaskSchedule:
         return cls(tuple(t0 + k * interval for k in range(count)))
 
 
-@dataclass
 class RunRecord:
     """Everything one run produced: states, per-transition change logs,
     stall intervals and the config echo.  ``states[0]`` is the initial
@@ -73,11 +75,13 @@ class RunRecord:
     the run's live state does), so the index maps cost O(n) per run, not
     per state."""
 
-    config: dict = field(default_factory=dict)
-    states: list[RotationState] = field(default_factory=list)
-    change_logs: list[ChangeLog] = field(default_factory=list)
-    stalls: list[tuple[float, float]] = field(default_factory=list)
-    unconsumed: list[WorkerEvent] = field(default_factory=list)
+    def __init__(self, config=None, states=None, change_logs=None, stalls=None,
+                 unconsumed=None):
+        self.config: dict = {} if config is None else config
+        self.states: list[RotationState] = [] if states is None else states
+        self.change_logs: list[ChangeLog] = [] if change_logs is None else change_logs
+        self.stalls: list[tuple[float, float]] = [] if stalls is None else stalls
+        self.unconsumed: list[WorkerEvent] = [] if unconsumed is None else unconsumed
 
 
 def partition_events(events: list[WorkerEvent], t_prev: float,

@@ -14,9 +14,8 @@ carry no stress for it; the model concerns the workers who stay.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, InvalidPair
 from .generator import RunRecord
@@ -24,21 +23,37 @@ from .operators import ChangeLog, Donated, Inserted, Joined, Removed, Split
 from .state import RotationState, changed_positions, validate_pair
 
 
-@dataclass(frozen=True)
-class StressWeights:
+class _Weights(NamedTuple):
+    alpha: float = 1.0   # per unit of counter drop
+    beta: float = 0.25   # per unit of counter rise
+    gamma: float = 0.5   # per group move
+
+
+class StressWeights(_Weights):
     """Linear stress model weights; all finite and non-negative.
 
     ``beta`` defaults low: whether a delayed turn stresses anyone is an
     open question, so rises are reported but barely scored by default.
     """
 
-    alpha: float = 1.0   # per unit of counter drop
-    beta: float = 0.25   # per unit of counter rise
-    gamma: float = 0.5   # per group move
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(math.isfinite(x) and x >= 0 for x in (self.alpha, self.beta, self.gamma)):
+    def __init__(self, *_args, **_kwargs):  # ``_Weights.__new__`` set the fields
+        if not all(math.isfinite(x) and x >= 0 for x in self):
             raise ConfigError("stress weights must be finite and >= 0")
+
+
+def _quartiles(series: list[float]) -> list[float]:
+    """CPython 3.11's ``statistics.quantiles(series, n=4, method="inclusive")``,
+    float for float, for a sorted series of two or more."""
+    n, m = 4, len(series) - 1
+    return [(series[j] * (n - delta) + series[j + 1] * delta) / n
+            for j, delta in (divmod(i * m, n) for i in range(1, n))]
+
+
+def _mean(xs: list[float]) -> float:
+    """CPython 3.11's ``statistics.fmean(xs)`` for a non-empty list."""
+    return math.fsum(xs) / len(xs)
 
 
 def _moved_tokens(log: ChangeLog) -> set[str]:
@@ -136,16 +151,16 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None) -> di
 
     series = sorted(s["stress"] for s in per_worker.values()) or [0.0]
     if len(series) >= 2:
-        q1, q2, q3 = statistics.quantiles(series, n=4, method="inclusive")
+        q1, q2, q3 = _quartiles(series)
     else:
         q1 = q2 = q3 = series[0]
 
     return {
         "group_counts": group_counts,
-        "mean_m": statistics.fmean(group_counts),
+        "mean_m": _mean(group_counts),
         "min_m": min(group_counts),
         "max_m": max(group_counts),
-        "burden": statistics.fmean(1.0 / m for m in group_counts),  # mean of 1/m
+        "burden": _mean([1.0 / m for m in group_counts]),  # mean of 1/m
         "per_worker": dict(sorted(per_worker.items())),
         "totals": {"drop": total_drop, "rise": total_rise, "moves": total_moves,
                    "stress": stress_total},

@@ -18,29 +18,49 @@ workspace held before reproduces the state it holds after exactly (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, ForbiddenMove
 from .state import GroupId, WorkerId, Workspace
 from .strategies import StrategySet, choose_group, find_donor
 
 
-@dataclass(frozen=True)
 class OperatorPolicy:
     """Numeric policy: group-size floor d and split cap max(d).
 
     The split cap is ``max_multiplier * d``; the multiplier must be at
-    least 2 so both halves of a split stay at or above the floor.
+    least 2 so both halves of a split stay at or above the floor.  A
+    value: immutable, and equal, hashed and pickled by its two numbers.
     """
 
-    d: int = 2
-    max_multiplier: int = 2
+    __slots__ = ("d", "max_multiplier")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int = 2, max_multiplier: int = 2):
+        if d < 1:
             raise ConfigError("d must be >= 1")
-        if self.max_multiplier < 2:
+        if max_multiplier < 2:
             raise ConfigError("max_multiplier must be >= 2")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "max_multiplier", max_multiplier)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of OperatorPolicy is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not OperatorPolicy:
+            return NotImplemented
+        return (self.d, self.max_multiplier) == (other.d, other.max_multiplier)
+
+    def __hash__(self):
+        return hash((self.d, self.max_multiplier))
+
+    def __repr__(self) -> str:
+        return f"OperatorPolicy(d={self.d!r}, max_multiplier={self.max_multiplier!r})"
+
+    def __reduce__(self):
+        return OperatorPolicy, (self.d, self.max_multiplier)
 
     @property
     def max_size(self) -> int:
@@ -54,9 +74,23 @@ class OperatorPolicy:
 
 
 # -- change log entries -------------------------------------------------
+# Tuples, so building one costs what a tuple does.
 
-@dataclass(frozen=True)
-class Inserted:
+
+def _same_kind(compare):
+    """``compare`` for two entries of one kind; other pairs compare by identity."""
+    return lambda a, b: compare(a, b) if type(b) is type(a) else NotImplemented
+
+
+def _entry(cls):
+    """Make an entry type equal only to entries of its own kind: as bare
+    tuples, ``Inserted(w, g)`` would equal ``Removed(w, g)``."""
+    cls.__eq__, cls.__ne__ = _same_kind(tuple.__eq__), _same_kind(tuple.__ne__)
+    return cls
+
+
+@_entry
+class Inserted(NamedTuple):
     worker: WorkerId
     group: GroupId
 
@@ -64,8 +98,8 @@ class Inserted:
         return {"op": "inserted", "worker": self.worker.token, "group": self.group}
 
 
-@dataclass(frozen=True)
-class Removed:
+@_entry
+class Removed(NamedTuple):
     worker: WorkerId
     group: GroupId
 
@@ -73,8 +107,8 @@ class Removed:
         return {"op": "removed", "worker": self.worker.token, "group": self.group}
 
 
-@dataclass(frozen=True)
-class Split:
+@_entry
+class Split(NamedTuple):
     group: GroupId
     new_group: GroupId
     moved: tuple[WorkerId, ...]
@@ -84,8 +118,8 @@ class Split:
                 "moved": [w.token for w in self.moved]}
 
 
-@dataclass(frozen=True)
-class Joined:
+@_entry
+class Joined(NamedTuple):
     survivor: GroupId
     absorbed: GroupId
     moved: tuple[WorkerId, ...]
@@ -95,8 +129,8 @@ class Joined:
                 "moved": [w.token for w in self.moved]}
 
 
-@dataclass(frozen=True)
-class Donated:
+@_entry
+class Donated(NamedTuple):
     worker: WorkerId
     from_group: GroupId
     to_group: GroupId
@@ -106,16 +140,16 @@ class Donated:
                 "from": self.from_group, "to": self.to_group}
 
 
-@dataclass(frozen=True)
-class DegradedEntered:
+@_entry
+class DegradedEntered(NamedTuple):
     group: GroupId
 
     def to_dict(self):
         return {"op": "degraded", "group": self.group}
 
 
-@dataclass(frozen=True)
-class Stalled:
+@_entry
+class Stalled(NamedTuple):
     def to_dict(self):
         return {"op": "stalled"}
 

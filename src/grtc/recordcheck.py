@@ -10,12 +10,11 @@ any producer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import countOf, itemgetter
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     # index of the state (or of the transition's target state); None for
     # a finding about the record's stall list as a whole
     step: int | None
@@ -27,10 +26,10 @@ class Finding:
         return f"{where}: {self.code}: {self.detail}"
 
 
-@dataclass
 class RecordValidation:
-    violations: list[Finding] = field(default_factory=list)
-    warnings: list[Finding] = field(default_factory=list)
+    def __init__(self, violations=None, warnings=None):
+        self.violations = [] if violations is None else violations
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def ok(self) -> bool:

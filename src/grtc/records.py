@@ -189,9 +189,10 @@ def load_record(path) -> dict:
 
 def require_shape(doc: dict) -> None:
     """Structural sanity only; semantic checks live in recordcheck."""
-    if not isinstance(doc, dict) or doc.get("v") != SCHEMA_VERSION:
-        raise CorruptRecord(f"unsupported record version {doc.get('v')!r}"
-                            if isinstance(doc, dict) else "record is not an object")
+    if not isinstance(doc, dict):
+        raise CorruptRecord("record is not an object")
+    if type(doc.get("v")) is not int or doc["v"] != SCHEMA_VERSION:  # not True or 1.0
+        raise CorruptRecord(f"unsupported record version {doc.get('v')!r}")
     for key in ("config", "states", "change_logs", "stalls"):
         if key not in doc:
             raise CorruptRecord(f"missing key {key!r}")

@@ -20,7 +20,6 @@ construction at the end.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
 from operator import is_not
@@ -58,8 +57,7 @@ class Code(Enum):
     FOLLOWS_WRONG_SUCCESSOR = "FollowsWrongSuccessor"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: Code
     detail: str
 
@@ -67,8 +65,7 @@ class Violation:
         return f"{self.code.value}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """All violations found, not just the first."""
 
     violations: tuple[Violation, ...] = ()
@@ -84,7 +81,6 @@ class ValidationReport:
         return "; ".join(map(str, self.violations)) or "ok"
 
 
-@dataclass(frozen=True)
 class RotationState:
     """Snapshot of the group ring.
 
@@ -94,28 +90,39 @@ class RotationState:
     ``indexes`` is ``(pos, group, by_size)`` of the workspace that
     published the state (see ``Workspace``), or None for a state built
     any other way.  Only ``Workspace.publish`` and ``advance_current`` set
-    it, so a state derived with ``dataclasses.replace`` carries none; the
-    next workspace copies it instead of rebuilding it.
+    it, so a state built with the constructor carries none; the next
+    workspace copies it instead of rebuilding it.
 
-    The class keeps the dataclass's equality, hash, repr, ``replace`` and
-    frozen assignment, but has its own ``__init__``, which fills the
-    instance dict in one call instead of one ``object.__setattr__`` per
-    field.
+    A value: equal and hashed by ``ring``, ``members``, ``current`` and
+    ``step_index``, and no field can be assigned.  ``__init__`` fills the
+    instance dict in one call.
     """
 
-    ring: tuple[GroupId, ...]
-    members: tuple[tuple[WorkerId, ...], ...]
-    current: GroupId
-    step_index: int = 0
-    used_group_ids: frozenset[GroupId] = field(default=frozenset(), compare=False)
-    next_seq: int = field(default=1, compare=False)
-    indexes: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-    def __init__(self, ring, members, current, step_index=0,
-                 used_group_ids=frozenset(), next_seq=1):
+    def __init__(self, ring: tuple[GroupId, ...], members: tuple[tuple[WorkerId, ...], ...],
+                 current: GroupId, step_index: int = 0,
+                 used_group_ids: frozenset[GroupId] = frozenset(), next_seq: int = 1):
         self.__dict__.update(ring=ring, members=members, current=current,
                              step_index=step_index, used_group_ids=used_group_ids,
                              next_seq=next_seq, indexes=None)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of RotationState is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not RotationState:
+            return NotImplemented
+        return (self.ring, self.members, self.current, self.step_index) == \
+            (other.ring, other.members, other.current, other.step_index)
+
+    def __hash__(self):
+        return hash((self.ring, self.members, self.current, self.step_index))
+
+    def __repr__(self) -> str:
+        return (f"RotationState(ring={self.ring!r}, members={self.members!r}, "
+                f"current={self.current!r}, step_index={self.step_index!r}, "
+                f"used_group_ids={self.used_group_ids!r}, next_seq={self.next_seq!r})")
 
     # -- shape ---------------------------------------------------------
 

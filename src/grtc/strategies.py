@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 
 from .errors import ConfigError, GrtcError
 from .state import GroupId, Workspace
@@ -20,24 +19,23 @@ CHOOSE_KINDS = ("random", "farthest", "concentrated", "balanced", "hybrid")
 FIND_ORDERS = ("pred-first", "succ-first")
 
 
-@dataclass
 class StrategySet:
     """The strategy knobs for one run.  Split (half/half by seniority) and
     join (rule-based survivor selection) have one implementation each."""
 
-    choose: str = "balanced"
-    find_order: str = "pred-first"
-    # the seed-0 stream of ``seeded``, so a default set is deterministic too
-    rng: random.Random = field(default_factory=lambda: random.Random("0:choose"),
-                               repr=False, compare=False)
+    __slots__ = ("choose", "find_order", "rng")
 
-    def __post_init__(self):
-        if self.choose not in CHOOSE_KINDS:
-            raise ConfigError(f"unknown choose strategy {self.choose!r}; "
+    def __init__(self, choose: str = "balanced", find_order: str = "pred-first",
+                 rng: random.Random | None = None):
+        if choose not in CHOOSE_KINDS:
+            raise ConfigError(f"unknown choose strategy {choose!r}; "
                               f"expected one of {CHOOSE_KINDS}")
-        if self.find_order not in FIND_ORDERS:
-            raise ConfigError(f"unknown find order {self.find_order!r}; "
+        if find_order not in FIND_ORDERS:
+            raise ConfigError(f"unknown find order {find_order!r}; "
                               f"expected one of {FIND_ORDERS}")
+        self.choose, self.find_order = choose, find_order
+        # the seed-0 stream of ``seeded``, so a default set is deterministic too
+        self.rng = random.Random("0:choose") if rng is None else rng
 
     @classmethod
     def seeded(cls, choose: str, find_order: str, seed) -> "StrategySet":

@@ -13,7 +13,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _str
 from typing import IO, Iterable, NamedTuple
 
@@ -39,8 +38,15 @@ class WorkerEvent(NamedTuple):
         return {"t": self.t, "op": self.op, "worker": self.worker}
 
 
-@dataclass(frozen=True)
-class TraceConfig:
+class _TraceModel(NamedTuple):
+    seed: int = 0
+    duration: float = 100.0
+    arrival_rate: float = 1.0
+    departure_rate: float = 0.1
+    initial_workers: int = 4
+
+
+class TraceConfig(_TraceModel):
     """Stochastic model for one synthetic trace.
 
     ``arrival_rate`` is the Poisson intensity of newcomers per unit
@@ -48,13 +54,9 @@ class TraceConfig:
     are allowed as degenerate limits (no arrivals / nobody leaves).
     """
 
-    seed: int = 0
-    duration: float = 100.0
-    arrival_rate: float = 1.0
-    departure_rate: float = 0.1
-    initial_workers: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *_args, **_kwargs):  # ``_TraceModel.__new__`` set the fields
         if not all(map(math.isfinite, (self.duration, self.arrival_rate,
                                        self.departure_rate))):
             raise ConfigError("duration and rates must be finite")  # else no end
@@ -162,7 +164,7 @@ def read_trace(stream: IO[str]) -> tuple[list[str], list[WorkerEvent]]:
         raise ParseError(f"bad header: {e}", line=1) from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ParseError(f"not a {FORMAT_NAME} file", line=1)
-    if header.get("v") != FORMAT_VERSION:
+    if type(header.get("v")) is not int or header["v"] != FORMAT_VERSION:  # not True or 1.0
         raise ParseError(f"unsupported version {header.get('v')!r}", line=1)
     initial = header.get("initial", [])
     if not isinstance(initial, list) or not all(isinstance(w, str) for w in initial):

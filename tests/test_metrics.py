@@ -1,4 +1,5 @@
 import json
+import statistics
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from grtc import (
 )
 from grtc.errors import InvalidPair
 from grtc.generator import RunRecord
-from grtc.metrics import transition_stress
+from grtc.metrics import _mean, _quartiles, transition_stress
 from grtc.operators import Donated, Joined, Split
 from grtc.state import WorkerId, advance_current, counter_of_worker
 
@@ -370,3 +371,19 @@ class TestFoldMatchesReference:
                                           last.current, last.step_index)
         assert record.states[-1].ring is not first.ring
         assert same_json(summarize_run(record, W), oracle_report(record_to_dict(record), W))
+
+
+class TestQuartilesAndMeans:
+    """The report's quartiles and means, float for float against the
+    ``statistics`` functions they replace.  Lengths 2 to 9 take every
+    residue of (length - 1) mod 4, so every interpolation weight."""
+
+    @pytest.mark.parametrize("length", range(2, 10))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_match_statistics_bit_for_bit(self, length, data):
+        xs = sorted(data.draw(st.lists(st.floats(min_value=0.0, max_value=1e300),
+                                       min_size=length, max_size=length)))
+        want = statistics.quantiles(xs, n=4, method="inclusive")
+        assert repr(_quartiles(xs)) == repr(want)
+        assert repr(_mean(xs)) == repr(statistics.fmean(xs))

@@ -357,8 +357,9 @@ class TestDonate:
         assert_replay_matches(state, log, out)
 
 
-class TestEntryCodec:
-    @pytest.mark.parametrize("entry, d", [
+def fresh_entries():
+    """One entry of each kind and its dict form, built anew on every call."""
+    return [
         (Inserted(WorkerId("w1", 1), "g1"), {"op": "inserted", "worker": "w1", "group": "g1"}),
         (Removed(WorkerId("w1", 1), "g1"), {"op": "removed", "worker": "w1", "group": "g1"}),
         (Split("g1", "g4", (WorkerId("w5", 5), WorkerId("w6", 6))),
@@ -369,8 +370,29 @@ class TestEntryCodec:
          {"op": "donated", "worker": "w5", "from": "g2", "to": "g3"}),
         (DegradedEntered("g2"), {"op": "degraded", "group": "g2"}),
         (Stalled(), {"op": "stalled"}),
-    ], ids=["inserted", "removed", "split", "joined", "donated", "degraded", "stalled"])
+    ]
+
+
+ENTRY_KINDS = ["inserted", "removed", "split", "joined", "donated", "degraded", "stalled"]
+
+
+class TestEntryCodec:
+    @pytest.mark.parametrize("entry, d", fresh_entries(), ids=ENTRY_KINDS)
     def test_round_trip(self, entry, d):
         # the dict form drops only the sequence numbers
         assert entry.to_dict() == d
         assert list(entry.to_dict()) == list(d)  # key order is part of the format
+
+    @pytest.mark.parametrize("k", range(len(ENTRY_KINDS)), ids=ENTRY_KINDS)
+    def test_equals_a_fresh_copy(self, k):
+        (entry, _), (copy_, _) = fresh_entries()[k], fresh_entries()[k]
+        assert entry is not copy_
+        assert entry == copy_ and not entry != copy_ and hash(entry) == hash(copy_)
+
+    @pytest.mark.parametrize("a, b", [  # two kinds built from the same fields
+        (Inserted(WorkerId("w1", 1), "g1"), Removed(WorkerId("w1", 1), "g1")),
+        (Split("g1", "g2", (WorkerId("w3", 3),)), Joined("g1", "g2", (WorkerId("w3", 3),))),
+    ], ids=["inserted-removed", "split-joined"])
+    def test_kinds_differ_on_equal_fields(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            assert not x == y and x != y

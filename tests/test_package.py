@@ -38,15 +38,22 @@ TRACED_LAYERS = ("traces", "generator", "strategies", "operators", "state", "met
                  "records", "recordcheck", "sweep")
 
 
-def test_import_loads_no_process_pool():
-    """``import grtc, grtc.cli`` loads every traced layer and none of the
-    process-pool stack, which only a parallel sweep imports."""
+# what a grtc process must not pay for at start-up: the process-pool
+# stack, which only a parallel sweep imports, and the modules that
+# ``dataclasses`` (``inspect``) and ``statistics`` (``decimal``,
+# ``fractions``) load
+UNLOADED = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+            "statistics", "decimal", "fractions")
+
+
+def test_import_leaves_out_process_pool_dataclasses_and_statistics():
+    """``import grtc, grtc.cli`` loads every traced layer and none of
+    ``UNLOADED``."""
     src = Path(grtc.__file__).resolve().parent.parent
     probe = ("import sys, grtc, grtc.cli; "
              "print('\\n'.join(sorted(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(src))
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True).stdout.split()
-    assert [name for name in loaded
-            if name.startswith(("concurrent.futures", "multiprocessing"))] == []
+    assert [name for name in loaded if name.startswith(UNLOADED)] == []
     assert {f"grtc.{layer}" for layer in TRACED_LAYERS} <= set(loaded)

@@ -574,11 +574,14 @@ class TestRecordIO:
         with pytest.raises(CorruptRecord, match=re.escape(path + ":")):
             load_record(bad)
 
-    def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "v2.json"
-        path.write_text(json.dumps({"v": 2}))
-        with pytest.raises(CorruptRecord):
-            load_record(path)
+    def test_load_rejects_wrong_version(self, record_doc, tmp_path):
+        # True and 1.0 equal 1 in Python, so the version is checked, not coerced
+        for version in (2, True, 1.0):
+            path = tmp_path / "v.json"
+            path.write_text(json.dumps({**record_doc, "v": version}))
+            with pytest.raises(CorruptRecord,
+                               match=re.escape(f"unsupported record version {version!r}")):
+                load_record(path)
 
     def test_snapshot_schema(self, record_doc):
         snap = record_doc["states"][0]

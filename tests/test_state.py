@@ -1,9 +1,11 @@
-import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
 
-from grtc import next_state
+from grtc import (
+    OperatorPolicy, RotationState, StressWeights, TaskSchedule, TraceConfig, next_state,
+)
 from grtc.errors import InvalidState, UnknownGroup, UnknownWorker
 from grtc.state import (
     Code,
@@ -140,8 +142,8 @@ class TestValidatePair:
         assert validate_pair(fig1, advance_current(fig1)).ok
 
     def test_wrong_successor(self, fig1):
-        import dataclasses
-        bad = dataclasses.replace(fig1, current="g3", step_index=1)
+        bad = RotationState(fig1.ring, fig1.members, "g3", 1, fig1.used_group_ids,
+                            fig1.next_seq)
         report = validate_pair(fig1, bad)
         assert Code.FOLLOWS_WRONG_SUCCESSOR in report.codes()
 
@@ -186,7 +188,7 @@ class TestValueTypes:
     def test_state_fields_cannot_be_assigned(self, fig1, policy, strategies, name):
         published, _ = next_state(fig1, policy, strategies, [])
         for state in (fig1, published):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(state, name, None)
 
     def test_equality_and_hash_ignore_the_bookkeeping(self, fig1):
@@ -199,13 +201,30 @@ class TestValueTypes:
         assert bare != fig1  # the current group and the step do count
 
     def test_replace_drops_the_indexes(self, fig1):
+        # a state rebuilt from a published one's fields carries no indexes
         published = Workspace(fig1).publish()
-        derived = dataclasses.replace(published, step_index=7)
+        derived = RotationState(published.ring, published.members, published.current, 7,
+                                published.used_group_ids, published.next_seq)
         assert derived.indexes is None
         assert (derived.ring, derived.members, derived.current, derived.step_index,
                 derived.used_group_ids, derived.next_seq) == \
             (published.ring, published.members, published.current, 7,
              published.used_group_ids, published.next_seq)
+
+    @pytest.mark.parametrize("value, field, other", [
+        (OperatorPolicy(d=3, max_multiplier=2), "d", OperatorPolicy(d=3, max_multiplier=3)),
+        (StressWeights(beta=1.0), "alpha", StressWeights()),
+        (TaskSchedule.periodic(1.0, 3), "times", TaskSchedule.periodic(1.0, 4)),
+        (TraceConfig(seed=5), "seed", TraceConfig(seed=6)),
+    ], ids=["policy", "weights", "schedule", "trace"])
+    def test_run_key_parts_are_values(self, value, field, other):
+        # a parallel sweep sends them to its pool as parts of a ``sweep.RunKey``
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value) and repr(copy) == repr(value)
+        assert copy == value and not copy != value and hash(copy) == hash(value)
+        assert value != other and not value == other
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
 
     def test_publish_advances_the_snapshot_and_carries_the_maps(self, fig1):
         ws = Workspace(fig1)

@@ -174,6 +174,16 @@ class TestIO:
         with pytest.raises(ParseError):
             read_trace(io.StringIO('{"format": "something-else", "v": 1}\n'))
 
+    @pytest.mark.parametrize("version, text", [
+        ("2", "unsupported version 2"), ("true", "unsupported version True"),
+        ("1.0", "unsupported version 1.0"), ('"1"', "unsupported version '1'"),
+    ], ids=["two", "true", "float", "string"])
+    def test_version_is_checked_not_coerced(self, version, text):
+        header = '{"format": "grtc-trace", "v": %s, "initial": ["w1", "w2"]}\n' % version
+        with pytest.raises(ParseError, match=re.escape(text)) as exc:
+            read_trace(io.StringIO(header))
+        assert exc.value.line == 1
+
     @pytest.mark.parametrize("event, text", [
         ('{"t": -1.0, "op": "arrive", "worker": "x1"}', "event time -1.0 is not"),
         ('{"t": 0.0, "op": "arrive", "worker": "x1"}', "event time 0.0 is not"),
