@@ -15,6 +15,15 @@ median seconds of ``summarize_run``, ``dump_record``, writing
 ``report.json``, ``load_record`` and ``validate_record``, the record's
 size, and the tracemalloc peak of one more, traced ``run_rotation``.
 
+A ``quiet`` section times one run of quiet-long's trace model, where
+idle transitions dominate and each state's fixed cost sets the speed:
+``churn_trace`` with 200 workers at rate 0.002 (trace seed 0), 2,000
+tasks.  Each of REPEATS repeats times ``read_trace_file`` on the trace
+written to a file, ``run_rotation``, ``summarize_run``, ``dump_record``
+into a file that did not exist before, and writing ``report.json``, then
+checks the record with ``validate_record``.  It stores each layer's
+median in ms and in µs per state.
+
 A ``small`` section then times ``next_state`` where its fixed cost per
 call dominates: on fresh canonical states (ids g1..gm in ring order,
 current g1, members by seniority) for n = 2..8 workers and m = 2..4
@@ -64,6 +73,7 @@ TRACE_SEED = 0
 REPEATS = 3  # runs per pool; each timed layer stores its median
 LAYERS = ("run_s", "summarize_run_s", "dump_record_s", "write_report_s", "load_record_s",
           "validate_record_s")
+QUIET_LAYERS = ("read_trace", "run_rotation", "summarize_run", "dump_record", "write_report")
 SMALL_NS = range(2, 9)
 SMALL_STATES = 1000  # states per n at most; larger n take every k-th state
 SMALL_KINDS = ("farthest", "concentrated", "balanced", "hybrid")
@@ -94,31 +104,24 @@ print(json.dumps({"import_s": import_s, "import_rss_mb": (rss1 - rss0) / 1e6,
 """
 
 
-def measure(workloads, n0: int, tmp: Path) -> dict:
-    from grtc.config import RunSetup
-    from grtc.generator import run_rotation
-    from grtc.metrics import summarize_run
-    from grtc.records import dump_record, load_record
-    from grtc.recordcheck import validate_record
+def write_report(report: dict, path) -> None:
+    """Write ``report.json`` as ``grtc run`` does."""
     try:
         from grtc.records import report_text
     except ImportError:  # a tree from before report_text wrote report.json this way
-        def report_text(report):
-            return json.dumps(report, indent=1, sort_keys=True) + "\n"
+        text = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    else:
+        text = report_text(report)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
-    p = workloads.RUN_WORKLOADS["churn-large"]
-    setup = RunSetup(dict(workloads.RUN_CONFIG,
-                          schedule={"interval": 1.0, "count": p["tasks"]}))
-    roster, events = workloads.churn_trace(TRACE_SEED, n0, p["departure_rate"],
-                                           p["duration"])
-    initial = setup.initial_state(roster)
+
+def timer(keys) -> tuple[dict, object]:
+    """Per key a list of seconds, and ``timed(key, fn, *args)``, which
+    calls ``fn``, appends its seconds to the key's list and returns what
+    it returned."""
+    seconds: dict[str, list[float]] = {key: [] for key in keys}
     clock = time.perf_counter
-
-    def run():
-        return run_rotation(initial, setup.policy, setup.strategies, setup.schedule,
-                            events, config=setup.echo())
-
-    seconds: dict[str, list[float]] = {key: [] for key in LAYERS}
 
     def timed(key, fn, *args):
         t0 = clock()
@@ -126,10 +129,28 @@ def measure(workloads, n0: int, tmp: Path) -> dict:
         seconds[key].append(clock() - t0)
         return out
 
-    def write_report(report, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(report_text(report))
+    return seconds, timed
 
+
+def measure(workloads, n0: int, tmp: Path) -> dict:
+    from grtc.config import RunSetup
+    from grtc.generator import run_rotation
+    from grtc.metrics import summarize_run
+    from grtc.records import dump_record, load_record
+    from grtc.recordcheck import validate_record
+
+    p = workloads.RUN_WORKLOADS["churn-large"]
+    setup = RunSetup(dict(workloads.RUN_CONFIG,
+                          schedule={"interval": 1.0, "count": p["tasks"]}))
+    roster, events = workloads.churn_trace(TRACE_SEED, n0, p["departure_rate"],
+                                           p["duration"])
+    initial = setup.initial_state(roster)
+
+    def run():
+        return run_rotation(initial, setup.policy, setup.strategies, setup.schedule,
+                            events, config=setup.echo())
+
+    seconds, timed = timer(LAYERS)
     path = tmp / f"record-{n0}.json"
     for _ in range(REPEATS):
         record = timed("run_s", run)
@@ -165,6 +186,42 @@ def measure(workloads, n0: int, tmp: Path) -> dict:
         "validate_record_s": round(median["validate_record_s"], 4),
         "run_peak_mb": round(peak / 1e6, 2),
     }
+
+
+def measure_quiet(workloads, tmp: Path) -> dict:
+    """quiet-long's run, layer by layer: the medians in ms and µs per state."""
+    from grtc.config import RunSetup
+    from grtc.generator import run_rotation
+    from grtc.metrics import summarize_run
+    from grtc.records import dump_record, load_record
+    from grtc.recordcheck import validate_record
+    from grtc.traces import read_trace_file, write_trace_file
+
+    p = workloads.RUN_WORKLOADS["quiet-long"]
+    setup = RunSetup(dict(workloads.RUN_CONFIG,
+                          schedule={"interval": 1.0, "count": p["tasks"]}))
+    trace = tmp / "quiet.jsonl"
+    write_trace_file(trace, *workloads.churn_trace(TRACE_SEED, p["workers"],
+                                                   p["departure_rate"], p["duration"]))
+    seconds, timed = timer(QUIET_LAYERS)
+    for k in range(REPEATS):
+        roster, events = timed("read_trace", read_trace_file, trace)
+        record = timed("run_rotation", run_rotation, setup.initial_state(roster), setup.policy,
+                       setup.strategies, setup.schedule, events, setup.echo())
+        report = timed("summarize_run", summarize_run, record, setup.weights)
+        path = tmp / f"quiet-{k}.json"  # a fresh file: no truncation is timed
+        timed("dump_record", dump_record, record, path)
+        timed("write_report", write_report, report, tmp / f"quiet-report-{k}.json")
+        result = validate_record(load_record(path))
+        if not result.ok:
+            raise SystemExit(f"ladder: the quiet record does not validate: {result}")
+        path.unlink()
+    states = len(record.states)
+    row = {"tasks": p["tasks"], "events": len(events), "states": states, "repeats": REPEATS}
+    for key, xs in seconds.items():
+        row[f"{key}_ms"] = round(statistics.median(xs) * 1e3, 2)
+        row[f"{key}_us_per_state"] = round(statistics.median(xs) / states * 1e6, 2)
+    return row
 
 
 def canonical_states(n: int) -> list[tuple]:
@@ -265,6 +322,8 @@ def main(argv: list[str] | None = None) -> int:
         for n0 in POOLS:
             rows[f"n{n0}"] = row = measure(workloads, n0, Path(tmp))
             print(f"{args.label}: n0={n0} {json.dumps(row)}", flush=True)
+        quiet = measure_quiet(workloads, Path(tmp))
+        print(f"{args.label}: quiet {json.dumps(quiet)}", flush=True)
     small = {}
     for n in SMALL_NS:
         small[f"n{n}"] = row = measure_small(n)
@@ -275,6 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "pools": rows,
+        "quiet": quiet,
         "small": small,
         "startup": startup,
     }

@@ -32,6 +32,7 @@ class TaskSchedule(_Times):
     """Strictly increasing, finite task times, explicit or periodic."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # else ``_replace`` skips __init__
 
     def __init__(self, *_args, **_kwargs):  # ``_Times.__new__`` set the field
         if not self.times:
@@ -195,7 +196,8 @@ def run_rotation(initial: RotationState, policy: OperatorPolicy,
     The window for task time t_i is (t_{i-1}, t_i] with t_0 = 0, so an
     event time must be a finite number > 0 (else OrderError).  On a
     stall the window's events stay queued and are retried, merged with
-    the next window, until a valid state can be built again.
+    the next window, until a valid state can be built again.  A task with
+    no event due costs one comparison, not ``partition_events``' bisections.
     """
     report = check_state(initial)
     if not report.ok:
@@ -212,16 +214,18 @@ def run_rotation(initial: RotationState, policy: OperatorPolicy,
     record.states.append(initial.without_indexes())
 
     current = initial
-    backlog: list[WorkerEvent] = []
+    batch: list[WorkerEvent] = []  # a stalled batch stays queued
     stall_start: float | None = None
-    t_prev = 0.0
+    t_prev, due = 0.0, 0  # events[:due] fell in past windows
     for t in schedule.times:
-        batch = backlog + partition_events(events, t_prev, t)
+        if due < len(events) and events[due].t <= t:
+            window = partition_events(events, t_prev, t)
+            due += len(window)
+            batch = batch + window
         t_prev = t
         try:
             nxt, log = next_state(current, policy, strategies, batch)
         except StallError:
-            backlog = batch
             if stall_start is None:
                 stall_start = t
             continue
@@ -232,11 +236,11 @@ def run_rotation(initial: RotationState, policy: OperatorPolicy,
         record.states.append(nxt.without_indexes())  # only ``current`` keeps its maps
         record.change_logs.append(log)
         current = nxt
-        backlog = []
+        batch = []
 
     if stall_start is not None:
         record.stalls.append((stall_start, schedule.times[-1] - stall_start))
-    record.unconsumed = backlog + partition_events(events, schedule.times[-1], inf)
+    record.unconsumed = batch + events[due:]
     return record
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import ConfigError, InvalidPair
@@ -37,6 +38,7 @@ class StressWeights(_Weights):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # else ``_replace`` skips __init__
 
     def __init__(self, *_args, **_kwargs):  # ``_Weights.__new__`` set the fields
         if not all(math.isfinite(x) and x >= 0 for x in self):
@@ -79,52 +81,59 @@ def summarize_run(record: RunRecord, weights: StressWeights | None = None) -> di
     the next state.  While the ring stays the same, every unchanged
     group lands on its promised counter, so the fold reads workers only
     in the groups whose members changed (``changed_positions``): O(m) in
-    C plus their sizes, nothing for an idle transition.  On a split or a
-    join it reads every group of both states, worker by worker.  Only
-    non-zero rows are added, in the next state's ring and member order.
+    C plus their sizes.  An idle transition ends after the check of the
+    tokens that just came, and each state's current position is found
+    once.  On a split or a join it reads every group of both states,
+    worker by worker.  Only non-zero rows are added, in the next state's
+    ring and member order.
     """
     weights = weights or StressWeights()
     alpha, beta, gamma = weights.alpha, weights.beta, weights.gamma
 
-    group_counts = [s.m for s in record.states]
+    states = record.states
+    group_counts = [s.m for s in states]
+    currents = [s.index_of(s.current) for s in states]  # each state's, found once
     per_worker: dict[str, dict] = {}
 
-    def slot(token: str) -> dict:
-        return per_worker.setdefault(
+    def slot(token: str) -> dict:  # the row is built only when missing
+        return per_worker.get(token) or per_worker.setdefault(
             token, {"stress": 0.0, "moves": 0, "drops": 0, "rises": 0, "tasks": 0})
 
-    for state in record.states:
-        for w in state.members_of(state.current):
+    for state, k in zip(states, currents):
+        for w in state.members[k]:
             slot(w.token)["tasks"] += 1
 
     total_drop = total_rise = total_moves = 0
     stress_total = 0.0
-    entry_counts: Counter[type] = Counter()
-    pool = record.states[0].tokens()  # the tokens of the state before each transition
-    fresh = set(pool)                 # the tokens of that state that may lack a slot
-    for prev, nxt, log in zip(record.states, record.states[1:], record.change_logs):
-        entry_counts.update(map(type, log))
-        prev_cur, cur, m = prev.index_of(prev.current), nxt.index_of(nxt.current), nxt.m
+    entry_counts = Counter(map(type, chain.from_iterable(record.change_logs)))
+    pool = states[0].tokens()  # the tokens of the state before each transition
+    fresh = set(pool)          # the tokens of that state that may lack a slot
+    for prev, nxt, log, prev_cur, cur in zip(states, states[1:], record.change_logs,
+                                             currents, currents[1:]):
         reads = changed_positions(prev, nxt)
         if reads is None:  # a split or a join: every counter may have moved
-            reads, before = range(m), range(prev.m)
+            reads, before = range(nxt.m), range(prev.m)
         else:
             # the same ring: ``current`` moved one position, so every
             # unchanged group's counter fell by one, as promised
             before = reads
-        # token -> (group, counter) in prev, for the groups read
-        prev_m = prev.m
-        before_of = {w.token: (prev.ring[j], (j - prev_cur) % prev_m)
-                     for j in before for w in prev.members[j]}
-        came = [w.token for k in reads for w in nxt.members[k]]
-        pool.difference_update(before_of)
-        pool.update(came)
+        if reads:
+            # token -> (group, counter) in prev, for the groups read
+            prev_m = prev.m
+            before_of = {w.token: (prev.ring[j], (j - prev_cur) % prev_m)
+                         for j in before for w in prev.members[j]}
+            came = [w.token for k in reads for w in nxt.members[k]]
+            pool.difference_update(before_of)
+            pool.update(came)
         # a token on both sides of a transition gets its slot, stress or not
         for token in fresh:
             if token in pool:
                 slot(token)
+        if not reads:  # an idle transition: no group changed, nobody came
+            fresh = ()
+            continue
         fresh = [t for t in came if t not in before_of]
-        moved_tokens = _moved_tokens(log) if reads else ()
+        moved_tokens, m = _moved_tokens(log), nxt.m
         for k in reads:
             g, actual = nxt.ring[k], (k - cur) % m
             for w in nxt.members[k]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import ConfigError, ForbiddenMove
-from .state import GroupId, WorkerId, Workspace
+from .state import GroupId, WorkerId, Workspace, seniority
 from .strategies import StrategySet, choose_group, find_donor
 
 
@@ -180,7 +180,7 @@ def split_group(ws: Workspace, g: GroupId) -> None:
     """
     i = ws.index_of(g)
     ms = ws.members[i]
-    moved = tuple(sorted(ms, key=lambda w: w.seq)[(len(ms) + 1) // 2:])  # by seniority
+    moved = tuple(sorted(ms, key=seniority)[(len(ms) + 1) // 2:])
     moving = frozenset(w.token for w in moved)
 
     fresh = _fresh_group_id(ws)
@@ -247,8 +247,9 @@ def donate_worker(ws: Workspace, from_group: GroupId, to_group: GroupId) -> None
     """
     i = ws.index_of(from_group)
     src = ws.members[i]
-    w = max(src, key=lambda x: x.seq)
-    ws.set_members(i, tuple(x for x in src if x is not w))
+    w = max(src, key=seniority)
+    k = src.index(w)
+    ws.set_members(i, src[:k] + src[k + 1:])
     j = ws.index_of(to_group)
     ws.set_members(j, ws.members[j] + (w,))
     ws.group[w.token] = to_group
@@ -382,8 +383,9 @@ def remove_worker(ws: Workspace, policy: OperatorPolicy,
     g = ws.group[token]
     i = ws.pos[g]
     ms = ws.members[i]
-    worker = next(x for x in ms if x.token == token)
-    ws.set_members(i, tuple(x for x in ms if x.token != token))
+    k = [w.token for w in ms].index(token)  # tokens are unique within a state
+    worker = ms[k]
+    ws.set_members(i, ms[:k] + ms[k + 1:])
     del ws.group[token]
     ws.log.append(Removed(worker, g))
 

@@ -67,9 +67,10 @@ def dump_record(record: RunRecord, path) -> None:
 
     Only the config echo goes through ``json.dumps``.  Everything else
     has a fixed shape and is written from templates, its strings escaped
-    by the C encoder json uses.
+    by the C encoder json uses, through a 1 MiB buffer.  A snapshot whose
+    members did not change reuses the previous one's encoded body.
     """
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8", buffering=1 << 20) as f:
         f.write(f'{{\n "v": {SCHEMA_VERSION},\n "config": {_nested(record.config)}')
         _write_array(f, "states", _snapshots(record.states))
         _write_array(f, "change_logs", (
@@ -111,8 +112,9 @@ def _snapshots(states):
         else:
             for k in changed:
                 rows[k] = _group_row(s.ring[k], s.members[k])
+        if changed != []:  # an unchanged snapshot keeps the previous body
+            body = "{\n" + ",\n".join(rows) + "\n   }"
         prev = s
-        body = "{\n" + ",\n".join(rows) + "\n   }"
         yield (f'{{\n   "step": {s.step_index},\n   "current": {_str(s.current)},\n'
                f'{head},\n   "members": {body}\n  }}')
 

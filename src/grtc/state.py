@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from enum import Enum
 from itertools import compress, count
-from operator import is_not
+from operator import is_not, itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidState, UnknownGroup, UnknownWorker
@@ -42,6 +42,9 @@ class WorkerId(NamedTuple):
 
     token: str
     seq: int
+
+
+seniority = itemgetter(1)  # a worker's ``seq``, read in C: the key of max and sorted
 
 
 class Code(Enum):

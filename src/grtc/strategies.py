@@ -13,7 +13,7 @@ import random
 from bisect import bisect_left, bisect_right
 
 from .errors import ConfigError, GrtcError
-from .state import GroupId, Workspace
+from .state import GroupId, Workspace, seniority
 
 CHOOSE_KINDS = ("random", "farthest", "concentrated", "balanced", "hybrid")
 FIND_ORDERS = ("pred-first", "succ-first")
@@ -134,7 +134,7 @@ def _walk_donor(ws: Workspace, i: int, directions: tuple[int, int],
             ms = ws.members[j]
             if len(ms) < min_size:
                 continue
-            if max(ms, key=lambda w: w.seq).token in ws.tainted:
+            if max(ms, key=seniority).token in ws.tainted:
                 continue
             return ws.ring[j]
     return None

@@ -55,6 +55,7 @@ class TraceConfig(_TraceModel):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # else ``_replace`` skips __init__
 
     def __init__(self, *_args, **_kwargs):  # ``_TraceModel.__new__`` set the fields
         if not all(map(math.isfinite, (self.duration, self.arrival_rate,
@@ -149,10 +150,15 @@ def write_trace_file(path, initial, events) -> None:
         write_trace(f, initial, events)
 
 
+_scan = json.JSONDecoder().scan_once  # the C scanner that json.loads ends in
+
+
 def read_trace(stream: IO[str]) -> tuple[list[str], list[WorkerEvent]]:
     """Parse and cross-check a trace: finite timestamps > 0 in order,
     string tokens, departures only of present workers, arrivals only of
-    never-seen tokens.  Nothing is coerced."""
+    never-seen tokens.  Nothing is coerced.  json's C scanner reads each
+    event line; a line it does not consume whole (blank, padded, a BOM,
+    two values, too many digits, not JSON) goes through ``json.loads``."""
     lines = stream.read().splitlines()
     if not lines:
         raise ParseError("empty trace", line=1)
@@ -177,14 +183,19 @@ def read_trace(stream: IO[str]) -> tuple[list[str], list[WorkerEvent]]:
         raise ConsistencyError("duplicate tokens in initial roster", line=1)
     last_t = None
     for no, text in enumerate(lines[1:], start=2):
-        if not text.strip():
-            continue
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(e.msg, line=no) from None
-        except ValueError as e:  # an integer past the digit limit
-            raise ParseError(str(e), line=no) from None
+            obj, end = _scan(text, 0)
+        except (StopIteration, ValueError):  # no value at 0, malformed, too many digits
+            end = -1
+        if end != len(text):  # not one bare value: json.loads skips or words it
+            if not text.strip():
+                continue
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as e:
+                raise ParseError(e.msg, line=no) from None
+            except ValueError as e:  # an integer past the digit limit
+                raise ParseError(str(e), line=no) from None
         try:
             t, op, worker = obj["t"], obj["op"], obj["worker"]
         except (KeyError, TypeError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from grtc import (
     OperatorPolicy, RotationState, StressWeights, TaskSchedule, TraceConfig, next_state,
 )
-from grtc.errors import InvalidState, UnknownGroup, UnknownWorker
+from grtc.errors import ConfigError, InvalidState, UnknownGroup, UnknownWorker
 from grtc.state import (
     Code,
     ValidationReport,
@@ -225,6 +225,21 @@ class TestValueTypes:
         assert value != other and not value == other
         with pytest.raises(AttributeError):
             setattr(value, field, None)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: StressWeights()._replace(alpha=-1.0), "stress weights must be finite"),
+        (lambda: TraceConfig()._replace(duration=-5), "duration must be positive"),
+        (lambda: TaskSchedule._make([()]), "schedule needs at least one task time"),
+    ], ids=["weights", "trace", "schedule"])
+    def test_make_and_replace_validate(self, make, message):
+        # namedtuple's own ``_make`` builds the tuple without calling ``__init__``
+        with pytest.raises(ConfigError, match=message):
+            make()
+
+    def test_valid_replace_keeps_the_type(self):
+        assert StressWeights()._replace(beta=1.0) == StressWeights(beta=1.0)
+        assert type(TraceConfig()._replace(seed=6)) is TraceConfig
+        assert TaskSchedule._make([(1.0, 2.0)]) == TaskSchedule.explicit([1.0, 2.0])
 
     def test_publish_advances_the_snapshot_and_carries_the_maps(self, fig1):
         ws = Workspace(fig1)

@@ -204,6 +204,38 @@ class TestIO:
             read_trace(buf)
         assert exc.value.line == 2
 
+    EVENT = '{"t": 2.0, "op": "arrive", "worker": "x1"}'
+    PARSED = [WorkerEvent(1.0, "depart", "w1"), WorkerEvent(2.0, "arrive", "x1")]
+
+    @pytest.mark.parametrize("line, want", [
+        ("", PARSED[:1]),
+        (" \t ", PARSED[:1]),
+        ("  " + EVENT, PARSED),
+        (EVENT + " \t", PARSED),
+        ("\ufeff" + EVENT, "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (EVENT + " " + EVENT, "Extra data"),
+        (EVENT + EVENT, "Extra data"),
+        ('{"t": 1' + "0" * 4300 + ', "op": "arrive", "worker": "x1"}',
+         "Exceeds the limit (4300 digits) for integer string conversion: value has "
+         "4301 digits; use sys.set_int_max_str_digits() to increase the limit"),
+        (EVENT[:-1], "Expecting ',' delimiter"),
+        (EVENT[:-1] + ",}", "Expecting property name enclosed in double quotes"),
+        ("nul", "Expecting value"),
+        ('"x1"', "malformed event '\"x1\"'"),
+    ], ids=["blank", "whitespace", "leading-space", "trailing-space", "bom", "two-values",
+            "two-values-unspaced", "digit-limit", "unclosed", "trailing-comma", "not-json",
+            "a-string"])
+    def test_line_shapes(self, line, want):
+        # the C scanner reads a bare event; every other line goes through json.loads
+        buf = io.StringIO('{"format": "grtc-trace", "v": 1, "initial": ["w1", "w2"]}\n'
+                          '{"t": 1.0, "op": "depart", "worker": "w1"}\n' + line + "\n")
+        if isinstance(want, list):
+            assert read_trace(buf) == (["w1", "w2"], want)
+            return
+        with pytest.raises(ParseError) as exc:
+            read_trace(buf)
+        assert str(exc.value) == f"line 3: {want}" and exc.value.line == 3
+
     def test_integer_time_reads_as_float(self):
         buf = io.StringIO(
             '{"format": "grtc-trace", "v": 1, "initial": ["w1", "w2"]}\n'
